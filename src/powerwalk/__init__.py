@@ -44,15 +44,7 @@ from .search import (
     success_probability,
 )
 from .sums import GridSums, grid_sums
-from .tulsi import (
-    TulsiModel,
-    build_tulsi,
-    compute_alpha_delta,
-    iterate_tulsi,
-    tulsi_overlaps,
-    tulsi_success,
-    tune_delta,
-)
+from .tulsi import tune_delta
 from .szegedy import (
     MarkovChain,
     SzegedyWalk,

@@ -27,6 +27,8 @@ import numpy as np
 from . import fullwalk, records, szegedy
 from .records import ScalingReport
 from .search import (
+    SearchResult,
+    SpectralModel,
     build_model,
     compute_alpha,
     iterate_search,
@@ -35,14 +37,8 @@ from .search import (
     success_probability,
 )
 from .sums import grid_sums
-from .torus import TorusGrid
-from .tulsi import (
-    build_tulsi,
-    compute_alpha_delta,
-    iterate_tulsi,
-    tulsi_success,
-    tune_delta,
-)
+from .torus import DEFAULT_DENSE_BUDGET, TorusGrid
+from .tulsi import tune_delta
 
 DEFAULT_TOLERANCES = {
     "spectrum": 1e-9,
@@ -68,7 +64,7 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
     seed: int = 0
-    budget: int = 4096
+    budget: int = DEFAULT_DENSE_BUDGET
     chains: int = 20
     k_values: tuple[int, ...] = (1, 2, 3)
     generator: str = "random"
@@ -179,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=4096,
+            default=DEFAULT_DENSE_BUDGET,
             help="dense-eigendecomposition dimension budget",
         )
         for name, default in DEFAULT_TOLERANCES.items():
@@ -454,24 +450,29 @@ def cmd_verify_spectrum(config: ExperimentConfig) -> int:
     return 0 if all_ok else 1
 
 
-def _search_record(config: ExperimentConfig, side: int, t: int) -> dict:
-    grid = TorusGrid(side)
-    model = build_model(grid, t, config.marked)
-    alpha_exact, alpha_est = compute_alpha(model, dense_budget=config.budget)
+def _solve(
+    config: ExperimentConfig, model: SpectralModel, trajectory: bool
+) -> tuple[float, float, SearchResult, float]:
+    """alpha_exact, alpha_estimate, the analytic accounting, and p_s: measured
+    on the trajectory at Q, or the analytic bound."""
+    alpha_exact, alpha_est = compute_alpha(model)
     result = success_probability(
         model,
+        alpha_exact,
         rounding=config.rounding,
         amplification_threshold=config.amplification_threshold,
     )
-    if config.trajectory:
-        p_s = iterate_search(model, result.Q).p_s
-    else:
-        p_s = result.p_s
-    gs = grid_sums(grid, t)
+    p_s = iterate_search(model, result.Q).p_s if trajectory else result.p_s
+    return alpha_exact, alpha_est, result, p_s
+
+
+def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
+    alpha_exact, alpha_est, result, p_s = _solve(config, model, trajectory)
+    gs = grid_sums(model.grid, model.t)
     return {
-        "L": side,
-        "N": grid.vertex_count,
-        "t": t,
+        "L": model.grid.side,
+        "N": model.grid.vertex_count,
+        "t": model.t,
         "alpha_exact": alpha_exact,
         "alpha_estimate": alpha_est,
         "Q": result.Q,
@@ -491,7 +492,8 @@ def cmd_search(config: ExperimentConfig) -> tuple[ScalingReport, int]:
     report = ScalingReport()
     for side in config.sizes:
         for t in config.schedule_for(side):
-            report.records.append(_search_record(config, side, t))
+            model = build_model(TorusGrid(side), t, config.marked)
+            report.records.append(_search_record(config, model, config.trajectory))
     recs = report.records
     report.checks["Q_G = t*Q_O"] = all(r["Q_G"] == r["t"] * r["Q_O"] for r in recs)
     report.checks["lower <= S1 <= upper"] = all(
@@ -521,22 +523,17 @@ def cmd_tulsi(config: ExperimentConfig) -> tuple[ScalingReport, int]:
     }
     for side in config.sizes:
         for t in config.schedule_for(side):
-            base = _search_record(config, side, t)
             grid = TorusGrid(side)
-            model = build_model(grid, t, config.marked)
+            base = build_model(grid, t, config.marked)
             if config.delta_policy == "fixed":
                 delta = config.delta
             else:
-                delta = tune_delta(model, policy_map[config.delta_policy])
-            tm = build_tulsi(model, delta)
-            alpha_delta, _ = compute_alpha_delta(tm)
-            tres = tulsi_success(
-                tm,
-                rounding=config.rounding,
-                amplification_threshold=config.amplification_threshold,
-            )
-            p_s = iterate_tulsi(tm, tres.Q).p_s if config.trajectory else tres.p_s
-            rec = dict(base)
+                delta = tune_delta(base, policy_map[config.delta_policy])
+            controlled = build_model(grid, t, config.marked, delta)
+            # The base columns describe plain search at the same (L, t); only
+            # the controlled run's trajectory is measured.
+            rec = _search_record(config, base, trajectory=False)
+            alpha_delta, _, tres, p_s = _solve(config, controlled, config.trajectory)
             rec.update(
                 {
                     "p_s": p_s,

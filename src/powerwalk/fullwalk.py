@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .torus import (
+    DEFAULT_DENSE_BUDGET,
     DEGREE,
     REVERSE,
     STEP,
@@ -28,8 +29,6 @@ from .torus import (
     mode_cosines,
     powered_rotation_apply,
 )
-
-DEFAULT_DENSE_BUDGET = 4096
 
 # Eigenvalues within this distance of +-1 are classified as the +-1 subspace.
 REAL_EIGENVALUE_TOL = 1e-8

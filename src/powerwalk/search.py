@@ -1,13 +1,23 @@
-"""Reduced-space search engine for the multi-step walk on the torus.
+"""Reduced-space search engine for plain and ancilla-controlled torus search.
 
-The search operator U_t = W_t O_t preserves the (2N-1)-dimensional subspace
-spanned by the uniform state and the non-real walk eigenvectors. In that
-subspace the walk is a diagonal phase multiply e^{+-i phi^(t)_k} and the
-oracle is a rank-one reflection about the target's eigenbasis coordinate
-vector, whose moduli on the torus are exactly a_0 = 1/sqrt(N) and
-a_k = 1/sqrt(2N). One search step therefore costs O(N), which carries the
-engine to N ~ 10^5 while agreeing with the full-space simulator to machine
-precision on small instances.
+The search operator U_t = W_t O_t preserves the subspace spanned by the
+uniform state and the non-real walk eigenvectors. In that subspace the walk is
+a diagonal phase multiply e^{+-i phi^(t)_k}, phi^(t)_k = arccos(cos^t phi_k),
+and the oracle is a rank-one reflection about the target's eigenbasis
+coordinate vector, whose moduli on the torus are exactly a_0 = 1/sqrt(N) and
+a_k = 1/sqrt(2N).
+
+Tulsi's controlled search is the same operator with one more mode: an ancilla
+rotated by ``delta`` adds a walk eigenvector of eigenphase pi carrying target
+overlap sin(delta), and every walk-mode overlap shrinks by cos(delta). The
+model's ``delta`` selects it; delta = 0 is plain search.
+
+Modes related by the torus symmetries (swapping k_x and k_y, k -> L - k) share
+their eigenphase, and the start state and target are symmetric within each
+orbit, so the dynamics sees one (phase, weight) pair per orbit: about N/8 of
+them. The +phi and -phi halves of every pair stay complex conjugates, so the
+engine stores only the +phi half plus the real 0 and pi modes, and one search
+step costs O(number of orbits).
 """
 
 from __future__ import annotations
@@ -20,14 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .torus import TorusGrid, mode_cosines
-
-DEFAULT_DENSE_BUDGET = 4096
-
-# compute_alpha('auto') switches from dense eigendecomposition to the secular
-# root above this reduced dimension; both routes agree to ~1e-14 and the
-# secular one is O(N) per evaluation.
-ALPHA_AUTO_DENSE_DIM = 512
+from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
 
 
 def nearest_odd(x: float) -> int:
@@ -57,104 +60,123 @@ class SearchResult:
 class SpectralModel:
     """Eigenphases and target overlaps driving the reduced-space search.
 
-    ``mode_cos`` holds cos(phi_k) for the N-1 nonzero modes; the walk
-    eigenphases are arccos(cos^t phi_k). Translation invariance makes every
-    overlap modulus equal: a_k = 1/sqrt(2N) for k != 0 and a_0 = 1/sqrt(N),
-    independent of the marked vertex, which enters only as bookkeeping.
+    Translation invariance makes every overlap modulus equal: a_k = 1/sqrt(2N)
+    for k != 0 and a_0 = 1/sqrt(N), independent of the marked vertex, which
+    enters only as bookkeeping. ``delta`` is the ancilla angle of the
+    controlled search (0 for plain search).
     """
 
     grid: TorusGrid
     t: int
     marked: tuple[int, int]
-    mode_cos: np.ndarray
     a0: float
     ak: float
+    delta: float = 0.0
 
     @cached_property
-    def mode_cos_t(self) -> np.ndarray:
-        return np.clip(self.mode_cos**self.t, -1.0, 1.0)
+    def distinct_phases(self) -> tuple[np.ndarray, np.ndarray]:
+        """One (phase, weight) pair per symmetry orbit of the nonzero modes.
 
-    @cached_property
-    def mode_phases(self) -> np.ndarray:
-        """phi^(t)_k = arccos(cos^t phi_k) for each nonzero mode."""
-        return np.arccos(self.mode_cos_t)
+        Orbits under k_x <-> k_y and k -> L - k are represented by
+        0 <= a <= b <= L//2 and hold m(a) m(b) (1 if a == b else 2) modes, with
+        m(h) = 1 for h = 0 or 2h = L and 2 otherwise. The weight is the orbit's
+        total squared overlap on the +phi side.
+        """
+        L = self.grid.side
+        h = np.arange(L // 2 + 1)
+        c = np.cos(2 * np.pi * h / L)
+        m = np.where((h == 0) | (2 * h == L), 1, 2)
+        a, b = np.triu_indices(h.size)
+        a, b = a[1:], b[1:]  # drop the k=(0,0) mode
+        cos_t = np.clip((0.5 * (c[a] + c[b])) ** self.t, -1.0, 1.0)
+        count = m[a] * m[b] * np.where(a == b, 1, 2)
+        return np.arccos(cos_t), count * self.ak**2
 
     @property
     def phi1(self) -> float:
         """Smallest walk eigenphase."""
-        return float(self.mode_phases.min())
+        return float(self.distinct_phases[0].min())
+
+    # The per-mode views below serve the dense and full-space test oracles.
+
+    @cached_property
+    def mode_cos(self) -> np.ndarray:
+        """cos(phi_k) for the N-1 nonzero modes, in row-major mode order."""
+        return mode_cosines(self.grid)[1:]
+
+    @cached_property
+    def mode_phases(self) -> np.ndarray:
+        """phi^(t)_k = arccos(cos^t phi_k) for each nonzero mode."""
+        return np.arccos(np.clip(self.mode_cos**self.t, -1.0, 1.0))
 
     @property
     def reduced_dim(self) -> int:
-        return 1 + 2 * self.mode_cos.size
+        """2N-1 walk modes, plus the ancilla's pi mode when delta > 0."""
+        return 2 * self.grid.vertex_count - 1 + int(self.delta > 0.0)
 
     @cached_property
     def phase_vector(self) -> np.ndarray:
-        """All 2N-1 eigenphases: 0, then +phi_k, then -phi_k."""
-        return np.concatenate([[0.0], self.mode_phases, -self.mode_phases])
+        """All eigenphases: 0, +phi_k, -phi_k, then pi for the ancilla mode."""
+        phases = np.concatenate([[0.0], self.mode_phases, -self.mode_phases])
+        return np.append(phases, math.pi) if self.delta > 0.0 else phases
 
     @cached_property
     def target_vector(self) -> np.ndarray:
         """Real target coordinates in the eigenbasis (unit norm)."""
-        n = self.mode_cos.size
-        return np.concatenate([[self.a0], np.full(2 * n, self.ak)])
-
-    @cached_property
-    def distinct_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct positive eigenphases and their total overlap weights.
-
-        Degenerate modes couple to the oracle only through their symmetric
-        combination, so the secular equation and the trajectory depend only on
-        (phase, total weight) pairs.
-        """
-        phases, counts = np.unique(np.round(self.mode_phases, 12), return_counts=True)
-        return phases, counts * self.ak**2
+        c, n = math.cos(self.delta), self.grid.vertex_count - 1
+        target = np.concatenate([[self.a0 * c], np.full(2 * n, self.ak * c)])
+        return np.append(target, math.sin(self.delta)) if self.delta > 0.0 else target
 
 
 def build_model(
-    grid: TorusGrid, t: int, marked: tuple[int, int] = (0, 0)
+    grid: TorusGrid, t: int, marked: tuple[int, int] = (0, 0), delta: float = 0.0
 ) -> SpectralModel:
-    """Spectral search model for the t-step walk with one marked vertex."""
+    """Spectral search model for the t-step walk with one marked vertex.
+
+    ``delta`` in [0, pi/2) is the ancilla angle of the controlled search.
+    """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"search requires odd t >= 1, got {t}")
     if not grid.contains(marked):
         raise ValueError(f"marked vertex {marked} outside grid")
-    if grid.is_bipartite:
-        warnings.warn(
-            f"side {grid.side} is even: the torus is bipartite and the "
-            "search model ignores the -1 adjacency mode",
-            stacklevel=2,
-        )
+    if not 0.0 <= delta < math.pi / 2.0:
+        raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
     N = grid.vertex_count
-    cos = mode_cosines(grid)[1:]  # drop the k=(0,0) mode
     return SpectralModel(
-        grid=grid,
-        t=t,
-        marked=marked,
-        mode_cos=cos,
-        a0=N**-0.5,
-        ak=(2.0 * N) ** -0.5,
+        grid=grid, t=t, marked=marked, a0=N**-0.5, ak=(2.0 * N) ** -0.5, delta=delta
     )
 
 
 def iterate_search(model: SpectralModel, Q: int) -> SearchResult:
-    """Apply Q steps of oracle-then-walk to the uniform start, O(N) per step.
+    """Apply Q steps of oracle-then-walk to the uniform start, O(orbits) per step.
 
-    The returned trajectory has Q+1 entries: the success probability before
-    any iteration (1/N) and after each step.
+    The state holds the 0 mode, the +phi half of every orbit and the pi mode.
+    The target is real and each -phi amplitude is the conjugate of its +phi
+    partner, so the target overlap is real and the oracle changes only real
+    parts. The returned trajectory has Q+1 entries: the success probability
+    before any iteration and after each step.
     """
     if Q < 0:
         raise ValueError(f"iteration count must be >= 0, got {Q}")
-    T = model.target_vector
-    phases = np.exp(1j * model.phase_vector)
-    state = np.zeros(model.reduced_dim, dtype=complex)
+    phases, weights = model.distinct_phases
+    c, s = math.cos(model.delta), math.sin(model.delta)
+    target = np.concatenate([[model.a0 * c], np.sqrt(weights) * c, [s]])
+    pair_target = target.copy()
+    pair_target[1:-1] *= 2.0  # each +phi amplitude stands for its conjugate pair
+    rotation = np.concatenate([[1.0], np.exp(1j * phases), [-1.0]])
+    state = np.zeros(target.size, dtype=complex)
     state[0] = 1.0
+    real = state.real
+    reflected = np.empty(target.size)
     trajectory = np.empty(Q + 1)
-    trajectory[0] = abs(np.dot(T, state)) ** 2
+    overlap = float(pair_target @ real)
+    trajectory[0] = overlap**2
     for step in range(1, Q + 1):
-        state = state - 2.0 * np.dot(T, state) * T
-        state = state * phases
-        trajectory[step] = abs(np.dot(T, state)) ** 2
+        np.multiply(target, 2.0 * overlap, out=reflected)
+        real -= reflected
+        state *= rotation
+        overlap = float(pair_target @ real)
+        trajectory[step] = overlap**2
     return SearchResult(
         Q=Q,
         p_s=float(trajectory[-1]),
@@ -168,43 +190,49 @@ def iterate_search(model: SpectralModel, Q: int) -> SearchResult:
 def alpha_estimate(model: SpectralModel) -> float:
     """Closed-form estimate of the principal eigenphase (Theta constant 1):
 
-        a_0 / sqrt(sum_{k!=0} a_k^2 / (1 - cos phi^(t)_k))
+        a_0(delta) / sqrt(sum_{k!=0} a_k^2(delta) / (1 - cos phi^(t)_k)
+                          + sin^2(delta) / 4)
+
+    with a(delta) = a cos(delta).
     """
-    denom = np.sum(model.ak**2 / (1.0 - model.mode_cos_t))
+    phases, weights = model.distinct_phases
+    c = math.cos(model.delta)
+    denom = c**2 * float(np.sum(weights / (2.0 * np.sin(phases / 2.0) ** 2)))
+    denom += math.sin(model.delta) ** 2 / 4.0
     if denom <= 0.0:
         raise ValueError("degenerate model: no nonzero-mode overlap")
-    return float(model.a0 / math.sqrt(denom))
-
-
-def _secular_terms(model: SpectralModel):
-    phases, weights = model.distinct_phases
-    cos_ph = np.cos(phases)
-    a02 = model.a0**2
-
-    def f(alpha: float) -> float:
-        # sum_j |T_j|^2 cot((alpha - theta_j)/2) = 0, with the +-theta pair
-        # combined into 2 sin(alpha) / (cos theta - cos alpha).
-        return a02 / math.tan(alpha / 2.0) + 2.0 * math.sin(alpha) * float(
-            np.sum(weights / (cos_ph - math.cos(alpha)))
-        )
-
-    return f
+    return float(model.a0 * c / math.sqrt(denom))
 
 
 def secular_alpha(model: SpectralModel) -> float:
     """Exact smallest nonzero eigenphase of U_t from its secular equation.
 
     U_t restricted to the invariant subspace is a diagonal unitary times a
-    rank-one reflection; its coupled eigenphases solve
-    sum_j |T_j|^2 cot((alpha - theta_j)/2) = 0. The function is strictly
-    decreasing on (0, phi_1) with a sign change, so the principal eigenphase
-    is that interval's unique root.
+    rank-one reflection (Bunch, Nielsen & Sorensen 1978); its coupled
+    eigenphases solve sum_j |T_j|^2 cot((alpha - theta_j)/2) = 0. Each +-phi
+    pair combines into 2 sin(alpha) / (cos phi - cos alpha) and the pi mode's
+    term is -tan(alpha/2). The function is strictly decreasing on (0, phi_1)
+    with a sign change, so the principal eigenphase is that interval's
+    unique root.
     """
-    f = _secular_terms(model)
+    phases, weights = model.distinct_phases
+    c2 = math.cos(model.delta) ** 2
+    weights = weights * c2
+    cos_ph = np.cos(phases)
+    a02 = model.a0**2 * c2
+    api2 = math.sin(model.delta) ** 2
+
+    def f(alpha: float) -> float:
+        return (
+            a02 / math.tan(alpha / 2.0)
+            + 2.0 * math.sin(alpha) * float(np.sum(weights / (cos_ph - math.cos(alpha))))
+            - api2 * math.tan(alpha / 2.0)
+        )
+
     est = alpha_estimate(model)
-    # Bracket strictly below the smallest node of f itself (the rounded
-    # distinct phases), where f decreases from +inf to -inf.
-    hi = model.distinct_phases[0][0] * (1.0 - 1e-9)
+    # Bracket strictly below the smallest node of f, where f decreases from
+    # +inf to -inf.
+    hi = phases.min() * (1.0 - 1e-9)
     lo = min(est, hi) * 1e-2
     for _ in range(40):
         if f(lo) > 0.0:
@@ -216,7 +244,7 @@ def secular_alpha(model: SpectralModel) -> float:
 
 
 def reduced_operator(model: SpectralModel) -> np.ndarray:
-    """Dense (2N-1)-dimensional matrix of U_t in the walk eigenbasis."""
+    """Dense matrix of U_t in the full walk eigenbasis (one entry per mode)."""
     T = model.target_vector
     phases = np.exp(1j * model.phase_vector)
     return phases[:, None] * (np.eye(model.reduced_dim) - 2.0 * np.outer(T, T))
@@ -252,21 +280,9 @@ def trajectory_alpha(model: SpectralModel) -> float:
     An independent, coarse cross-check of the secular root; the ripple of
     non-principal modes limits agreement to a few percent of Q.
     """
-    est = alpha_estimate(model)
-    period = math.pi / est
+    period = math.pi / alpha_estimate(model)
     q_max = max(8, math.ceil(1.7 * period))
-    # Collapse degenerate phases: the trajectory only sees (phase, weight).
-    phases, weights = model.distinct_phases
-    T = np.concatenate([[model.a0], np.sqrt(weights), np.sqrt(weights)])
-    ph = np.exp(1j * np.concatenate([[0.0], phases, -phases]))
-    state = np.zeros(T.size, dtype=complex)
-    state[0] = 1.0
-    traj = np.empty(q_max + 1)
-    traj[0] = abs(np.dot(T, state)) ** 2
-    for step in range(1, q_max + 1):
-        state = state - 2.0 * np.dot(T, state) * T
-        state = state * ph
-        traj[step] = abs(np.dot(T, state)) ** 2
+    traj = iterate_search(model, q_max).trajectory
     first = int(np.argmax(traj[: max(3, math.ceil(0.75 * period))]))
     lo = first + max(2, math.floor(0.5 * period))
     hi = min(q_max + 1, first + math.ceil(1.5 * period))
@@ -275,35 +291,16 @@ def trajectory_alpha(model: SpectralModel) -> float:
     return math.pi / spacing
 
 
-def compute_alpha(
-    model: SpectralModel,
-    method: str = "auto",
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
-) -> tuple[float, float]:
-    """(alpha_exact, alpha_estimate) for the model.
-
-    ``method``: 'auto' uses the dense eigendecomposition for small reduced
-    dimensions and the secular root otherwise; 'secular', 'dense' and
-    'trajectory' force one route.
-    """
-    est = alpha_estimate(model)
-    if method == "auto":
-        method = "dense" if model.reduced_dim <= ALPHA_AUTO_DENSE_DIM else "secular"
-    if method == "dense":
-        exact = dense_alpha(model, budget=dense_budget)
-    elif method == "secular":
-        exact = secular_alpha(model)
-    elif method == "trajectory":
-        exact = trajectory_alpha(model)
-    else:
-        raise ValueError(f"unknown alpha method {method!r}")
-    return exact, est
+def compute_alpha(model: SpectralModel) -> tuple[float, float]:
+    """(alpha_exact, alpha_estimate): the secular root and the closed form."""
+    return secular_alpha(model), alpha_estimate(model)
 
 
 def overlap_ws(model: SpectralModel, alpha: float) -> float:
     """Start-state overlap with the principal rotation plane (Theta constant 1):
 
-        1 - alpha^4 sum_{k!=0} (a_k^2/a_0^2) / (1 - cos phi^(t)_k)^2
+        1 - alpha^4 ( sum_{k!=0} (a_k^2/a_0^2) / (1 - cos phi^(t)_k)^2
+                      + sin^2(delta) / a_0^2(delta) )
 
     Valid when alpha < phi^(t)_1 / 2; a violation is warned, not silenced.
     """
@@ -313,21 +310,25 @@ def overlap_ws(model: SpectralModel, alpha: float) -> float:
             "the overlap expressions are outside their guarantee",
             stacklevel=2,
         )
-    loss = alpha**4 * np.sum(
-        (model.ak**2 / model.a0**2) / (1.0 - model.mode_cos_t) ** 2
-    )
-    return float(max(0.0, 1.0 - loss))
+    phases, weights = model.distinct_phases
+    a02 = model.a0**2
+    loss = float(np.sum((weights / a02) / (2.0 * np.sin(phases / 2.0) ** 2) ** 2))
+    loss += math.tan(model.delta) ** 2 / a02
+    return float(max(0.0, 1.0 - alpha**4 * loss))
 
 
 def overlap_wt(model: SpectralModel) -> float:
     """Target overlap with the principal rotation plane (Theta constant 1):
 
-        min( 1 / sqrt(sum_{k!=0} a_k^2 cot^2(phi^(t)_k / 2)), 1 )
+        min( 1 / sqrt(sum_{k!=0} a_k^2(delta) cot^2(phi^(t)_k / 2)), 1 )
 
-    The cotangent is squared at half the eigenphase (not a quarter).
+    The cotangent is squared at half the eigenphase (not a quarter); the pi
+    mode adds cot^2(pi/2) = 0, so the controlled overlap gains 1/cos(delta).
     """
-    cot2 = (1.0 + model.mode_cos_t) / (1.0 - model.mode_cos_t)
-    total = float(np.sum(model.ak**2 * cot2))
+    phases, weights = model.distinct_phases
+    total = math.cos(model.delta) ** 2 * float(
+        np.sum(weights / np.tan(phases / 2.0) ** 2)
+    )
     if total <= 0.0:
         return 1.0
     return min(1.0, total**-0.5)
@@ -335,21 +336,20 @@ def overlap_wt(model: SpectralModel) -> float:
 
 def success_probability(
     model: SpectralModel,
+    alpha: float,
     rounding: str = "floor",
     amplification_threshold: float = 0.25,
-    amplification_c: float = 1.0,
-    alpha_method: str = "auto",
 ) -> SearchResult:
     """Analytic success probability and query accounting at Q = floor(pi/2a).
 
-    p_s is the three-factor product cos^2(alpha) * ws^2 * wt^2. When it falls
-    below ``amplification_threshold``, ceil(c/sqrt(p_s)) amplification rounds
-    are budgeted and Q_O = (rounds + 1) * Q; Q_G = t * Q_O always.
+    ``alpha`` is the model's principal eigenphase (compute_alpha). p_s is the
+    three-factor product cos^2(alpha) * ws^2 * wt^2. When it falls below
+    ``amplification_threshold``, ceil(1/sqrt(p_s)) amplification rounds are
+    budgeted and Q_O = (rounds + 1) * Q; Q_G = t * Q_O always.
 
     This is the analysis-side lower-bound estimate; a measured trajectory
     value (iterate_search) is the authoritative number on any one instance.
     """
-    alpha, _ = compute_alpha(model, method=alpha_method)
     if rounding == "floor":
         Q = math.floor(math.pi / (2.0 * alpha))
     elif rounding == "nearest":
@@ -359,10 +359,7 @@ def success_probability(
     ws = overlap_ws(model, alpha)
     wt = overlap_wt(model)
     p_s = min(1.0, math.cos(alpha) ** 2 * ws**2 * wt**2)
-    if p_s < amplification_threshold:
-        rounds = math.ceil(amplification_c / math.sqrt(p_s))
-    else:
-        rounds = 0
+    rounds = math.ceil(1.0 / math.sqrt(p_s)) if p_s < amplification_threshold else 0
     Q_O = (rounds + 1) * Q
     return SearchResult(
         Q=Q,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DIM_BUDGET = 4096
+from .torus import DEFAULT_DENSE_BUDGET
 
 # Singular values within this margin of 0 or 1 mark simultaneous eigenvectors
 # of the two range projectors (the trivially-acted-on subspace).
@@ -131,7 +131,7 @@ class SzegedyWalk:
 
 
 def build_isometries(
-    chain: MarkovChain, k: int, budget: int = DEFAULT_DIM_BUDGET
+    chain: MarkovChain, k: int, budget: int = DEFAULT_DENSE_BUDGET
 ) -> SzegedyWalk:
     """Construct the k-step isometries with path-product amplitudes.
 

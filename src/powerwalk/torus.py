@@ -29,6 +29,10 @@ DEGREE = 4
 # Largest number of length-t paths adjacency_power_entry will enumerate.
 DEFAULT_PATH_BUDGET = DEGREE**7
 
+# Largest dimension of any dense matrix the package builds or decomposes: the
+# full walk, the reduced search operator and the Szegedy isometries.
+DEFAULT_DENSE_BUDGET = 4096
+
 
 class DirectedPort(NamedTuple):
     """A (vertex, edge-label) pair, the domain of the rotation map."""

@@ -1,4 +1,4 @@
-"""Ancilla-controlled multi-step search (Tulsi's technique).
+"""Ancilla-controlled multi-step search (Tulsi's technique): tuning and circuit.
 
 A control qubit rotated by a tunable angle delta is attached to the walk
 space. The controlled walk block is diag(W_t, -I): one extra walk eigenstate
@@ -7,8 +7,11 @@ sin(delta), while every walk-mode overlap shrinks by cos(delta). Tuning
 t * tan^2(delta) against log N trades oracle calls against rotation-map calls
 without amplitude amplification.
 
-The per-iteration circuit (ancilla ops X_delta, X_delta^dagger, Z with O and W
-controlled on the ancilla |0> state) equals the block operator
+The reduced dynamics is the delta > 0 case of the search engine's model
+(``search.build_model(..., delta=delta)``); this module picks delta and holds
+the full-space circuit that cross-checks it. The per-iteration circuit
+(ancilla ops X_delta, X_delta^dagger, Z with O and W controlled on the ancilla
+|0> state) equals the block operator
 U~ = diag(W_t, -I) . (I - 2|psi_m, delta><psi_m, delta|) exactly; the block
 form is authoritative and the circuit is the cross-check.
 """
@@ -16,198 +19,13 @@ form is authoritative and the circuit is the cross-check.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import fullwalk
-from .search import SearchResult, SpectralModel
+from .search import SpectralModel
 from .search import nearest_odd as _nearest_odd
 from .torus import TorusGrid
-
-
-@dataclass
-class TulsiModel:
-    """Spectral model extended with the ancilla's eigenphase-pi mode."""
-
-    base: SpectralModel
-    delta: float
-
-    @property
-    def a_pi(self) -> float:
-        return math.sin(self.delta)
-
-    @property
-    def cos_delta(self) -> float:
-        return math.cos(self.delta)
-
-    @property
-    def tan2_delta(self) -> float:
-        return math.tan(self.delta) ** 2
-
-    @property
-    def a0(self) -> float:
-        """Overlap of the rotated target with the start state's eigenvector."""
-        return self.base.a0 * self.cos_delta
-
-    @property
-    def reduced_dim(self) -> int:
-        return self.base.reduced_dim + 1
-
-    @cached_property
-    def phase_vector(self) -> np.ndarray:
-        """0, +phi_k, -phi_k, then the ancilla mode at phase pi."""
-        return np.concatenate([self.base.phase_vector, [math.pi]])
-
-    @cached_property
-    def target_vector(self) -> np.ndarray:
-        """Walk-mode overlaps scaled by cos(delta), plus sin(delta) on the pi mode."""
-        return np.concatenate(
-            [self.base.target_vector * self.cos_delta, [self.a_pi]]
-        )
-
-
-def build_tulsi(model: SpectralModel, delta: float) -> TulsiModel:
-    if not 0.0 <= delta < math.pi / 2.0:
-        raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
-    return TulsiModel(base=model, delta=delta)
-
-
-def alpha_delta_estimate(tm: TulsiModel) -> float:
-    """Closed-form estimate of the controlled principal eigenphase:
-
-        a_0(delta) / sqrt( sum_{k!=0} a_k^2(delta)/(1 - cos phi^(t)_k)
-                           + a_pi^2(delta)/4 )
-    """
-    base = tm.base
-    denom = tm.cos_delta**2 * np.sum(base.ak**2 / (1.0 - base.mode_cos_t))
-    denom += tm.a_pi**2 / 4.0
-    return float(tm.a0 / math.sqrt(denom))
-
-
-def secular_alpha_delta(tm: TulsiModel) -> float:
-    """Exact smallest nonzero eigenphase of the controlled search operator.
-
-    Same secular equation as the plain engine with the extra pi mode, whose
-    cot((alpha - pi)/2) term is -tan(alpha/2).
-    """
-    base = tm.base
-    phases, weights = base.distinct_phases
-    weights = weights * tm.cos_delta**2
-    cos_ph = np.cos(phases)
-    a02 = tm.a0**2
-    api2 = tm.a_pi**2
-
-    def f(alpha: float) -> float:
-        return (
-            a02 / math.tan(alpha / 2.0)
-            + 2.0 * math.sin(alpha) * float(np.sum(weights / (cos_ph - math.cos(alpha))))
-            - api2 * math.tan(alpha / 2.0)
-        )
-
-    est = alpha_delta_estimate(tm)
-    hi = phases[0] * (1.0 - 1e-9)
-    lo = min(est, hi) * 1e-2
-    for _ in range(40):
-        if f(lo) > 0.0:
-            break
-        lo *= 1e-2
-    else:
-        raise RuntimeError("failed to bracket the controlled principal eigenphase")
-    return float(brentq(f, lo, hi, xtol=est * 1e-13, rtol=1e-14))
-
-
-def compute_alpha_delta(tm: TulsiModel) -> tuple[float, float]:
-    """(exact, estimate) principal eigenphase of the controlled operator."""
-    return secular_alpha_delta(tm), alpha_delta_estimate(tm)
-
-
-def tulsi_overlaps(tm: TulsiModel, alpha_delta: float) -> tuple[float, float]:
-    """Start and target overlap factors for the controlled search.
-
-    ws gains an extra loss term alpha^4 a_pi^2 / a_0^2(delta); wt keeps the
-    plain form (the pi mode contributes cot^2(pi/2) = 0), so its argument
-    shrinks by cos^2(delta) and the overlap gains the (1 + tan^2 delta) factor.
-    """
-    base = tm.base
-    if alpha_delta >= base.phi1 / 2.0:
-        warnings.warn(
-            f"alpha_delta={alpha_delta:.3e} is not below phi1/2="
-            f"{base.phi1 / 2:.3e}; overlap expressions are outside their guarantee",
-            stacklevel=2,
-        )
-    ratio = base.ak**2 / base.a0**2  # cos^2(delta) cancels between a_k and a_0
-    loss = alpha_delta**4 * np.sum(ratio / (1.0 - base.mode_cos_t) ** 2)
-    loss += alpha_delta**4 * tm.a_pi**2 / tm.a0**2
-    ws = float(max(0.0, 1.0 - loss))
-
-    cot2 = (1.0 + base.mode_cos_t) / (1.0 - base.mode_cos_t)
-    total = float(tm.cos_delta**2 * np.sum(base.ak**2 * cot2))
-    wt = 1.0 if total <= 0.0 else min(1.0, total**-0.5)
-    return ws, wt
-
-
-def iterate_tulsi(tm: TulsiModel, Q: int) -> SearchResult:
-    """Iterate the controlled search in the reduced doubled space.
-
-    Oracle: rank-one reflection about the delta-rotated target; walk: phase
-    multiply with -1 on the pi mode. Success is measured against the rotated
-    target |psi_m>|delta>.
-    """
-    if Q < 0:
-        raise ValueError(f"iteration count must be >= 0, got {Q}")
-    T = tm.target_vector
-    phases = np.exp(1j * tm.phase_vector)
-    state = np.zeros(tm.reduced_dim, dtype=complex)
-    state[0] = 1.0
-    trajectory = np.empty(Q + 1)
-    trajectory[0] = abs(np.dot(T, state)) ** 2
-    for step in range(1, Q + 1):
-        state = state - 2.0 * np.dot(T, state) * T
-        state = state * phases
-        trajectory[step] = abs(np.dot(T, state)) ** 2
-    return SearchResult(
-        Q=Q,
-        p_s=float(trajectory[-1]),
-        amplification_rounds=0,
-        Q_O=Q,
-        Q_G=tm.base.t * Q,
-        trajectory=trajectory,
-    )
-
-
-def tulsi_success(
-    tm: TulsiModel,
-    rounding: str = "floor",
-    amplification_threshold: float = 0.25,
-    amplification_c: float = 1.0,
-) -> SearchResult:
-    """Analytic controlled-search accounting at Q_delta = floor(pi/2 alpha_delta)."""
-    alpha, _ = compute_alpha_delta(tm)
-    if rounding == "floor":
-        Q = math.floor(math.pi / (2.0 * alpha))
-    elif rounding == "nearest":
-        Q = round(math.pi / (2.0 * alpha))
-    else:
-        raise ValueError(f"unknown rounding {rounding!r}")
-    ws, wt = tulsi_overlaps(tm, alpha)
-    p_s = min(1.0, math.cos(alpha) ** 2 * ws**2 * wt**2)
-    if p_s < amplification_threshold:
-        rounds = math.ceil(amplification_c / math.sqrt(p_s))
-    else:
-        rounds = 0
-    Q_O = (rounds + 1) * Q
-    return SearchResult(
-        Q=Q,
-        p_s=p_s,
-        amplification_rounds=rounds,
-        Q_O=Q_O,
-        Q_G=tm.base.t * Q_O,
-        trajectory=None,
-    )
 
 
 def tune_delta(model: SpectralModel, target: str) -> float:

@@ -26,12 +26,8 @@ from powerwalk.sums import grid_sums
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import (
     block_step_matrix,
-    build_tulsi,
     circuit_step_matrix,
     circuit_trajectory,
-    compute_alpha_delta,
-    iterate_tulsi,
-    tulsi_success,
     tune_delta,
 )
 
@@ -58,9 +54,9 @@ def sweep_t1():
     out = []
     for side in ODD_SWEEP:
         model = build_model(TorusGrid(side), 1)
-        res = success_probability(model)
+        alpha, est = compute_alpha(model)
+        res = success_probability(model, alpha)
         traj = iterate_search(model, res.Q)
-        alpha, est = compute_alpha(model, method="secular")
         out.append(
             {
                 "L": side,
@@ -81,9 +77,9 @@ def sweep_tlog():
         n = side * side
         t = nearest_odd(math.log(n))
         model = build_model(TorusGrid(side), t)
-        res = success_probability(model)
+        alpha, est = compute_alpha(model)
+        res = success_probability(model, alpha)
         traj = iterate_search(model, res.Q)
-        alpha, est = compute_alpha(model, method="secular")
         out.append(
             {
                 "L": side,
@@ -256,20 +252,22 @@ def test_criterion_08_controlled_search_recovery():
     for side in ODD_SWEEP:
         n = side * side
         model = build_model(TorusGrid(side), 1)
-        tm = build_tulsi(model, tune_delta(model, "original_tulsi"))
-        alpha_d, _ = compute_alpha_delta(tm)
+        controlled = build_model(
+            TorusGrid(side), 1, delta=tune_delta(model, "original_tulsi")
+        )
+        alpha_d, _ = compute_alpha(controlled)
         q_delta = math.floor(math.pi / (2 * alpha_d))
         q_norm.append(q_delta / math.sqrt(n * math.log(n)))
     band_a = max(q_norm) / min(q_norm)
 
     # (b) delta = 0 reproduces the plain engine exactly
     model5 = build_model(TorusGrid(5), 1, (2, 2))
-    tm0 = build_tulsi(model5, 0.0)
+    zero = build_model(TorusGrid(5), 1, (2, 2), delta=0.0)
     plain = iterate_search(model5, 20).trajectory
-    controlled = iterate_tulsi(tm0, 20).trajectory
+    controlled = iterate_search(zero, 20).trajectory
     zero_ok = np.array_equal(plain, controlled)
-    a_plain, _ = compute_alpha(model5, method="secular")
-    a_zero, _ = compute_alpha_delta(tm0)
+    a_plain, _ = compute_alpha(model5)
+    a_zero, _ = compute_alpha(zero)
     zero_ok = zero_ok and abs(a_plain - a_zero) <= 1e-12
 
     # (c) the explicit circuit equals the abstract block operator on L=5
@@ -277,11 +275,11 @@ def test_criterion_08_controlled_search_recovery():
     circuit = circuit_step_matrix(TorusGrid(5), 1, (2, 2), delta)
     block = block_step_matrix(TorusGrid(5), 1, (2, 2), delta)
     circuit_dev = float(np.max(np.abs(circuit - block)))
-    tm = build_tulsi(model5, delta)
+    controlled = build_model(TorusGrid(5), 1, (2, 2), delta=delta)
     traj_dev = float(
         np.max(
             np.abs(
-                iterate_tulsi(tm, 25).trajectory
+                iterate_search(controlled, 25).trajectory
                 - circuit_trajectory(TorusGrid(5), 1, (2, 2), delta, 25)
             )
         )
@@ -293,8 +291,8 @@ def test_criterion_08_controlled_search_recovery():
         n = side * side
         t = nearest_odd(math.log(n))
         model = build_model(TorusGrid(side), t)
-        tm_b = build_tulsi(model, tune_delta(model, "balanced"))
-        res = tulsi_success(tm_b)
+        tm_b = build_model(TorusGrid(side), t, delta=tune_delta(model, "balanced"))
+        res = success_probability(tm_b, compute_alpha(tm_b)[0])
         qq_norm.append(res.Q_O * res.Q_G / (n * math.log(n)))
     band_d = max(qq_norm) / min(qq_norm)
 

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from powerwalk import cli, records
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(argv, capsys):
@@ -137,8 +143,7 @@ def test_tulsi_delta_zero_matches_search(capsys):
         zip(records.TULSI_COLUMNS, tulsi_out.splitlines()[2].split(","))
     )
     assert tulsi_row["delta"] == "0.0"
-    # alpha_exact comes from the dense route at this size, alpha_delta from
-    # the secular root; they agree to solver precision, not bitwise
+    # both come from the same secular root of the same model
     assert float(tulsi_row["alpha_delta"]) == pytest.approx(
         float(search_row["alpha_exact"]), abs=1e-12
     )
@@ -195,3 +200,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--format", "yaml"])
     assert exc.value.code == 2
+
+
+TRACED_TULSI = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+import powerwalk
+from powerwalk import cli
+
+trace = tracer.install(powerwalk)
+code = cli.main(["tulsi", "--sizes", "9", "--t-schedule", "sweep", "--delta-policy", "balanced"])
+print(json.dumps({"code": code, "functions": sorted(trace.aggregate()["functions"])}))
+"""
+
+
+def test_benchmark_tracer_wraps_engine():
+    # perfbench/tracer.py wraps module attributes process-wide, so it runs in
+    # its own interpreter. It re-binds SpectralModel.distinct_phases and reads
+    # Q and model.grid.vertex_count from the arguments of iterate_search.
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_TULSI, str(PERFBENCH)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert "search.iterate_search" in result["functions"]
+    assert "search.SpectralModel.distinct_phases" in result["functions"]

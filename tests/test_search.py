@@ -51,9 +51,19 @@ def test_build_model_rejects_even_t():
         build_model(TorusGrid(5), 2)
 
 
-def test_build_model_warns_even_side():
-    with pytest.warns(UserWarning, match="bipartite"):
-        build_model(TorusGrid(4), 1)
+def test_orbit_multiplicities_and_phases():
+    # L=8 and L=16 hold accidental degeneracies across orbits, e.g. (0, L/2)
+    # against (L/4, L/4), which must stay separate orbits of equal phase.
+    for side in (2, 3, 4, 5, 8, 9, 16, 17):
+        for t in (1, 3):
+            model = build_model(TorusGrid(side), t)
+            phases, weights = model.distinct_phases
+            counts = np.rint(weights / model.ak**2).astype(int)
+            assert np.allclose(weights, counts * model.ak**2, rtol=1e-15, atol=0.0)
+            assert counts.sum() == side * side - 1
+            expanded = np.sort(np.repeat(phases, counts))
+            expected = np.sort(np.arccos(np.clip(model.mode_cos**t, -1, 1)))
+            assert np.max(np.abs(expanded - expected)) <= 1e-14
 
 
 def test_iterate_search_start_probability():
@@ -76,34 +86,33 @@ def test_iterate_search_norm_preserved():
 
 
 def test_reduced_matches_full_simulation():
-    grid = TorusGrid(5)
+    # Even sides included: the two +-pi copies of the -1 adjacency mode act
+    # as the single -1 mode of the full walk.
     m = (3, 1)
-    for t in (1, 3):
-        model = build_model(grid, t, m)
-        alpha, _ = compute_alpha(model)
-        Q = 3 * math.floor(math.pi / (2 * alpha))
-        reduced = iterate_search(model, Q).trajectory
-        state = fullwalk.uniform_superposition(grid, t).astype(complex)
-        target = fullwalk.coin_uniform_state(grid, t, m)
-        full = [abs(np.dot(target, state)) ** 2]
-        for _ in range(Q):
-            state = fullwalk.apply_oracle(grid, t, m, state)
-            state = fullwalk.apply_walk(grid, t, state)
-            full.append(abs(np.dot(target, state)) ** 2)
-        assert np.max(np.abs(reduced - np.array(full))) <= 1e-9
+    for side in (4, 5, 6, 8, 9, 17):
+        grid = TorusGrid(side)
+        for t in (1, 3, 5):
+            if grid.vertex_count * 4**t > 300_000:
+                continue
+            model = build_model(grid, t, m)
+            alpha, _ = compute_alpha(model)
+            Q = 3 * math.floor(math.pi / (2 * alpha))
+            reduced = iterate_search(model, Q).trajectory
+            state = fullwalk.uniform_superposition(grid, t).astype(complex)
+            target = fullwalk.coin_uniform_state(grid, t, m)
+            full = [abs(np.dot(target, state)) ** 2]
+            for _ in range(Q):
+                state = fullwalk.apply_oracle(grid, t, m, state)
+                state = fullwalk.apply_walk(grid, t, state)
+                full.append(abs(np.dot(target, state)) ** 2)
+            assert np.max(np.abs(reduced - np.array(full))) <= 1e-9, (side, t)
 
 
 def toy_model(phases, weights, a0):
-    """Hand-built model with explicit nonzero-mode phases and overlaps."""
-    grid = TorusGrid(5)
-    model = SpectralModel(
-        grid=grid,
-        t=1,
-        marked=(0, 0),
-        mode_cos=np.cos(np.asarray(phases, dtype=float)),
-        a0=a0,
-        ak=float(weights),
-    )
+    """Hand-built model: one orbit per phase, each of overlap ``weights``."""
+    phases = np.asarray(phases, dtype=float)
+    model = SpectralModel(grid=TorusGrid(5), t=1, marked=(0, 0), a0=a0, ak=float(weights))
+    model.distinct_phases = (phases, np.full(phases.size, float(weights) ** 2))
     return model
 
 
@@ -178,7 +187,7 @@ def test_overlap_ws_warns_on_precondition_violation():
 
 def test_success_probability_counters():
     model = build_model(TorusGrid(17), 3)
-    res = success_probability(model)
+    res = success_probability(model, compute_alpha(model)[0])
     assert res.Q_G == 3 * res.Q_O
     assert res.Q_O == (res.amplification_rounds + 1) * res.Q
     assert 0.0 <= res.p_s <= 1.0
@@ -186,16 +195,16 @@ def test_success_probability_counters():
 
 def test_success_probability_rounding_flag():
     model = build_model(TorusGrid(17), 1)
-    floor_res = success_probability(model, rounding="floor")
-    nearest_res = success_probability(model, rounding="nearest")
     alpha, _ = compute_alpha(model)
+    floor_res = success_probability(model, alpha, rounding="floor")
+    nearest_res = success_probability(model, alpha, rounding="nearest")
     assert floor_res.Q == math.floor(math.pi / (2 * alpha))
     assert nearest_res.Q == round(math.pi / (2 * alpha))
 
 
 def test_amplification_rounds_when_probability_small():
     model = build_model(TorusGrid(17), 1)
-    res = success_probability(model, amplification_threshold=1.1)
+    res = success_probability(model, compute_alpha(model)[0], amplification_threshold=1.1)
     assert res.amplification_rounds == math.ceil(1.0 / math.sqrt(res.p_s))
     assert res.Q_O == (res.amplification_rounds + 1) * res.Q
 

@@ -1,58 +1,56 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from powerwalk.search import build_model, compute_alpha, iterate_search, overlap_ws, overlap_wt
+from powerwalk.search import (
+    alpha_estimate,
+    build_model,
+    compute_alpha,
+    iterate_search,
+    overlap_ws,
+    overlap_wt,
+    success_probability,
+)
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import (
-    alpha_delta_estimate,
     block_step_matrix,
-    build_tulsi,
     circuit_step_matrix,
     circuit_trajectory,
-    compute_alpha_delta,
     delta_state,
-    iterate_tulsi,
-    tulsi_overlaps,
-    tulsi_success,
     tune_delta,
     x_delta_matrix,
 )
 
 
 def test_build_rejects_bad_delta():
-    model = build_model(TorusGrid(5), 1)
     with pytest.raises(ValueError):
-        build_tulsi(model, -0.1)
+        build_model(TorusGrid(5), 1, delta=-0.1)
     with pytest.raises(ValueError):
-        build_tulsi(model, math.pi / 2)
+        build_model(TorusGrid(5), 1, delta=math.pi / 2)
 
 
 def test_delta_zero_reduces_to_plain_model():
     model = build_model(TorusGrid(5), 1)
-    tm = build_tulsi(model, 0.0)
-    assert tm.a_pi == 0.0
+    zero = build_model(TorusGrid(5), 1, delta=0.0)
+    assert zero.reduced_dim == model.reduced_dim == 49  # no pi mode at delta=0
     # identical trajectories, exactly
     plain = iterate_search(model, 25).trajectory
-    controlled = iterate_tulsi(tm, 25).trajectory
+    controlled = iterate_search(zero, 25).trajectory
     assert np.array_equal(plain, controlled)
     # identical alpha and overlaps
-    a_plain, est_plain = compute_alpha(model, method="secular")
-    a_ctrl, est_ctrl = compute_alpha_delta(tm)
+    a_plain, est_plain = compute_alpha(model)
+    a_ctrl, est_ctrl = compute_alpha(zero)
     assert a_ctrl == pytest.approx(a_plain, abs=1e-13)
     assert est_ctrl == pytest.approx(est_plain, abs=1e-13)
-    ws, wt = tulsi_overlaps(tm, a_ctrl)
-    assert ws == pytest.approx(overlap_ws(model, a_plain), abs=1e-12)
-    assert wt == pytest.approx(overlap_wt(model), abs=1e-12)
+    assert overlap_ws(zero, a_ctrl) == pytest.approx(overlap_ws(model, a_plain), abs=1e-12)
+    assert overlap_wt(zero) == pytest.approx(overlap_wt(model), abs=1e-12)
 
 
 def test_limiting_overlaps_near_pi_half():
-    model = build_model(TorusGrid(5), 1)
-    tm = build_tulsi(model, math.pi / 2 - 1e-6)
-    assert tm.a_pi == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(tm.target_vector[:-1])) < 1e-5
+    model = build_model(TorusGrid(5), 1, delta=math.pi / 2 - 1e-6)
+    assert model.target_vector[-1] == pytest.approx(1.0, abs=1e-9)  # a_pi
+    assert np.max(np.abs(model.target_vector[:-1])) < 1e-5
 
 
 def test_schedule_identity():
@@ -63,9 +61,7 @@ def test_schedule_identity():
 
 
 def test_tune_delta_original():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # side 32 is bipartite; formula check only
-        model = build_model(TorusGrid(32), 1)
+    model = build_model(TorusGrid(32), 1)
     delta = tune_delta(model, "original_tulsi")
     assert math.tan(delta) ** 2 == pytest.approx(math.log(1024), rel=1e-12)
     assert delta == pytest.approx(math.atan(math.sqrt(6.931471805599453)), rel=1e-12)
@@ -97,22 +93,20 @@ def test_circuit_unitary():
 
 
 def test_reduced_matches_circuit_trajectory():
-    grid = TorusGrid(5)
-    m = (2, 4)
-    delta = 0.9
-    model = build_model(grid, 1, m)
-    tm = build_tulsi(model, delta)
-    reduced = iterate_tulsi(tm, 40).trajectory
-    full = circuit_trajectory(grid, 1, m, delta, 40)
-    assert np.max(np.abs(reduced - full)) <= 1e-9
+    for side in (3, 4, 5, 6):
+        grid = TorusGrid(side)
+        m = (2 % side, 4 % side)
+        for delta in (0.3, 0.9):
+            reduced = iterate_search(build_model(grid, 1, m, delta), 40).trajectory
+            full = circuit_trajectory(grid, 1, m, delta, 40)
+            assert np.max(np.abs(reduced - full)) <= 1e-9, (side, delta)
 
 
 def test_reduced_iteration_is_unitary():
-    model = build_model(TorusGrid(9), 1)
-    tm = build_tulsi(model, 0.6)
-    T = tm.target_vector
-    phases = np.exp(1j * tm.phase_vector)
-    state = np.zeros(tm.reduced_dim, dtype=complex)
+    model = build_model(TorusGrid(9), 1, delta=0.6)
+    T = model.target_vector
+    phases = np.exp(1j * model.phase_vector)
+    state = np.zeros(model.reduced_dim, dtype=complex)
     state[0] = 1.0
     for _ in range(60):
         state = state - 2.0 * np.dot(T, state) * T
@@ -133,13 +127,10 @@ def test_wt_gains_one_plus_tan_squared():
     # direct summation reproduces the (1 + tan^2 delta) gain of wt^2 while
     # the clamp is inactive
     model = build_model(TorusGrid(33), 1)
-    alpha0, _ = compute_alpha(model, method="secular")
-    _, wt0 = tulsi_overlaps(build_tulsi(model, 0.0), alpha0)
+    wt0 = overlap_wt(model)
     ratios = []
     for delta in (0.0, 0.2, 0.4, 0.6):
-        tm = build_tulsi(model, delta)
-        a_d, _ = compute_alpha_delta(tm)
-        _, wt = tulsi_overlaps(tm, a_d)
+        wt = overlap_wt(build_model(TorusGrid(33), 1, delta=delta))
         closed_form = math.sqrt(
             model.t * (1 + math.tan(delta) ** 2) / math.log(33 * 33)
         )
@@ -153,19 +144,18 @@ def test_alpha_delta_scaling_band():
     values = []
     for side in (17, 33, 65):
         model = build_model(TorusGrid(side), 1)
-        tm = build_tulsi(model, tune_delta(model, "original_tulsi"))
-        a_d, _ = compute_alpha_delta(tm)
+        controlled = build_model(TorusGrid(side), 1, delta=tune_delta(model, "original_tulsi"))
+        a_d, _ = compute_alpha(controlled)
         values.append(a_d * side)
     assert max(values) < 2.0
     assert max(values) / min(values) < 2.0
 
 
 def test_p_s_improves_with_tan2_at_fixed_t():
-    model = build_model(TorusGrid(65), 1)
     previous = None
     for delta in (0.0, 0.3, 0.6, 0.9):
-        tm = build_tulsi(model, delta)
-        res = tulsi_success(tm)
+        model = build_model(TorusGrid(65), 1, delta=delta)
+        res = success_probability(model, compute_alpha(model)[0])
         if previous is not None:
             assert res.p_s >= previous - 1e-12
         previous = res.p_s
@@ -174,15 +164,17 @@ def test_p_s_improves_with_tan2_at_fixed_t():
 
 def test_tulsi_success_counters():
     model = build_model(TorusGrid(17), 3)
-    tm = build_tulsi(model, tune_delta(model, "balanced"))
-    res = tulsi_success(tm)
+    controlled = build_model(TorusGrid(17), 3, delta=tune_delta(model, "balanced"))
+    alpha, _ = compute_alpha(controlled)
+    res = success_probability(controlled, alpha)
     assert res.Q_G == 3 * res.Q_O
-    alpha, _ = compute_alpha_delta(tm)
     assert res.Q == math.floor(math.pi / (2 * alpha))
 
 
 def test_estimate_collapses_to_plain_at_zero():
-    model = build_model(TorusGrid(9), 1)
-    tm = build_tulsi(model, 0.0)
-    _, est_plain = compute_alpha(model)
-    assert alpha_delta_estimate(tm) == pytest.approx(est_plain, rel=1e-12)
+    _, est_plain = compute_alpha(build_model(TorusGrid(9), 1))
+    zero = build_model(TorusGrid(9), 1, delta=0.0)
+    assert alpha_estimate(zero) == pytest.approx(est_plain, rel=1e-12)
+    # and continuously: the pi-mode term sin^2(delta)/4 vanishes as delta -> 0
+    tiny = build_model(TorusGrid(9), 1, delta=1e-8)
+    assert alpha_estimate(tiny) == pytest.approx(est_plain, rel=1e-12)
