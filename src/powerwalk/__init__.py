@@ -6,14 +6,12 @@ Szegedy quantization of symmetric Markov chains.
 """
 
 from .torus import (
-    AdjacencySpectrum,
     DirectedPort,
     PathPort,
     TorusGrid,
     adjacency_eigenphase,
     adjacency_matrix,
     adjacency_power_entry,
-    adjacency_spectrum,
     powered_rotation_apply,
     rotation_map_apply,
 )

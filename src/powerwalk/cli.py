@@ -168,15 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(
+        p: argparse.ArgumentParser,
+        budget_help: str = "unused: this subcommand builds no dense matrix "
+        "(accepted so every subcommand takes the same flags)",
+    ) -> None:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument(
-            "--budget",
-            type=int,
-            default=DEFAULT_DENSE_BUDGET,
-            help="dense-eigendecomposition dimension budget",
+            "--budget", type=int, default=DEFAULT_DENSE_BUDGET, help=budget_help
         )
         for name, default in DEFAULT_TOLERANCES.items():
             p.add_argument(
@@ -211,7 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
         "against the adjacency spectrum: eigenphase multisets, invariant "
         "subspace dimension, projection sums, overlap law, path components.",
     )
-    common(p)
+    common(
+        p,
+        "largest full-walk dimension N*4^t to decompose densely; "
+        "a larger instance is refused with exit 2",
+    )
     walk_flags(p)
     p.set_defaults(sizes=(5,), t=(1, 3))
 
@@ -283,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_columns_epilog(records.SZEGEDY_COLUMNS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(p)
+    common(
+        p,
+        "largest Szegedy walk dimension N^(k+1) to build densely; "
+        "larger (chain, k) pairs are skipped",
+    )
     p.add_argument(
         "--sizes", type=_int_list, default=(2, 3, 4), help="chain sizes N"
     )

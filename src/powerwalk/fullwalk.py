@@ -14,6 +14,7 @@ with g_1 as the most significant base-d digit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,14 @@ def shift_permutation(grid: TorusGrid, t: int) -> np.ndarray:
     return (y * L + x) * d_t + out
 
 
+@functools.lru_cache(maxsize=4)
+def _shift_permutation(grid: TorusGrid, t: int) -> np.ndarray:
+    """shift_permutation, built once per (grid, t) and read-only: callers share it."""
+    perm = shift_permutation(grid, t)
+    perm.flags.writeable = False
+    return perm
+
+
 def _check_state(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     state = np.asarray(state)
     if state.shape != (full_dim(grid, t),):
@@ -98,7 +107,7 @@ def _check_state(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
 
 def apply_shift(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     state = _check_state(grid, t, state)
-    return state[shift_permutation(grid, t)]
+    return state[_shift_permutation(grid, t)]
 
 
 def apply_coin(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
@@ -146,7 +155,7 @@ def apply_oracle(
 
 
 def shift_matrix(grid: TorusGrid, t: int) -> np.ndarray:
-    perm = shift_permutation(grid, t)
+    perm = _shift_permutation(grid, t)
     S = np.zeros((perm.size, perm.size))
     S[np.arange(perm.size), perm] = 1.0
     return S
@@ -160,7 +169,7 @@ def coin_matrix(grid: TorusGrid, t: int) -> np.ndarray:
 
 def walk_matrix(grid: TorusGrid, t: int) -> np.ndarray:
     # S_t is a row permutation, so S_t @ C_t is a row reordering of C_t.
-    perm = shift_permutation(grid, t)
+    perm = _shift_permutation(grid, t)
     return coin_matrix(grid, t)[perm, :]
 
 

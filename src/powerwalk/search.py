@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
+from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines, mode_orbits
 
 
 def nearest_odd(x: float) -> int:
@@ -75,22 +75,11 @@ class SpectralModel:
 
     @cached_property
     def distinct_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """One (phase, weight) pair per symmetry orbit of the nonzero modes.
-
-        Orbits under k_x <-> k_y and k -> L - k are represented by
-        0 <= a <= b <= L//2 and hold m(a) m(b) (1 if a == b else 2) modes, with
-        m(h) = 1 for h = 0 or 2h = L and 2 otherwise. The weight is the orbit's
-        total squared overlap on the +phi side.
-        """
-        L = self.grid.side
-        h = np.arange(L // 2 + 1)
-        c = np.cos(2 * np.pi * h / L)
-        m = np.where((h == 0) | (2 * h == L), 1, 2)
-        a, b = np.triu_indices(h.size)
-        a, b = a[1:], b[1:]  # drop the k=(0,0) mode
-        cos_t = np.clip((0.5 * (c[a] + c[b])) ** self.t, -1.0, 1.0)
-        count = m[a] * m[b] * np.where(a == b, 1, 2)
-        return np.arccos(cos_t), count * self.ak**2
+        """One (phase, weight) pair per symmetry orbit of the nonzero modes
+        (torus.mode_orbits). The weight is the orbit's total squared overlap
+        on the +phi side."""
+        cos_phi, count = mode_orbits(self.grid)
+        return np.arccos(np.clip(cos_phi**self.t, -1.0, 1.0)), count * self.ak**2
 
     @property
     def phi1(self) -> float:
@@ -221,11 +210,14 @@ def secular_alpha(model: SpectralModel) -> float:
     cos_ph = np.cos(phases)
     a02 = model.a0**2 * c2
     api2 = math.sin(model.delta) ** 2
+    # One buffer for all brentq evaluations: fresh temporaries each page-fault.
+    terms = np.empty_like(cos_ph)
 
     def f(alpha: float) -> float:
+        np.divide(weights, np.subtract(cos_ph, math.cos(alpha), out=terms), out=terms)
         return (
             a02 / math.tan(alpha / 2.0)
-            + 2.0 * math.sin(alpha) * float(np.sum(weights / (cos_ph - math.cos(alpha))))
+            + 2.0 * math.sin(alpha) * float(np.sum(terms))
             - api2 * math.tan(alpha / 2.0)
         )
 

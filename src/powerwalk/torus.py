@@ -10,6 +10,7 @@ original one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,10 +65,6 @@ class TorusGrid:
     @property
     def vertex_count(self) -> int:
         return self.side * self.side
-
-    @property
-    def degree(self) -> int:
-        return DEGREE
 
     @property
     def is_bipartite(self) -> bool:
@@ -138,34 +135,26 @@ def mode_cosines(grid: TorusGrid) -> np.ndarray:
     return 0.5 * np.add.outer(c, c).ravel()
 
 
-@dataclass(frozen=True)
-class AdjacencySpectrum:
-    """Full Fourier spectrum of the normalized adjacency matrix.
+@functools.lru_cache(maxsize=8)
+def mode_orbits(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """cos(phi_k) and mode count of each symmetry orbit of the nonzero modes.
 
-    ``modes`` pairs each mode tuple with cos(phi_k); ``laplacian_shift`` holds
-    the corresponding eigenvalue cos(phi_k) - 1 of the discrete Laplacian
-    A - I (kept for completeness, unused downstream).
+    cos(phi_k) is invariant under k_x <-> k_y and k -> L - k. The orbits are
+    represented by 0 <= a <= b <= L//2 and hold m(a) m(b) (1 if a == b else 2)
+    modes, with m(h) = 1 for h = 0 or 2h = L and 2 otherwise, so every count
+    is 1, 2, 4 or 8 and the counts sum to N - 1. The table is cached per side
+    and its arrays are read-only.
     """
-
-    grid: TorusGrid
-    modes: tuple[tuple[tuple[int, int], float], ...]
-
-    @property
-    def cos_values(self) -> np.ndarray:
-        return np.array([c for _, c in self.modes])
-
-    @property
-    def laplacian_shift(self) -> np.ndarray:
-        return self.cos_values - 1.0
-
-
-def adjacency_spectrum(grid: TorusGrid) -> AdjacencySpectrum:
-    cos = mode_cosines(grid)
     L = grid.side
-    modes = tuple(
-        ((kx, ky), float(cos[ky * L + kx])) for ky in range(L) for kx in range(L)
-    )
-    return AdjacencySpectrum(grid, modes)
+    h = np.arange(L // 2 + 1)
+    c = np.cos(2 * np.pi * h / L)
+    m = np.where((h == 0) | (2 * h == L), 1, 2)
+    a, b = np.triu_indices(h.size)
+    a, b = a[1:], b[1:]  # drop the k=(0,0) mode
+    table = 0.5 * (c[a] + c[b]), m[a] * m[b] * np.where(a == b, 1, 2)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
 
 def adjacency_matrix(grid: TorusGrid) -> np.ndarray:

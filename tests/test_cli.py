@@ -196,6 +196,15 @@ def test_bad_chain_csv_is_config_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_budget_help_names_its_readers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--budget BUDGET unused: this subcommand builds no dense matrix" in out
+    assert "dense-eigendecomposition dimension budget" not in out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--format", "yaml"])

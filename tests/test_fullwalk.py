@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerwalk import fullwalk
 from powerwalk.fullwalk import (
     apply_coin,
     apply_oracle,
@@ -56,6 +57,26 @@ def test_shift_is_involution():
     grid = TorusGrid(5)
     state = random_state(grid, 1, seed=1)
     assert np.max(np.abs(apply_shift(grid, 1, apply_shift(grid, 1, state)) - state)) <= 1e-14
+
+
+def test_shift_permutation_built_once_per_instance(monkeypatch):
+    builds = []
+    build = fullwalk.shift_permutation
+
+    def counting(grid, t):
+        builds.append((grid, t))
+        return build(grid, t)
+
+    fullwalk._shift_permutation.cache_clear()
+    monkeypatch.setattr(fullwalk, "shift_permutation", counting)
+    grid = TorusGrid(3)
+    state = np.arange(full_dim(grid, 2), dtype=float)
+    for _ in range(5):
+        state = apply_walk(grid, 2, apply_shift(grid, 2, state))
+    walk_matrix(grid, 2)
+    assert builds == [(grid, 2)]
+    perm = fullwalk._shift_permutation(grid, 2)
+    assert not perm.flags.writeable
 
 
 def test_shift_matrix_symmetric_permutation_no_fixed_points():

@@ -4,7 +4,7 @@ import pytest
 
 from powerwalk.search import nearest_odd
 from powerwalk.sums import grid_sums
-from powerwalk.torus import TorusGrid
+from powerwalk.torus import TorusGrid, mode_cosines
 
 
 def test_smallest_grid_exact_value():
@@ -53,3 +53,21 @@ def test_band_at_log_schedule():
         gs = grid_sums(TorusGrid(side), t)
         values.append(gs.S1 * t / (n * math.log(n)))
     assert max(values) / min(values) < 4.0
+
+
+def test_orbit_sums_match_per_mode_oracle():
+    # Even sides include the a = b = L/2 orbit with cos = -1.
+    for side in (2, 3, 4, 5, 6, 8, 9, 16, 17, 33, 64):
+        cos = mode_cosines(TorusGrid(side))[1:]
+        for t in (1, 3, 5, 7):
+            cos_t = cos**t
+            one_minus = 1.0 - cos_t
+            expected = (
+                math.fsum(1.0 / one_minus),
+                math.fsum(1.0 / one_minus**2),
+                math.fsum((1.0 + cos_t) / one_minus),
+                math.fsum(1.0 / (1.0 - cos)) / t,
+            )
+            gs = grid_sums(TorusGrid(side), t)
+            for got, want in zip((gs.S1, gs.S2, gs.S3, gs.lower), expected):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (side, t)

@@ -14,8 +14,8 @@ from powerwalk.torus import (
     adjacency_eigenphase,
     adjacency_matrix,
     adjacency_power_entry,
-    adjacency_spectrum,
     mode_cosines,
+    mode_orbits,
     powered_rotation_apply,
     rotation_map_apply,
 )
@@ -113,11 +113,11 @@ def test_eigenphase_mode_symmetry():
 def test_spectrum_has_n_modes_and_matches_dense_adjacency():
     for side in (3, 4, 5, 8):
         grid = TorusGrid(side)
-        spec = adjacency_spectrum(grid)
-        assert len(spec.modes) == grid.vertex_count
-        assert spec.modes[0] == ((0, 0), 1.0)
+        cos = mode_cosines(grid)
+        assert cos.shape == (grid.vertex_count,)
+        assert cos[0] == 1.0
         dense = np.linalg.eigvalsh(adjacency_matrix(grid))
-        assert np.allclose(np.sort(spec.cos_values), dense, atol=1e-10)
+        assert np.allclose(np.sort(cos), dense, atol=1e-10)
 
 
 def test_laplacian_row_sums_vanish():
@@ -125,9 +125,18 @@ def test_laplacian_row_sums_vanish():
     A = adjacency_matrix(grid)
     lap = A - np.eye(grid.vertex_count)
     assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
-    # laplacian_shift field mirrors cos - 1
-    spec = adjacency_spectrum(grid)
-    assert np.allclose(spec.laplacian_shift, spec.cos_values - 1.0)
+
+
+def test_mode_orbits_cover_nonzero_modes():
+    # Even sides hold the a = b = L/2 orbit, a single mode with cos = -1.
+    for side in (2, 3, 4, 5, 6, 8, 9, 16, 17):
+        grid = TorusGrid(side)
+        cos, count = mode_orbits(grid)
+        assert count.sum() == grid.vertex_count - 1
+        assert set(np.unique(count)) <= {1, 2, 4, 8}
+        expanded = np.sort(np.repeat(cos, count))
+        assert np.max(np.abs(expanded - np.sort(mode_cosines(grid)[1:]))) <= 1e-15
+        assert (cos.min() == -1.0) == (side % 2 == 0)
 
 
 def test_adjacency_power_entry_basics():
