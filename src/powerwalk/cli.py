@@ -8,9 +8,12 @@ Subcommands:
   szegedy          Markov-chain quantization checks
   gap              spectral-gap powering table
 
-Each run writes one record per instance as CSV (versioned header, fixed column
-order) or JSON, prints slope/band/check summaries to stderr, and exits 0 when
-every check passed, 1 on a check failure, 2 on usage or budget errors.
+Every subcommand is one entry of ``COMMANDS``: its record columns and a run
+function that fills a ScalingReport. ``main`` writes the records as CSV
+(versioned header, fixed column order) or JSON, prints the slope/band/check
+summary to stderr, and exits 0 when every check passed, 1 on a check failure,
+2 on usage, config or budget errors. verify-spectrum has no record columns:
+its verdicts are per-instance stderr lines.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .search import (
 )
 from .sums import grid_sums
 from .torus import DEFAULT_DENSE_BUDGET, TorusGrid
-from .tulsi import tune_delta
+from .tulsi import DELTA_POLICIES, tune_delta
 
 DEFAULT_TOLERANCES = {
     "spectrum": 1e-9,
@@ -99,6 +102,15 @@ class ExperimentConfig:
             top = nearest_odd(self.log_c * math.log(n))
             return tuple(range(1, top + 1, 2))
         raise ValueError(f"unknown t schedule {self.t_schedule!r}")
+
+    def grid_instances(self) -> list[tuple[TorusGrid, int]]:
+        """Every (grid, t) of the sweep, in order. The marked vertex is checked
+        against every size first, so a bad one is refused before any work."""
+        grids = [TorusGrid(side) for side in self.sizes]
+        for grid in grids:
+            if not grid.contains(self.marked):
+                raise ValueError(f"marked vertex {self.marked} outside grid")
+        return [(grid, t) for grid in grids for t in self.schedule_for(grid.side)]
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -168,13 +180,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every dest equals its ExperimentConfig field name (config_from_args).
     def common(
         p: argparse.ArgumentParser,
         budget_help: str = "unused: this subcommand builds no dense matrix "
         "(accepted so every subcommand takes the same flags)",
+        out_help: str = "output file (default: stdout)",
+        format_help: str | None = None,
     ) -> None:
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help=out_help)
+        p.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help=format_help
+        )
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument(
             "--budget", type=int, default=DEFAULT_DENSE_BUDGET, help=budget_help
@@ -192,7 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--sizes", type=_int_list, help="comma-separated grid sides"
         )
         p.add_argument(
-            "--t", type=_int_list, default=(1,), help="comma-separated step counts"
+            "--t",
+            dest="t_values",
+            metavar="T",
+            type=_int_list,
+            default=(1,),
+            help="comma-separated step counts",
         )
         p.add_argument(
             "--t-schedule",
@@ -205,20 +227,36 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--marked", type=_vertex, default=(0, 0), help="'x,y'")
 
+    def accounting_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rounding", choices=("floor", "nearest"), default="floor")
+        p.add_argument(
+            "--amplification-threshold",
+            type=float,
+            default=0.25,
+            help="amplify when the analytic p_s falls below this",
+        )
+
+    unused = (
+        "unused: verify-spectrum writes no records "
+        "(accepted so every subcommand takes the same flags)"
+    )
     p = sub.add_parser(
         "verify-spectrum",
         help="full-space spectral correspondence checks",
         description="Dense-eigendecomposition checks of the multi-step walk "
         "against the adjacency spectrum: eigenphase multisets, invariant "
-        "subspace dimension, projection sums, overlap law, path components.",
+        "subspace dimension, projection sums, overlap law, path components. "
+        "Verdicts go to stderr, one line per instance; no records are written.",
     )
     common(
         p,
         "largest full-walk dimension N*4^t to decompose densely; "
-        "a larger instance is refused with exit 2",
+        "a larger instance is refused with exit 2 before any check runs",
+        out_help=unused,
+        format_help=unused,
     )
     walk_flags(p)
-    p.set_defaults(sizes=(5,), t=(1, 3))
+    p.set_defaults(sizes=(5,), t_values=(1, 3))
 
     p = sub.add_parser(
         "search",
@@ -232,16 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
     walk_flags(p)
     p.add_argument(
         "--no-trajectory",
-        action="store_true",
+        dest="trajectory",
+        action="store_false",
         help="skip trajectory simulation (p_s column reports the bound)",
     )
-    p.add_argument("--rounding", choices=("floor", "nearest"), default="floor")
-    p.add_argument(
-        "--amplification-threshold",
-        type=float,
-        default=0.25,
-        help="amplify when the analytic p_s falls below this",
-    )
+    accounting_flags(p)
     p.set_defaults(sizes=(17, 33, 65, 129, 257))
 
     p = sub.add_parser(
@@ -260,11 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--delta-policy",
-        choices=("fixed", "optimal-qo", "balanced", "original-tulsi"),
+        choices=("fixed",) + DELTA_POLICIES,
         default="original-tulsi",
     )
-    p.add_argument("--rounding", choices=("floor", "nearest"), default="floor")
-    p.add_argument("--amplification-threshold", type=float, default=0.25)
+    accounting_flags(p)
     p.set_defaults(sizes=(17, 33, 65, 129, 257))
 
     p = sub.add_parser(
@@ -296,7 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sizes", type=_int_list, default=(2, 3, 4), help="chain sizes N"
     )
-    p.add_argument("--k", type=_int_list, default=(1, 2, 3), help="step counts")
+    p.add_argument(
+        "--k",
+        dest="k_values",
+        metavar="K",
+        type=_int_list,
+        default=(1, 2, 3),
+        help="step counts",
+    )
     p.add_argument(
         "--chains", type=int, default=20, help="number of random chains"
     )
@@ -315,148 +354,94 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     common(p)
-    p.add_argument("--g", type=_float_list, default=(0.5, 0.1, 0.01))
     p.add_argument(
-        "--t", type=_int_list, default=(), help="overrides t = ceil(1/g)"
+        "--g", dest="g_values", metavar="G", type=_float_list, default=(0.5, 0.1, 0.01)
+    )
+    p.add_argument(
+        "--t",
+        dest="t_values",
+        metavar="T",
+        type=_int_list,
+        default=(),
+        help="overrides t = ceil(1/g)",
     )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    tolerances = {
+    """The parsed flags that name config fields, plus the --tol-* tolerances."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    values = {k: v for k, v in vars(args).items() if k in fields}
+    values["tolerances"] = {
         name: getattr(args, f"tol_{name}") for name in DEFAULT_TOLERANCES
     }
-    cfg = ExperimentConfig(
-        command=args.command,
-        out=args.out,
-        format=args.format,
-        seed=args.seed,
-        budget=args.budget,
-        tolerances=tolerances,
-    )
-    if args.command in ("verify-spectrum", "search", "tulsi", "sums"):
-        cfg.sizes = tuple(args.sizes)
-        cfg.t_values = tuple(args.t)
-        cfg.t_schedule = args.t_schedule
-        cfg.log_c = args.log_c
-        cfg.marked = args.marked
-    if args.command == "search":
-        cfg.trajectory = not args.no_trajectory
-        cfg.rounding = args.rounding
-        cfg.amplification_threshold = args.amplification_threshold
-    if args.command == "tulsi":
-        cfg.delta = args.delta
-        cfg.delta_policy = args.delta_policy
-        cfg.rounding = args.rounding
-        cfg.amplification_threshold = args.amplification_threshold
-    if args.command == "szegedy":
-        cfg.sizes = tuple(args.sizes)
-        cfg.k_values = tuple(args.k)
-        cfg.chains = args.chains
-        cfg.generator = args.generator
-        cfg.chain_csv = args.chain_csv
-    if args.command == "gap":
-        cfg.g_values = tuple(args.g)
-        cfg.t_values = tuple(args.t)
-    return cfg
+    return ExperimentConfig(**values)
 
 
-def _emit(config: ExperimentConfig, columns, recs: list[dict]) -> None:
-    if config.format == "csv":
-        text = records.to_csv(columns, recs)
-    else:
-        text = records.to_json(columns, recs)
-    if config.out:
-        with open(config.out, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _print_summary(report: ScalingReport) -> None:
-    for line in report.summary_lines():
-        print(line, file=sys.stderr)
-
-
-def _unitarity_deviation(grid: TorusGrid, t: int, seed: int, trials: int = 8) -> float:
+def _unitarity_deviation(
+    grid: TorusGrid, t: int, marked: tuple[int, int], seed: int, trials: int = 8
+) -> float:
     """Largest norm / involution defect of S_t, C_t, W_t, O_t on random states."""
     rng = np.random.default_rng(seed)
     dim = fullwalk.full_dim(grid, t)
-    marked = (0, 0)
     worst = 0.0
     for _ in range(trials):
         state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state /= np.linalg.norm(state)
         walked = fullwalk.apply_walk(grid, t, state)
         oracled = fullwalk.apply_oracle(grid, t, marked, state)
+        twice = (
+            fullwalk.apply_shift(grid, t, fullwalk.apply_shift(grid, t, state)),
+            fullwalk.apply_coin(grid, t, fullwalk.apply_coin(grid, t, state)),
+            fullwalk.apply_oracle(grid, t, marked, oracled),
+        )
         worst = max(
             worst,
-            abs(np.linalg.norm(walked) - 1.0),
-            abs(np.linalg.norm(oracled) - 1.0),
-            float(
-                np.max(
-                    np.abs(
-                        fullwalk.apply_shift(grid, t, fullwalk.apply_shift(grid, t, state))
-                        - state
-                    )
-                )
-            ),
-            float(
-                np.max(
-                    np.abs(
-                        fullwalk.apply_coin(grid, t, fullwalk.apply_coin(grid, t, state))
-                        - state
-                    )
-                )
-            ),
-            float(
-                np.max(
-                    np.abs(
-                        fullwalk.apply_oracle(grid, t, marked, oracled) - state
-                    )
-                )
-            ),
+            *(abs(np.linalg.norm(v) - 1.0) for v in (walked, oracled)),
+            *(float(np.max(np.abs(v - state))) for v in twice),
         )
     return worst
 
 
-def cmd_verify_spectrum(config: ExperimentConfig) -> int:
+def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
     tol = config.tolerances["spectrum"]
     unitarity_tol = config.tolerances["unitarity"]
+    instances = config.grid_instances()
+    for grid, t in instances:
+        dim = fullwalk.full_dim(grid, t)
+        if dim > config.budget:
+            raise ValueError(
+                f"L={grid.side} t={t}: dimension {dim} exceeds budget "
+                f"{config.budget}; refusing dense eigendecomposition"
+            )
     all_ok = True
-    for side in config.sizes:
-        grid = TorusGrid(side)
-        for t in config.schedule_for(side):
-            dim = fullwalk.full_dim(grid, t)
-            if dim > config.budget:
-                print(
-                    f"L={side} t={t}: dimension {dim} exceeds budget "
-                    f"{config.budget}; refusing dense eigendecomposition",
-                    file=sys.stderr,
-                )
-                return 2
-            unitarity_dev = _unitarity_deviation(grid, t, config.seed)
-            report = fullwalk.correspondence_report(grid, t, budget=config.budget)
-            ok = report.passed(tol) and unitarity_dev <= unitarity_tol
-            all_ok = all_ok and ok
-            status = "pass" if ok else "FAIL"
+    for grid, t in instances:
+        unitarity_dev = _unitarity_deviation(grid, t, config.marked, config.seed)
+        report = fullwalk.correspondence_report(grid, t, budget=config.budget)
+        ok = report.passed(tol) and unitarity_dev <= unitarity_tol
+        all_ok = all_ok and ok
+        status = "pass" if ok else "FAIL"
+        print(
+            f"L={grid.side} t={t}: {status} "
+            f"(phase dev {report.phase_multiset_dev:.2e}, "
+            f"invariant dim {report.invariant_dim}/{report.expected_invariant_dim}, "
+            f"projection dev {report.projection_sum_dev:.2e}, "
+            f"overlap dev {report.overlap_law_dev:.2e}, "
+            f"component dev {report.component_dev:.2e}, "
+            f"unitarity dev {unitarity_dev:.2e})",
+            file=sys.stderr,
+        )
+        if report.bipartite_mode_detected:
             print(
-                f"L={side} t={t}: {status} "
-                f"(phase dev {report.phase_multiset_dev:.2e}, "
-                f"invariant dim {report.invariant_dim}/{report.expected_invariant_dim}, "
-                f"projection dev {report.projection_sum_dev:.2e}, "
-                f"overlap dev {report.overlap_law_dev:.2e}, "
-                f"component dev {report.component_dev:.2e}, "
-                f"unitarity dev {unitarity_dev:.2e})",
+                f"L={grid.side} t={t}: bipartite -1 mode detected (even side); "
+                "search-specific checks skipped",
                 file=sys.stderr,
             )
-            if report.bipartite_mode_detected:
-                print(
-                    f"L={side} t={t}: bipartite -1 mode detected (even side); "
-                    "search-specific checks skipped",
-                    file=sys.stderr,
-                )
-    return 0 if all_ok else 1
+    verdict = ScalingReport()
+    verdict.checks[
+        f"spectrum dev <= {tol:g} and unitarity dev <= {unitarity_tol:g}"
+    ] = all_ok
+    return verdict
 
 
 def _solve(
@@ -475,9 +460,12 @@ def _solve(
     return alpha_exact, alpha_est, result, p_s
 
 
+def _sum_fields(gs) -> dict:
+    return {name: getattr(gs, name) for name in records.SUM_FIELDS}
+
+
 def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
     alpha_exact, alpha_est, result, p_s = _solve(config, model, trajectory)
-    gs = grid_sums(model.grid, model.t)
     return {
         "L": model.grid.side,
         "N": model.grid.vertex_count,
@@ -489,20 +477,15 @@ def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: b
         "p_s_bound": result.p_s,
         "Q_O": result.Q_O,
         "Q_G": result.Q_G,
-        "S1": gs.S1,
-        "S2": gs.S2,
-        "S3": gs.S3,
-        "lower": gs.lower,
-        "upper": gs.upper,
+        **_sum_fields(grid_sums(model.grid, model.t)),
     }
 
 
-def cmd_search(config: ExperimentConfig) -> tuple[ScalingReport, int]:
+def run_search(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
-    for side in config.sizes:
-        for t in config.schedule_for(side):
-            model = build_model(TorusGrid(side), t, config.marked)
-            report.records.append(_search_record(config, model, config.trajectory))
+    for grid, t in config.grid_instances():
+        model = build_model(grid, t, config.marked)
+        report.records.append(_search_record(config, model, config.trajectory))
     recs = report.records
     report.checks["Q_G = t*Q_O"] = all(r["Q_G"] == r["t"] * r["Q_O"] for r in recs)
     report.checks["lower <= S1 <= upper"] = all(
@@ -518,45 +501,36 @@ def cmd_search(config: ExperimentConfig) -> tuple[ScalingReport, int]:
         report.add_band(
             "Q_O/sqrt(N)", [r["Q_O"] / math.sqrt(r["N"]) for r in recs]
         )
-    _emit(config, records.SEARCH_COLUMNS, recs)
-    _print_summary(report)
-    return report, 0 if report.all_passed() else 1
+    return report
 
 
-def cmd_tulsi(config: ExperimentConfig) -> tuple[ScalingReport, int]:
+def run_tulsi(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
-    policy_map = {
-        "optimal-qo": "optimal_QO",
-        "balanced": "balanced",
-        "original-tulsi": "original_tulsi",
-    }
-    for side in config.sizes:
-        for t in config.schedule_for(side):
-            grid = TorusGrid(side)
-            base = build_model(grid, t, config.marked)
-            if config.delta_policy == "fixed":
-                delta = config.delta
-            else:
-                delta = tune_delta(base, policy_map[config.delta_policy])
-            controlled = build_model(grid, t, config.marked, delta)
-            # The base columns describe plain search at the same (L, t); only
-            # the controlled run's trajectory is measured.
-            rec = _search_record(config, base, trajectory=False)
-            alpha_delta, _, tres, p_s = _solve(config, controlled, config.trajectory)
-            rec.update(
-                {
-                    "p_s": p_s,
-                    "p_s_bound": tres.p_s,
-                    "Q_O": tres.Q_O,
-                    "Q_G": tres.Q_G,
-                    "delta": delta,
-                    "tan2_delta": math.tan(delta) ** 2,
-                    "a_pi": math.sin(delta),
-                    "alpha_delta": alpha_delta,
-                    "Q_delta": tres.Q,
-                }
-            )
-            report.records.append(rec)
+    for grid, t in config.grid_instances():
+        base = build_model(grid, t, config.marked)
+        if config.delta_policy == "fixed":
+            delta = config.delta
+        else:
+            delta = tune_delta(base, config.delta_policy)
+        controlled = build_model(grid, t, config.marked, delta)
+        # The base columns describe plain search at the same (L, t); only
+        # the controlled run's trajectory is measured.
+        rec = _search_record(config, base, trajectory=False)
+        alpha_delta, _, tres, p_s = _solve(config, controlled, config.trajectory)
+        rec.update(
+            {
+                "p_s": p_s,
+                "p_s_bound": tres.p_s,
+                "Q_O": tres.Q_O,
+                "Q_G": tres.Q_G,
+                "delta": delta,
+                "tan2_delta": math.tan(delta) ** 2,
+                "a_pi": math.sin(delta),
+                "alpha_delta": alpha_delta,
+                "Q_delta": tres.Q,
+            }
+        )
+        report.records.append(rec)
     recs = report.records
     report.checks["Q_G = t*Q_O"] = all(r["Q_G"] == r["t"] * r["Q_O"] for r in recs)
     one_t_per_size = len({r["L"] for r in recs}) == len(recs)
@@ -569,34 +543,21 @@ def cmd_tulsi(config: ExperimentConfig) -> tuple[ScalingReport, int]:
             "Q_O*Q_G/(N lnN)",
             [r["Q_O"] * r["Q_G"] / (r["N"] * math.log(r["N"])) for r in recs],
         )
-    _emit(config, records.TULSI_COLUMNS, recs)
-    _print_summary(report)
-    return report, 0 if report.all_passed() else 1
+    return report
 
 
-def cmd_sums(config: ExperimentConfig) -> tuple[ScalingReport, int]:
+def run_sums(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     tol = config.tolerances["identity"]
     bracketed = True
     identity_ok = True
-    for side in config.sizes:
-        grid = TorusGrid(side)
-        for t in config.schedule_for(side):
-            gs = grid_sums(grid, t)
-            bracketed = bracketed and gs.bracketed()
-            identity_ok = identity_ok and gs.identity_residual() <= tol
-            report.records.append(
-                {
-                    "L": side,
-                    "N": gs.vertex_count,
-                    "t": t,
-                    "S1": gs.S1,
-                    "S2": gs.S2,
-                    "S3": gs.S3,
-                    "lower": gs.lower,
-                    "upper": gs.upper,
-                }
-            )
+    for grid, t in config.grid_instances():
+        gs = grid_sums(grid, t)
+        bracketed = bracketed and gs.bracketed()
+        identity_ok = identity_ok and gs.identity_residual() <= tol
+        report.records.append(
+            {"L": grid.side, "N": gs.vertex_count, "t": t, **_sum_fields(gs)}
+        )
     report.checks["lower <= S1 <= upper"] = bracketed
     report.checks["S3 = 1 - N + 2*S1"] = identity_ok
     recs = report.records
@@ -605,9 +566,7 @@ def cmd_sums(config: ExperimentConfig) -> tuple[ScalingReport, int]:
             "S1*t/(N lnN)",
             [r["S1"] * r["t"] / (r["N"] * math.log(r["N"])) for r in recs],
         )
-    _emit(config, records.SUMS_COLUMNS, recs)
-    _print_summary(report)
-    return report, 0 if report.all_passed() else 1
+    return report
 
 
 def _szegedy_chains(config: ExperimentConfig):
@@ -635,7 +594,7 @@ def _szegedy_chains(config: ExperimentConfig):
             yield f"lazy-complete:{n}", szegedy.lazy_chain(szegedy.complete_chain(n))
 
 
-def cmd_szegedy(config: ExperimentConfig) -> tuple[ScalingReport, int]:
+def run_szegedy(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     disc_tol = config.tolerances["discriminant"]
     eig_tol = config.tolerances["eigenphase"]
@@ -681,12 +640,10 @@ def cmd_szegedy(config: ExperimentConfig) -> tuple[ScalingReport, int]:
     report.checks["query_cost = 4k"] = all(
         r["query_cost"] == 4 * r["k"] for r in report.records
     )
-    _emit(config, records.SZEGEDY_COLUMNS, report.records)
-    _print_summary(report)
-    return report, 0 if report.all_passed() else 1
+    return report
 
 
-def cmd_gap(config: ExperimentConfig) -> tuple[ScalingReport, int]:
+def run_gap(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     target = 1.0 - math.exp(-1.0) - 0.05
     ok = True
@@ -697,32 +654,40 @@ def cmd_gap(config: ExperimentConfig) -> tuple[ScalingReport, int]:
             ok = ok and g_t >= target
         report.records.append({"g": g, "t": t, "g_t": g_t})
     report.checks["g_t >= 1 - 1/e - 0.05 at t = ceil(1/g)"] = ok
-    _emit(config, records.GAP_COLUMNS, report.records)
-    _print_summary(report)
-    return report, 0 if report.all_passed() else 1
+    return report
+
+
+# name -> (record columns, run). A run only fills records and checks; main
+# writes the records, prints the summary and sets the exit code.
+COMMANDS = {
+    "verify-spectrum": ((), run_verify_spectrum),
+    "search": (records.SEARCH_COLUMNS, run_search),
+    "tulsi": (records.TULSI_COLUMNS, run_tulsi),
+    "sums": (records.SUMS_COLUMNS, run_sums),
+    "szegedy": (records.SZEGEDY_COLUMNS, run_szegedy),
+    "gap": (records.GAP_COLUMNS, run_gap),
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    config = config_from_args(build_parser().parse_args(argv))
+    columns, run = COMMANDS[config.command]
     try:
-        if config.command == "verify-spectrum":
-            return cmd_verify_spectrum(config)
-        if config.command == "search":
-            return cmd_search(config)[1]
-        if config.command == "tulsi":
-            return cmd_tulsi(config)[1]
-        if config.command == "sums":
-            return cmd_sums(config)[1]
-        if config.command == "szegedy":
-            return cmd_szegedy(config)[1]
-        if config.command == "gap":
-            return cmd_gap(config)[1]
+        report = run(config)
+        if columns:
+            to_text = records.to_csv if config.format == "csv" else records.to_json
+            text = to_text(columns, report.records)
+            if config.out:
+                with open(config.out, "w") as fp:
+                    fp.write(text)
+            else:
+                sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {config.command}")
+    for line in report.summary_lines():
+        print(line, file=sys.stderr)
+    return 0 if report.all_passed() else 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .torus import (
     PathPort,
     TorusGrid,
     mode_cosines,
-    powered_rotation_apply,
 )
 
 # Eigenvalues within this distance of +-1 are classified as the +-1 subspace.
@@ -289,20 +288,22 @@ def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
     return np.sort(np.concatenate([phases, -phases]))
 
 
+def _path_pairs(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices (i, S_t i) of every length-t path, one per pair with
+    i < S_t i. The shift permutation is the powered rotation map on indices;
+    for even t its fixed points (paths that double back) are skipped."""
+    perm = _shift_permutation(grid, t)
+    lower = np.flatnonzero(np.arange(perm.size) < perm)
+    return lower, perm[lower]
+
+
 def path_ports(grid: TorusGrid, t: int) -> list[PathPort]:
     """One canonical port per length-t path (the lower basis index of the pair).
 
     For even t, ports fixed by the powered rotation map (paths that double
     back onto themselves) are skipped; their |p-> vectors vanish.
     """
-    ports = []
-    for i in range(full_dim(grid, t)):
-        port = index_port(grid, t, i)
-        partner = powered_rotation_apply(grid, t, port)
-        j = basis_index(grid, t, partner)
-        if i < j:
-            ports.append(port)
-    return ports
+    return [index_port(grid, t, i) for i in _path_pairs(grid, t)[0].tolist()]
 
 
 def path_basis_vectors(
@@ -313,9 +314,8 @@ def path_basis_vectors(
     |p+-> = (|u, g_1..g_t> +- |v, h_1..h_t>)/sqrt(2); both are eigenvectors of
     the shift, with eigenvalues +1 and -1.
     """
-    partner = powered_rotation_apply(grid, t, port)
     i = basis_index(grid, t, port)
-    j = basis_index(grid, t, partner)
+    j = int(_shift_permutation(grid, t)[i])
     if i == j:
         raise ValueError(f"path {port} doubles back on itself; |p-> vanishes")
     dim = full_dim(grid, t)
@@ -324,7 +324,31 @@ def path_basis_vectors(
     plus[i] = plus[j] = 2**-0.5
     minus[i] = 2**-0.5
     minus[j] = -(2**-0.5)
-    return plus, minus, partner
+    return plus, minus, index_port(grid, t, j)
+
+
+def _path_components(t: int, vector, overlaps, eigenvalue, i, j) -> tuple:
+    """Measured and predicted <Phi|p+>, <Phi|p-> for the paths between basis
+    states i and j = S_t i (scalars or index arrays), given the eigenvector
+    Phi, its vertex overlaps a_u and its eigenvalue e^{i phi}:
+
+        <Phi|p+> = sqrt(2/d^t) (a_u + a_v) / (1 + e^{-i phi})
+        <Phi|p-> = sqrt(2/d^t) (a_u - a_v) / (1 - e^{-i phi})
+
+    Returns (plus measured, plus predicted, minus measured, minus predicted).
+    """
+    d_t = DEGREE**t
+    cvec = np.conj(vector)
+    a_u = overlaps[i // d_t]
+    a_v = overlaps[j // d_t]
+    scale = (2.0 / d_t) ** 0.5
+    conj_ev = np.conj(eigenvalue)
+    return (
+        (cvec[i] + cvec[j]) * 2**-0.5,
+        scale * (a_u + a_v) / (1.0 + conj_ev),
+        (cvec[i] - cvec[j]) * 2**-0.5,
+        scale * (a_u - a_v) / (1.0 - conj_ev),
+    )
 
 
 @dataclass(frozen=True)
@@ -344,37 +368,19 @@ def path_component_check(
     eigenvalue: complex,
     port: PathPort,
 ) -> PathComponents:
-    """Compare <Phi|p+-> against the closed forms driven by the vertex overlaps.
-
-    For an eigenvector Phi of W_t with non-real eigenvalue e^{i phi} and a path
-    between u and v:
-
-        <Phi|p+> = sqrt(2/d^t) (a_u + a_v) / (1 + e^{-i phi})
-        <Phi|p-> = sqrt(2/d^t) (a_u - a_v) / (1 - e^{-i phi})
+    """Compare <Phi|p+-> against the closed forms driven by the vertex
+    overlaps (_path_components) for the path named by ``port``, where Phi is
+    an eigenvector of W_t with non-real eigenvalue e^{i phi}.
 
     The minus form flips sign with the (u, v) ordering; measured and predicted
     flip together, so the comparison is ordering-safe.
     """
-    partner = powered_rotation_apply(grid, t, port)
     i = basis_index(grid, t, port)
-    j = basis_index(grid, t, partner)
-    cvec = np.conj(vector)
-    plus_measured = (cvec[i] + cvec[j]) * 2**-0.5
-    minus_measured = (cvec[i] - cvec[j]) * 2**-0.5
-
-    a = vertex_overlaps(grid, t, vector)
-    a_u = a[grid.vertex_index(port.vertex)]
-    a_v = a[grid.vertex_index(partner.vertex)]
-    scale = (2.0 / DEGREE**t) ** 0.5
-    conj_ev = np.conj(eigenvalue)
-    plus_predicted = scale * (a_u + a_v) / (1.0 + conj_ev)
-    minus_predicted = scale * (a_u - a_v) / (1.0 - conj_ev)
-    return PathComponents(
-        complex(plus_measured),
-        complex(plus_predicted),
-        complex(minus_measured),
-        complex(minus_predicted),
+    j = int(_shift_permutation(grid, t)[i])
+    parts = _path_components(
+        t, vector, vertex_overlaps(grid, t, vector), eigenvalue, i, j
     )
+    return PathComponents(*(complex(part) for part in parts))
 
 
 @dataclass
@@ -489,30 +495,15 @@ def correspondence_report(
     component_dev = None
     if check_components:
         component_dev = 0.0
-        ports = path_ports(grid, t)
-        iu = np.array([basis_index(grid, t, p) for p in ports])
-        partners = [powered_rotation_apply(grid, t, p) for p in ports]
-        iv = np.array([basis_index(grid, t, p) for p in partners])
-        u_idx = np.array([grid.vertex_index(p.vertex) for p in ports])
-        v_idx = np.array([grid.vertex_index(p.vertex) for p in partners])
-        scale = (2.0 / DEGREE**t) ** 0.5
+        iu, iv = _path_pairs(grid, t)
         for i in nonreal_idx:
-            cvec = np.conj(spec.vectors[:, i])
-            conj_ev = np.conj(spec.eigenvalues[i])
-            a_u = overlaps[i, u_idx]
-            a_v = overlaps[i, v_idx]
-            plus_component_dev = np.abs(
-                (cvec[iu] + cvec[iv]) * 2**-0.5
-                - scale * (a_u + a_v) / (1.0 + conj_ev)
-            )
-            minus_component_dev = np.abs(
-                (cvec[iu] - cvec[iv]) * 2**-0.5
-                - scale * (a_u - a_v) / (1.0 - conj_ev)
+            plus_m, plus_p, minus_m, minus_p = _path_components(
+                t, spec.vectors[:, i], overlaps[i], spec.eigenvalues[i], iu, iv
             )
             component_dev = max(
                 component_dev,
-                float(plus_component_dev.max()),
-                float(minus_component_dev.max()),
+                float(np.abs(plus_m - plus_p).max()),
+                float(np.abs(minus_m - minus_p).max()),
             )
 
     return CorrespondenceReport(

@@ -204,6 +204,12 @@ def secular_alpha(model: SpectralModel) -> float:
     with a sign change, so the principal eigenphase is that interval's
     unique root.
     """
+    return _secular_root(model, alpha_estimate(model))
+
+
+def _secular_root(model: SpectralModel, est: float) -> float:
+    """secular_alpha, given the model's alpha_estimate, which places the
+    bracket and the tolerance."""
     phases, weights = model.distinct_phases
     c2 = math.cos(model.delta) ** 2
     weights = weights * c2
@@ -221,7 +227,6 @@ def secular_alpha(model: SpectralModel) -> float:
             - api2 * math.tan(alpha / 2.0)
         )
 
-    est = alpha_estimate(model)
     # Bracket strictly below the smallest node of f, where f decreases from
     # +inf to -inf.
     hi = phases.min() * (1.0 - 1e-9)
@@ -285,7 +290,8 @@ def trajectory_alpha(model: SpectralModel) -> float:
 
 def compute_alpha(model: SpectralModel) -> tuple[float, float]:
     """(alpha_exact, alpha_estimate): the secular root and the closed form."""
-    return secular_alpha(model), alpha_estimate(model)
+    est = alpha_estimate(model)
+    return _secular_root(model, est), est
 
 
 def overlap_ws(model: SpectralModel, alpha: float) -> float:

@@ -28,19 +28,23 @@ from .search import nearest_odd as _nearest_odd
 from .torus import TorusGrid
 
 
+# The tuning targets tune_delta accepts, spelled as the CLI's --delta-policy.
+DELTA_POLICIES = ("optimal-qo", "balanced", "original-tulsi")
+
+
 def tune_delta(model: SpectralModel, target: str) -> float:
     """Pick delta for a named point on the Q_O/Q_G trade-off curve.
 
-    original_tulsi: t must be 1, tan^2(delta) = ln N (the single-step
+    original-tulsi: t must be 1, tan^2(delta) = ln N (the single-step
     controlled search). balanced: tan^2(delta) = ln N / t, maintaining
-    t tan^2(delta) = ln N for intermediate t <= ln N. optimal_QO: the
+    t tan^2(delta) = ln N for intermediate t <= ln N. optimal-qo: the
     t = Theta(ln N) end, tan^2(delta) clamped to 1 and 0 once t >= ln N.
     Logarithms are natural throughout.
     """
     ln_n = math.log(model.grid.vertex_count)
-    if target == "original_tulsi":
+    if target == "original-tulsi":
         if model.t != 1:
-            raise ValueError(f"original_tulsi requires t=1, got t={model.t}")
+            raise ValueError(f"original-tulsi requires t=1, got t={model.t}")
         ratio = ln_n
     elif target == "balanced":
         # nearest-odd rounding may land just above ln N; that is still the
@@ -50,7 +54,7 @@ def tune_delta(model: SpectralModel, target: str) -> float:
                 f"balanced schedule requires t <= ln N ({ln_n:.2f}), got t={model.t}"
             )
         ratio = ln_n / model.t
-    elif target == "optimal_QO":
+    elif target == "optimal-qo":
         ratio = 0.0 if model.t >= ln_n else min(1.0, ln_n / model.t - 1.0)
     else:
         raise ValueError(f"unknown tuning target {target!r}")

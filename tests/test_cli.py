@@ -243,3 +243,76 @@ def test_benchmark_tracer_wraps_engine():
     assert result["code"] == 0
     assert "search.iterate_search" in result["functions"]
     assert "search.SpectralModel.distinct_phases" in result["functions"]
+
+
+# The canonical config JSON of each subcommand's default argv, as pinned below:
+# only the command, sizes and t_values differ between subcommands.
+DEFAULT_CONFIG_JSON = (
+    '{"amplification_threshold": 0.25, "budget": 4096, "chain_csv": null, '
+    '"chains": 20, "command": "COMMAND", "delta": 0.0, '
+    '"delta_policy": "original-tulsi", "format": "csv", '
+    '"g_values": [0.5, 0.1, 0.01], "generator": "random", "k_values": [1, 2, 3], '
+    '"log_c": 1.0, "marked": [0, 0], "out": null, "rounding": "floor", "seed": 0, '
+    '"sizes": SIZES, "t_schedule": "fixed", "t_values": T_VALUES, '
+    '"tolerances": {"discriminant": 1e-10, "eigenphase": 1e-09, '
+    '"identity": 1e-09, "spectrum": 1e-09, "unitarity": 1e-12}, '
+    '"trajectory": true}'
+)
+
+# name -> (small argv, config-error argv, default sizes, default t_values).
+# The verify-spectrum error sits on the second instance, so it must be refused
+# before the first one runs; sums must check --marked although it never reads it.
+CONTRACT = {
+    "verify-spectrum": (
+        ["--sizes", "3", "--t", "1", "--marked", "1,2"],
+        ["--sizes", "5,3", "--t", "1,5"],
+        "[5]",
+        "[1, 3]",
+    ),
+    "search": (
+        ["--sizes", "9,13", "--t", "1"],
+        ["--sizes", "9", "--marked", "99,99"],
+        "[17, 33, 65, 129, 257]",
+        "[1]",
+    ),
+    "tulsi": (
+        ["--sizes", "9", "--t-schedule", "sweep", "--delta-policy", "balanced"],
+        ["--sizes", "9", "--t", "1,3"],
+        "[17, 33, 65, 129, 257]",
+        "[1]",
+    ),
+    "sums": (
+        ["--sizes", "8,9", "--t-schedule", "log-n"],
+        ["--sizes", "9", "--marked", "99,99"],
+        "[8, 16, 32, 64, 128, 256, 512]",
+        "[1]",
+    ),
+    "szegedy": (
+        ["--sizes", "2,3", "--k", "1,2", "--chains", "3", "--seed", "5"],
+        ["--sizes", "1"],
+        "[2, 3, 4]",
+        "[1]",
+    ),
+    "gap": (["--g", "0.5,0.1"], ["--g", "1.5"], "[]", "[]"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_contract(command, capsys):
+    small, bad, sizes, t_values = CONTRACT[command]
+    first = run_cli([command, *small], capsys)
+    assert first[0] == 0
+    assert run_cli([command, *small], capsys) == first
+
+    # A config error writes no records and one error line.
+    code, out, err = run_cli([command, *bad], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    config = cli.config_from_args(cli.build_parser().parse_args([command]))
+    expected = (
+        DEFAULT_CONFIG_JSON.replace("COMMAND", command)
+        .replace("SIZES", sizes)
+        .replace("T_VALUES", t_values)
+    )
+    assert config.canonical_json() == expected

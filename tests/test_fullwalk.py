@@ -59,6 +59,17 @@ def test_shift_is_involution():
     assert np.max(np.abs(apply_shift(grid, 1, apply_shift(grid, 1, state)) - state)) <= 1e-14
 
 
+def test_shift_permutation_is_powered_rotation_map():
+    # The permutation is the vectorised rotation map of the t-th graph power.
+    for side in (3, 4):
+        grid = TorusGrid(side)
+        for t in (1, 2, 3):
+            perm = fullwalk.shift_permutation(grid, t)
+            for i in range(full_dim(grid, t)):
+                partner = powered_rotation_apply(grid, t, index_port(grid, t, i))
+                assert perm[i] == basis_index(grid, t, partner)
+
+
 def test_shift_permutation_built_once_per_instance(monkeypatch):
     builds = []
     build = fullwalk.shift_permutation

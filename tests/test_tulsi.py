@@ -62,7 +62,7 @@ def test_schedule_identity():
 
 def test_tune_delta_original():
     model = build_model(TorusGrid(32), 1)
-    delta = tune_delta(model, "original_tulsi")
+    delta = tune_delta(model, "original-tulsi")
     assert math.tan(delta) ** 2 == pytest.approx(math.log(1024), rel=1e-12)
     assert delta == pytest.approx(math.atan(math.sqrt(6.931471805599453)), rel=1e-12)
 
@@ -70,13 +70,13 @@ def test_tune_delta_original():
 def test_tune_delta_errors_and_clamps():
     model3 = build_model(TorusGrid(17), 3)
     with pytest.raises(ValueError):
-        tune_delta(model3, "original_tulsi")
+        tune_delta(model3, "original-tulsi")
     big_t = build_model(TorusGrid(5), 5)  # t=5 > ln 25 ~ 3.2
     with pytest.raises(ValueError):
         tune_delta(big_t, "balanced")
-    assert tune_delta(big_t, "optimal_QO") == 0.0
+    assert tune_delta(big_t, "optimal-qo") == 0.0
     mid = build_model(TorusGrid(65), 3)  # ln 4225 ~ 8.35, ratio clamps at 1
-    assert math.tan(tune_delta(mid, "optimal_QO")) ** 2 == pytest.approx(1.0)
+    assert math.tan(tune_delta(mid, "optimal-qo")) ** 2 == pytest.approx(1.0)
 
 
 def test_circuit_equals_block_form():
@@ -144,7 +144,7 @@ def test_alpha_delta_scaling_band():
     values = []
     for side in (17, 33, 65):
         model = build_model(TorusGrid(side), 1)
-        controlled = build_model(TorusGrid(side), 1, delta=tune_delta(model, "original_tulsi"))
+        controlled = build_model(TorusGrid(side), 1, delta=tune_delta(model, "original-tulsi"))
         a_d, _ = compute_alpha(controlled)
         values.append(a_d * side)
     assert max(values) < 2.0
