@@ -243,15 +243,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-spectrum",
         help="full-space spectral correspondence checks",
-        description="Dense-eigendecomposition checks of the multi-step walk "
-        "against the adjacency spectrum: eigenphase multisets, invariant "
+        description="Full-space checks of the multi-step walk against the "
+        "adjacency spectrum, from its eigendecomposition one momentum block "
+        "at a time: eigenpair residuals, eigenphase multisets, invariant "
         "subspace dimension, projection sums, overlap law, path components. "
         "Verdicts go to stderr, one line per instance; no records are written.",
     )
     common(
         p,
-        "largest full-walk dimension N*4^t to decompose densely; "
-        "a larger instance is refused with exit 2 before any check runs",
+        "largest full-walk dimension N*4^t to check (it is decomposed in N "
+        "blocks of size 4^t); a larger instance is refused with exit 2 "
+        "before any check runs",
         out_help=unused,
         format_help=unused,
     )
@@ -412,7 +414,7 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
         if dim > config.budget:
             raise ValueError(
                 f"L={grid.side} t={t}: dimension {dim} exceeds budget "
-                f"{config.budget}; refusing dense eigendecomposition"
+                f"{config.budget}; refusing eigendecomposition"
             )
     all_ok = True
     for grid, t in instances:
@@ -428,6 +430,7 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
             f"projection dev {report.projection_sum_dev:.2e}, "
             f"overlap dev {report.overlap_law_dev:.2e}, "
             f"component dev {report.component_dev:.2e}, "
+            f"eigenpair residual {report.eigenpair_residual:.2e}, "
             f"unitarity dev {unitarity_dev:.2e})",
             file=sys.stderr,
         )
@@ -506,13 +509,18 @@ def run_search(config: ExperimentConfig) -> ScalingReport:
 
 def run_tulsi(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
+    # Models are lazy, so building every pair first refuses an even t or a
+    # delta that the policy cannot give at some (L, t) before any solve.
+    models = []
     for grid, t in config.grid_instances():
         base = build_model(grid, t, config.marked)
         if config.delta_policy == "fixed":
             delta = config.delta
         else:
             delta = tune_delta(base, config.delta_policy)
-        controlled = build_model(grid, t, config.marked, delta)
+        models.append((base, build_model(grid, t, config.marked, delta)))
+    for base, controlled in models:
+        delta = controlled.delta
         # The base columns describe plain search at the same (L, t); only
         # the controlled run's trajectory is measured.
         rec = _search_record(config, base, trajectory=False)
@@ -647,6 +655,9 @@ def run_gap(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     target = 1.0 - math.exp(-1.0) - 0.05
     ok = True
+    for g in config.g_values:
+        if not 0.0 < g <= 1.0:
+            raise ValueError(f"spectral gap must lie in (0, 1], got {g}")
     for i, g in enumerate(config.g_values):
         t = config.t_values[i] if i < len(config.t_values) else math.ceil(1.0 / g)
         g_t = spectral_gap_power(g, t)

@@ -4,9 +4,12 @@ The walk on the t-th graph power lives in the N*d^t dimensional space spanned
 by |vertex, g_1..g_t>. This module builds the shift S_t (permutation by the
 powered rotation map), the coin C_t (reflection about the per-vertex uniform
 label states), the walk W_t = S_t C_t, and the marking oracle
-O_t = I - 2|psi_m><psi_m|, all as dense operators. It is the brute-force
-oracle that validates the spectral correspondence between W_t and the
-adjacency matrix, and the reduced-space search engine built on it.
+O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or a
+slab of states) and as a dense matrix for small instances. W_t commutes with
+torus translations, so its eigendecomposition is taken one d^t x d^t
+momentum block at a time (``walk_spectrum``). It is the brute-force oracle
+that validates the spectral correspondence between W_t and the adjacency
+matrix, and the reduced-space search engine built on it.
 
 States are plain complex vectors indexed by vertex-major, then label sequence
 with g_1 as the most significant base-d digit.
@@ -96,10 +99,13 @@ def _shift_permutation(grid: TorusGrid, t: int) -> np.ndarray:
 
 
 def _check_state(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
+    """A state of shape (dim,), or a (dim, m) slab of m states as columns;
+    every operator below acts on each column."""
     state = np.asarray(state)
-    if state.shape != (full_dim(grid, t),):
+    dim = full_dim(grid, t)
+    if state.ndim not in (1, 2) or state.shape[0] != dim:
         raise ValueError(
-            f"state has shape {state.shape}, expected ({full_dim(grid, t)},)"
+            f"state has shape {state.shape}, expected ({dim},) or ({dim}, m)"
         )
     return state
 
@@ -112,9 +118,9 @@ def apply_shift(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
 def apply_coin(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     """Reflect each vertex block about its uniform label vector."""
     state = _check_state(grid, t, state)
-    blocks = state.reshape(grid.vertex_count, DEGREE**t)
+    blocks = state.reshape((grid.vertex_count, DEGREE**t) + state.shape[1:])
     mean = blocks.mean(axis=1, keepdims=True)
-    return (2.0 * mean - blocks).ravel()
+    return (2.0 * mean - blocks).reshape(state.shape)
 
 
 def apply_walk(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
@@ -147,7 +153,7 @@ def apply_oracle(
     state = _check_state(grid, t, state)
     d_t = DEGREE**t
     i = grid.vertex_index(m) * d_t
-    overlap = state[i : i + d_t].sum() * d_t**-0.5
+    overlap = state[i : i + d_t].sum(axis=0) * d_t**-0.5
     out = np.array(state, dtype=complex if np.iscomplexobj(state) else float)
     out[i : i + d_t] -= 2.0 * overlap * d_t**-0.5
     return out
@@ -178,9 +184,10 @@ def oracle_matrix(grid: TorusGrid, t: int, m: tuple[int, int]) -> np.ndarray:
 
 
 def vertex_overlaps(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
-    """a_u = <state|psi^t_u> for every vertex u (length-N complex vector)."""
+    """a_u = <state|psi^t_u> for every vertex u: length N, or (N, m) for a
+    slab of m states."""
     state = _check_state(grid, t, state)
-    blocks = np.conj(state).reshape(grid.vertex_count, DEGREE**t)
+    blocks = np.conj(state).reshape((grid.vertex_count, DEGREE**t) + state.shape[1:])
     return blocks.sum(axis=1) * DEGREE ** (-t / 2)
 
 
@@ -197,86 +204,112 @@ def projection_sum(grid: TorusGrid, t: int, state: np.ndarray) -> float:
 
 @dataclass
 class WalkSpectrum:
-    """Complete orthonormal eigendecomposition of W_t.
+    """Complete orthonormal eigendecomposition of W_t, one momentum block at a time.
 
-    ``vectors`` holds orthonormal eigenvectors as columns (from a Schur
-    decomposition, so degenerate clusters are orthonormal too); ``kinds``
-    classifies each eigenvalue as 'plus_one', 'minus_one' or 'complex'.
+    W_t commutes with torus translations, so the plane waves
+    |k> = N^{-1/2} sum_v e^{2 pi i k.v/L} |v> split it into N blocks of size
+    d^t, one per momentum k = (k_x, k_y), numbered b = k_y L + k_x:
+    W_t (|k> (x) phi) = |k> (x) B_k phi. ``block_vectors[b]`` holds the
+    orthonormal eigenvectors of B_k as columns (from its complex Schur form,
+    so degenerate clusters are orthonormal too); eigenvector b d^t + j of W_t
+    is |k> (x) block_vectors[b][:, j]. ``eigenvalues``, ``kinds`` ('plus_one',
+    'minus_one' or 'complex') and ``projection_sums`` list the eigenvectors in
+    that order. ``slab(b)`` assembles one block's eigenvectors in the full
+    space; ``vectors`` assembles all dim^2 entries, for small instances only.
     """
 
     grid: TorusGrid
     t: int
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    block_vectors: np.ndarray
     kinds: list[str]
     projection_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = np.conj(self.vectors).reshape(
-            self.grid.vertex_count, DEGREE**self.t, -1
-        ).sum(axis=1) * DEGREE ** (-self.t / 2)
-        self.projection_sums = np.sum(np.abs(a) ** 2, axis=0)
+        # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
+        # projection sum over the N vertices is |sum(phi)|^2 / d^t.
+        sums = self.block_vectors.sum(axis=1)
+        self.projection_sums = (np.abs(sums) ** 2).ravel() / DEGREE**self.t
+
+    def plane_wave(self, b: int) -> np.ndarray:
+        """<v|k> for every vertex v, for the momentum of block b."""
+        L = self.grid.side
+        kx, ky = b % L, b // L
+        y, x = np.divmod(np.arange(self.grid.vertex_count), L)
+        return np.exp(2j * np.pi * ((kx * x + ky * y) % L) / L) / L
+
+    def slab(self, b: int) -> np.ndarray:
+        """The (dim, d^t) full-space eigenvectors of block b, as columns."""
+        wave = self.plane_wave(b)
+        return (wave[:, None, None] * self.block_vectors[b]).reshape(
+            -1, self.block_vectors.shape[2]
+        )
+
+    @functools.cached_property
+    def vectors(self) -> np.ndarray:
+        """Every eigenvector as a dim x dim matrix of columns."""
+        return np.concatenate(
+            [self.slab(b) for b in range(self.grid.vertex_count)], axis=1
+        )
 
     @property
     def signed_phases(self) -> np.ndarray:
         return np.angle(self.eigenvalues)
 
     def nonreal_mask(self) -> np.ndarray:
-        return np.array([k == "complex" for k in self.kinds])
+        return np.array(self.kinds) == "complex"
 
     def invariant_subspace_dim(self) -> int:
         """Dimension of the search-invariant subspace: the uniform state plus
         every non-real eigenvector."""
         return 1 + int(np.count_nonzero(self.nonreal_mask()))
 
-    def eigenvalue_clusters(self, tol: float = 1e-8) -> list[np.ndarray]:
-        """Indices grouped by (numerically) equal eigenvalue."""
-        reps: list[complex] = []
-        clusters: list[list[int]] = []
-        for i, ev in enumerate(self.eigenvalues):
-            for c, rep in enumerate(reps):
-                if abs(ev - rep) <= tol:
-                    clusters[c].append(i)
-                    break
-            else:
-                reps.append(complex(ev))
-                clusters.append([i])
-        return [np.array(c) for c in clusters]
-
 
 def walk_spectrum(
     grid: TorusGrid, t: int, budget: int = DEFAULT_DENSE_BUDGET
 ) -> WalkSpectrum:
-    """Dense eigendecomposition of W_t via a real Schur form.
+    """Eigendecomposition of W_t from its N momentum blocks of size d^t.
 
-    W_t is real orthogonal, hence normal: its complex Schur form is diagonal
-    and the Schur basis is an orthonormal eigenbasis, which keeps degenerate
-    clusters well-behaved.
+    The shift sends |v, g> to |v + s(g), r(g)>, where the partner offset s(g)
+    and label r(g) do not depend on v; they are read off the first d^t
+    entries of the shift permutation. Block k is therefore
+    B_k = diag(e^{2 pi i k.s(g)/L}) C[r, :], with C the d^t x d^t coin
+    2J/d^t - I. Each block is unitary, hence normal: its complex Schur form
+    is diagonal and the Schur basis is an orthonormal eigenbasis.
+    ``budget`` caps the full dimension N d^t.
     """
     dim = full_dim(grid, t)
     if dim > budget:
         raise ValueError(
-            f"dense eigendecomposition of dimension {dim} exceeds budget {budget}"
+            f"eigendecomposition of dimension {dim} exceeds budget {budget}"
         )
-    W = walk_matrix(grid, t)
-    T, Z = scipy.linalg.schur(W, output="real")
-    T, Z = scipy.linalg.rsf2csf(T, Z)
-    off = T - np.diag(np.diag(T))
-    if np.abs(off).max() > 1e-7:
-        raise RuntimeError(
-            "Schur form of the walk is not numerically diagonal; "
-            f"max off-diagonal {np.abs(off).max():.3e}"
-        )
-    eigenvalues = np.diag(T).copy()
-    kinds = []
-    for ev in eigenvalues:
-        if abs(ev - 1.0) <= REAL_EIGENVALUE_TOL:
-            kinds.append("plus_one")
-        elif abs(ev + 1.0) <= REAL_EIGENVALUE_TOL:
-            kinds.append("minus_one")
-        else:
-            kinds.append("complex")
-    return WalkSpectrum(grid, t, eigenvalues, Z, kinds)
+    L, N, d_t = grid.side, grid.vertex_count, DEGREE**t
+    partner_vertex, partner_label = np.divmod(_shift_permutation(grid, t)[:d_t], d_t)
+    coin_rows = (2.0 / d_t - np.eye(d_t))[partner_label, :]
+    sx, sy = partner_vertex % L, partner_vertex // L
+    eigenvalues = np.empty((N, d_t), dtype=complex)
+    block_vectors = np.empty((N, d_t, d_t), dtype=complex)
+    for b in range(N):
+        kx, ky = b % L, b // L
+        phase = np.exp(2j * np.pi * ((kx * sx + ky * sy) % L) / L)
+        T, Z = scipy.linalg.schur(phase[:, None] * coin_rows, output="complex")
+        off = float(np.abs(np.triu(T, 1)).max(initial=0.0))
+        if off > 1e-7:
+            raise RuntimeError(
+                f"Schur form of momentum block {(kx, ky)} is not numerically "
+                f"diagonal; max off-diagonal {off:.3e}"
+            )
+        eigenvalues[b] = np.diag(T)
+        block_vectors[b] = Z
+    eigenvalues = eigenvalues.ravel()
+    kinds = np.where(
+        np.abs(eigenvalues - 1.0) <= REAL_EIGENVALUE_TOL,
+        "plus_one",
+        np.where(
+            np.abs(eigenvalues + 1.0) <= REAL_EIGENVALUE_TOL, "minus_one", "complex"
+        ),
+    ).tolist()
+    return WalkSpectrum(grid, t, eigenvalues, block_vectors, kinds)
 
 
 def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
@@ -330,7 +363,8 @@ def path_basis_vectors(
 def _path_components(t: int, vector, overlaps, eigenvalue, i, j) -> tuple:
     """Measured and predicted <Phi|p+>, <Phi|p-> for the paths between basis
     states i and j = S_t i (scalars or index arrays), given the eigenvector
-    Phi, its vertex overlaps a_u and its eigenvalue e^{i phi}:
+    Phi, its vertex overlaps a_u and its eigenvalue e^{i phi} (or a slab of
+    eigenvectors as columns, their overlaps and their eigenvalues):
 
         <Phi|p+> = sqrt(2/d^t) (a_u + a_v) / (1 + e^{-i phi})
         <Phi|p-> = sqrt(2/d^t) (a_u - a_v) / (1 - e^{-i phi})
@@ -399,6 +433,7 @@ class CorrespondenceReport:
     uniform_intersection_dev: float
     minus_one_intersection_dev: float
     bipartite_mode_detected: bool
+    eigenpair_residual: float
     component_dev: float | None = None
 
     def passed(self, tol: float = 1e-9) -> bool:
@@ -407,6 +442,7 @@ class CorrespondenceReport:
             self.nonreal_count == self.expected_nonreal_count,
             self.projection_sum_dev <= tol,
             self.uniform_intersection_dev <= tol,
+            self.eigenpair_residual <= tol,
         ]
         if not self.bipartite_mode_detected:
             checks.append(self.invariant_dim == self.expected_invariant_dim)
@@ -425,7 +461,10 @@ def correspondence_report(
 ) -> CorrespondenceReport:
     """Run every full-space spectral check on one (grid, t) instance.
 
-    Verifies, against the dense eigendecomposition of W_t:
+    Verifies, against the block eigendecomposition of W_t:
+      - every eigenpair is one of the actual operator: the matrix-free W_t
+        applied to each block's full-space eigenvectors gives
+        max |W Phi - lambda Phi| (the eigenpair residual),
       - the non-real eigenphase multiset equals {+-arccos(cos^t phi_k)},
       - the count of non-real eigenvectors matches twice the interior
         adjacency eigenvalue count (invariant subspace dimension 2N-1 for
@@ -435,15 +474,20 @@ def correspondence_report(
         <psi_m|P|psi_m> = multiplicity/(2N) for every vertex m,
       - the eigenvalue-1 subspace meets span{|psi_u>} exactly in the uniform
         state (and the -1 subspace not at all for odd side),
-      - the path-basis component formulas (optional, small instances).
+      - the path-basis component formulas (optional).
 
-    For even sides the bipartite -1 mode is reported and the odd-side-only
-    checks are skipped.
+    The residual and the component formulas read the eigenvectors one
+    (dim, d^t) block slab at a time, and every other check reads the block
+    data; no dim x dim or dim x N array is formed. For even sides the bipartite -1
+    mode is reported and the odd-side-only checks are skipped.
     """
     spec = walk_spectrum(grid, t, budget=budget)
-    N = grid.vertex_count
+    L, N, d_t = grid.side, grid.vertex_count, DEGREE**t
+    nonreal_mask = spec.nonreal_mask()
+    idx = np.flatnonzero(nonreal_mask)
+    idx = idx[np.argsort(spec.signed_phases[idx])]
 
-    measured = np.sort(spec.signed_phases[spec.nonreal_mask()])
+    measured = spec.signed_phases[idx]
     expected = expected_nonreal_phases(grid, t)
     if measured.size == expected.size:
         phase_dev = (
@@ -452,53 +496,61 @@ def correspondence_report(
     else:
         phase_dev = float("inf")
 
-    nonreal = int(np.count_nonzero(spec.nonreal_mask()))
+    nonreal = int(idx.size)
     cos = mode_cosines(grid)
     expected_nonreal = 2 * int(np.count_nonzero(np.abs(cos) < 1.0 - 1e-12))
 
-    proj = spec.projection_sums[spec.nonreal_mask()]
+    proj = spec.projection_sums[nonreal_mask]
     proj_dev = float(np.max(np.abs(proj - 0.5))) if proj.size else 0.0
 
-    # Marked-state overlap law, cluster by cluster so degeneracy is basis-free.
-    psi = np.zeros((full_dim(grid, t), N))
-    for u in range(N):
-        psi[:, u] = coin_uniform_state(grid, t, grid.vertex_coords(u))
-    overlaps = np.conj(spec.vectors).T @ psi  # each row: a_u for one eigenvector
+    # A block eigenvector's vertex overlaps are a plane wave times
+    # conj(sum(phi))/2^t, so |<psi_m|Phi>|^2 = p/N at every vertex m, where p
+    # is its projection sum. The overlap law per cluster of equal non-real
+    # eigenvalues (basis-free) is then sum(p)/N = multiplicity/(2N).
     overlap_dev = 0.0
-    nonreal_idx = np.flatnonzero(spec.nonreal_mask())
-    for cluster in spec.eigenvalue_clusters():
-        if not np.isin(cluster, nonreal_idx).all():
-            continue
-        weight = np.sum(np.abs(overlaps[cluster, :]) ** 2, axis=0)
-        target = len(cluster) / (2.0 * N)
-        overlap_dev = max(overlap_dev, float(np.max(np.abs(weight - target))))
+    if idx.size:
+        starts = np.flatnonzero(np.diff(measured, prepend=-np.inf) > 1e-8)
+        weight = np.add.reduceat(spec.projection_sums[idx], starts) / N
+        target = np.diff(starts, append=idx.size) / (2.0 * N)
+        overlap_dev = float(np.max(np.abs(weight - target)))
 
-    # Eigenvalue +1 subspace must meet span{psi_u} in the uniform state only:
-    # <psi_u|P_+1|psi_v> = 1/N for all u, v.
-    plus_idx = [i for i, k in enumerate(spec.kinds) if k == "plus_one"]
-    minus_idx = [i for i, k in enumerate(spec.kinds) if k == "minus_one"]
-    gram_plus = _projector_gram(spec.vectors, plus_idx, psi)
-    uniform_dev = float(np.max(np.abs(gram_plus - 1.0 / N)))
-    gram_minus = _projector_gram(spec.vectors, minus_idx, psi)
+    # <psi_u|P|psi_v> for the projector onto the +1 (or -1) eigenvectors
+    # depends on r = u - v only: (1/N) sum_k w_k e^{2 pi i k.r/L}, where w_k
+    # sums the projection sums of that kind in block k. The eigenvalue +1
+    # subspace must meet span{psi_u} in the uniform state only: 1/N for all r.
+    kinds = np.array(spec.kinds).reshape(L, L, d_t)
+    sums = spec.projection_sums.reshape(L, L, d_t)
+
+    def gram(kind: str) -> np.ndarray:
+        return np.fft.ifft2(np.where(kinds == kind, sums, 0.0).sum(axis=2))
+
+    uniform_dev = float(np.max(np.abs(gram("plus_one") - 1.0 / N)))
+    gram_minus = gram("minus_one")
     bipartite = grid.is_bipartite
     if bipartite:
-        # Bipartite mode: <psi_u|P_-1|psi_v> = (+-)1/N with the checkerboard sign.
-        sign = np.array(
-            [(-1) ** sum(grid.vertex_coords(u)) for u in range(N)], dtype=float
-        )
-        minus_dev = float(np.max(np.abs(gram_minus - np.outer(sign, sign) / N)))
+        # Bipartite mode: (-1)^(r_x + r_y)/N, the checkerboard sign of u and v.
+        sign = 1.0 - 2.0 * (np.add.outer(np.arange(L), np.arange(L)) % 2)
+        minus_dev = float(np.max(np.abs(gram_minus - sign / N)))
         bip_detected = np.max(np.abs(gram_minus)) > 1e-6
     else:
         minus_dev = float(np.max(np.abs(gram_minus)))
         bip_detected = False
 
-    component_dev = None
-    if check_components:
-        component_dev = 0.0
-        iu, iv = _path_pairs(grid, t)
-        for i in nonreal_idx:
+    residual = 0.0
+    component_dev = 0.0 if check_components else None
+    pairs = _path_pairs(grid, t)
+    for b in range(N):
+        block = slice(b * d_t, (b + 1) * d_t)
+        slab = spec.slab(b)
+        values = spec.eigenvalues[block]
+        residual = max(
+            residual, float(np.abs(apply_walk(grid, t, slab) - slab * values).max())
+        )
+        cols = nonreal_mask[block]
+        if check_components and cols.any():
+            vectors = slab[:, cols]
             plus_m, plus_p, minus_m, minus_p = _path_components(
-                t, spec.vectors[:, i], overlaps[i], spec.eigenvalues[i], iu, iv
+                t, vectors, vertex_overlaps(grid, t, vectors), values[cols], *pairs
             )
             component_dev = max(
                 component_dev,
@@ -519,15 +571,6 @@ def correspondence_report(
         uniform_intersection_dev=uniform_dev,
         minus_one_intersection_dev=minus_dev,
         bipartite_mode_detected=bool(bip_detected) if bipartite else False,
+        eigenpair_residual=residual,
         component_dev=component_dev,
     )
-
-
-def _projector_gram(
-    vectors: np.ndarray, indices: list[int], psi: np.ndarray
-) -> np.ndarray:
-    """<psi_u| P |psi_v> for the projector onto the listed eigenvector columns."""
-    if not indices:
-        return np.zeros((psi.shape[1], psi.shape[1]))
-    block = np.conj(vectors[:, indices]).T @ psi
-    return np.conj(block).T @ block

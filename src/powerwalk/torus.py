@@ -30,8 +30,9 @@ DEGREE = 4
 # Largest number of length-t paths adjacency_power_entry will enumerate.
 DEFAULT_PATH_BUDGET = DEGREE**7
 
-# Largest dimension of any dense matrix the package builds or decomposes: the
-# full walk, the reduced search operator and the Szegedy isometries.
+# Largest full-walk dimension N*4^t that walk_spectrum decomposes (block by
+# block), and largest dimension of the dense matrices the package builds: the
+# reduced search operator and the Szegedy isometries.
 DEFAULT_DENSE_BUDGET = 4096
 
 

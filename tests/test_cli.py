@@ -113,6 +113,32 @@ def test_verify_spectrum_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_verify_spectrum_beyond_dense_sizes(capsys):
+    # dim 5184: one 64x64 block per momentum instead of a dense Schur form.
+    code, out, err = run_cli(
+        ["verify-spectrum", "--sizes", "9", "--t", "3", "--budget", "6000"], capsys
+    )
+    assert (code, out) == (0, "")
+    assert "L=9 t=3: pass" in err and "eigenpair residual" in err
+
+
+def test_tulsi_refuses_policy_mismatch_before_any_trajectory(capsys, monkeypatch):
+    calls = []
+    iterate = cli.iterate_search
+
+    def counting(model, Q):
+        calls.append((model.grid.side, model.t))
+        return iterate(model, Q)
+
+    monkeypatch.setattr(cli, "iterate_search", counting)
+    code, out, err = run_cli(["tulsi", "--sizes", "9", "--t", "1,3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: original-tulsi requires t=1, got t=3\n"
+    assert calls == []
+    assert run_cli(["tulsi", "--sizes", "9", "--t", "1"], capsys)[0] == 0
+    assert calls == [(9, 1)]
+
+
 def test_verify_spectrum_bipartite_branch(capsys):
     code, _, err = run_cli(["verify-spectrum", "--sizes", "4", "--t", "1"], capsys)
     assert code == 0
@@ -293,7 +319,7 @@ CONTRACT = {
         "[2, 3, 4]",
         "[1]",
     ),
-    "gap": (["--g", "0.5,0.1"], ["--g", "1.5"], "[]", "[]"),
+    "gap": (["--g", "0.5,0.1"], ["--g", "0.5,0"], "[]", "[]"),
 }
 
 

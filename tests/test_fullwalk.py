@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerwalk import fullwalk
 from powerwalk.fullwalk import (
+    REAL_EIGENVALUE_TOL,
     apply_coin,
     apply_oracle,
     apply_shift,
@@ -261,6 +263,85 @@ def test_even_step_count_allowed_in_spectrum_paths():
         path_basis_vectors(grid, 2, doubled)
     spec = walk_spectrum(grid, 2)
     assert np.max(np.abs(np.abs(spec.eigenvalues) - 1.0)) <= 1e-12
+
+
+def test_operators_act_on_column_slabs():
+    grid = TorusGrid(4)
+    slab = np.stack([random_state(grid, 2, seed=s) for s in range(3)], axis=1)
+    # Column sums may be taken in another order than a single state's.
+    for op in (apply_coin, apply_shift, apply_walk, vertex_overlaps):
+        out = op(grid, 2, slab)
+        for j in range(slab.shape[1]):
+            assert np.max(np.abs(out[:, j] - op(grid, 2, slab[:, j]))) <= 1e-15
+    out = apply_oracle(grid, 2, (1, 3), slab)
+    for j in range(slab.shape[1]):
+        single = apply_oracle(grid, 2, (1, 3), slab[:, j])
+        assert np.max(np.abs(out[:, j] - single)) <= 1e-15
+    with pytest.raises(ValueError, match="shape"):
+        apply_coin(grid, 2, slab[None])
+
+
+def _dense_spectrum(grid, t):
+    """Eigenvalues, kinds and projection sums from a dense Schur form of
+    walk_matrix: the oracle for the block decomposition."""
+    T, Z = scipy.linalg.schur(walk_matrix(grid, t), output="real")
+    T, Z = scipy.linalg.rsf2csf(T, Z)
+    values = np.diag(T)
+    kinds = np.where(
+        np.abs(values - 1.0) <= REAL_EIGENVALUE_TOL,
+        "plus_one",
+        np.where(np.abs(values + 1.0) <= REAL_EIGENVALUE_TOL, "minus_one", "complex"),
+    )
+    overlaps = np.conj(Z).reshape(grid.vertex_count, 4**t, -1).sum(axis=1) / 2**t
+    return values, kinds, np.sum(np.abs(overlaps) ** 2, axis=0)
+
+
+def _circle_multiset(values, cut):
+    """Eigenphases measured from ``cut`` in (-pi, pi], sorted."""
+    return np.sort(np.angle(values * np.exp(-1j * cut)))
+
+
+def test_block_spectrum_matches_dense_schur():
+    # Even sides carry the bipartite -1 mode; even t has doubled-back paths.
+    for side in (3, 4, 5, 6):
+        grid = TorusGrid(side)
+        for t in (1, 2, 3):
+            values, kinds, sums = _dense_spectrum(grid, t)
+            spec = walk_spectrum(grid, t)
+            # Measure phases from the middle of the widest gap of the dense
+            # spectrum, so no eigenvalue sits near the branch cut.
+            phases = np.sort(np.angle(values))
+            gaps = np.diff(np.append(phases, phases[0] + 2 * np.pi))
+            cut = phases[np.argmax(gaps)] + gaps.max() / 2 + np.pi
+            dev = np.abs(
+                _circle_multiset(spec.eigenvalues, cut) - _circle_multiset(values, cut)
+            )
+            assert dev.max() <= 1e-12, (side, t)
+            block_kinds = np.array(spec.kinds)
+            for kind in ("plus_one", "minus_one", "complex"):
+                assert np.count_nonzero(block_kinds == kind) == np.count_nonzero(
+                    kinds == kind
+                ), (side, t, kind)
+                total = spec.projection_sums[block_kinds == kind].sum()
+                assert total == pytest.approx(sums[kinds == kind].sum(), abs=1e-9)
+
+
+def test_block_vectors_are_an_orthonormal_eigenbasis():
+    grid = TorusGrid(4)
+    spec = walk_spectrum(grid, 2)
+    V = spec.vectors
+    assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[0]))) <= 1e-12
+    assert np.max(np.abs(walk_matrix(grid, 2) @ V - V * spec.eigenvalues)) <= 1e-12
+    assert np.array_equal(V[:, 16:32], spec.slab(1))
+
+
+def test_correspondence_report_beyond_dense_sizes():
+    # dim 5184 and 7744: past the dense route, one 64x64 block per momentum.
+    for side in (9, 11):
+        rep = correspondence_report(TorusGrid(side), 3, budget=10_000)
+        assert rep.passed(1e-9), rep
+        assert rep.invariant_dim == 2 * side * side - 1
+        assert rep.eigenpair_residual <= 1e-12
 
 
 def test_correspondence_report_even_side_detects_bipartite_mode():
