@@ -104,13 +104,17 @@ class ExperimentConfig:
         raise ValueError(f"unknown t schedule {self.t_schedule!r}")
 
     def grid_instances(self) -> list[tuple[TorusGrid, int]]:
-        """Every (grid, t) of the sweep, in order. The marked vertex is checked
-        against every size first, so a bad one is refused before any work."""
+        """Every (grid, t) of the sweep, in order. The marked vertex and every
+        step count are checked first, so a bad one is refused before any work."""
         grids = [TorusGrid(side) for side in self.sizes]
         for grid in grids:
             if not grid.contains(self.marked):
                 raise ValueError(f"marked vertex {self.marked} outside grid")
-        return [(grid, t) for grid in grids for t in self.schedule_for(grid.side)]
+        instances = [(grid, t) for grid in grids for t in self.schedule_for(grid.side)]
+        for _, t in instances:
+            if t < 1:
+                raise ValueError(f"step count t must be >= 1, got {t}")
+        return instances
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -434,12 +438,6 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
             f"unitarity dev {unitarity_dev:.2e})",
             file=sys.stderr,
         )
-        if report.bipartite_mode_detected:
-            print(
-                f"L={grid.side} t={t}: bipartite -1 mode detected (even side); "
-                "search-specific checks skipped",
-                file=sys.stderr,
-            )
     verdict = ScalingReport()
     verdict.checks[
         f"spectrum dev <= {tol:g} and unitarity dev <= {unitarity_tol:g}"
@@ -486,9 +484,11 @@ def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: b
 
 def run_search(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
-    for grid, t in config.grid_instances():
-        model = build_model(grid, t, config.marked)
-        report.records.append(_search_record(config, model, config.trajectory))
+    # Models are lazy: building them all first refuses an even t before any
+    # solve. Each is dropped once solved, which frees its cached phases.
+    models = [build_model(grid, t, config.marked) for grid, t in config.grid_instances()]
+    while models:
+        report.records.append(_search_record(config, models.pop(0), config.trajectory))
     recs = report.records
     report.checks["Q_G = t*Q_O"] = all(r["Q_G"] == r["t"] * r["Q_O"] for r in recs)
     report.checks["lower <= S1 <= upper"] = all(

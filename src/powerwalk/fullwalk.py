@@ -5,11 +5,12 @@ by |vertex, g_1..g_t>. This module builds the shift S_t (permutation by the
 powered rotation map), the coin C_t (reflection about the per-vertex uniform
 label states), the walk W_t = S_t C_t, and the marking oracle
 O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or a
-slab of states) and as a dense matrix for small instances. W_t commutes with
-torus translations, so its eigendecomposition is taken one d^t x d^t
-momentum block at a time (``walk_spectrum``). It is the brute-force oracle
-that validates the spectral correspondence between W_t and the adjacency
-matrix, and the reduced-space search engine built on it.
+slab of states), and S_t, C_t, W_t also as dense matrices for small
+instances. W_t commutes with torus translations, so its eigendecomposition is
+taken one d^t x d^t momentum block at a time (``walk_spectrum``). It is the
+brute-force oracle that validates the spectral correspondence between W_t and
+the adjacency matrix, on every side and step count, and the reduced-space
+search engine built on it.
 
 States are plain complex vectors indexed by vertex-major, then label sequence
 with g_1 as the most significant base-d digit.
@@ -167,20 +168,17 @@ def shift_matrix(grid: TorusGrid, t: int) -> np.ndarray:
 
 
 def coin_matrix(grid: TorusGrid, t: int) -> np.ndarray:
-    d_t = DEGREE**t
-    block = 2.0 * np.full((d_t, d_t), 1.0 / d_t) - np.eye(d_t)
-    return np.kron(np.eye(grid.vertex_count), block)
+    """Block diagonal: the d^t x d^t reflection 2J/d^t - I at every vertex."""
+    N, d_t = grid.vertex_count, DEGREE**t
+    C = np.zeros((N, d_t, N, d_t))
+    C[np.arange(N), :, np.arange(N), :] = 2.0 / d_t - np.eye(d_t)
+    return C.reshape(N * d_t, N * d_t)
 
 
 def walk_matrix(grid: TorusGrid, t: int) -> np.ndarray:
     # S_t is a row permutation, so S_t @ C_t is a row reordering of C_t.
     perm = _shift_permutation(grid, t)
     return coin_matrix(grid, t)[perm, :]
-
-
-def oracle_matrix(grid: TorusGrid, t: int, m: tuple[int, int]) -> np.ndarray:
-    psi = coin_uniform_state(grid, t, m)
-    return np.eye(psi.size) - 2.0 * np.outer(psi, psi)
 
 
 def vertex_overlaps(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
@@ -258,11 +256,6 @@ class WalkSpectrum:
 
     def nonreal_mask(self) -> np.ndarray:
         return np.array(self.kinds) == "complex"
-
-    def invariant_subspace_dim(self) -> int:
-        """Dimension of the search-invariant subspace: the uniform state plus
-        every non-real eigenvector."""
-        return 1 + int(np.count_nonzero(self.nonreal_mask()))
 
 
 def walk_spectrum(
@@ -430,34 +423,27 @@ class CorrespondenceReport:
     expected_invariant_dim: int
     projection_sum_dev: float
     overlap_law_dev: float
-    uniform_intersection_dev: float
-    minus_one_intersection_dev: float
-    bipartite_mode_detected: bool
+    real_weight_dev: float
     eigenpair_residual: float
-    component_dev: float | None = None
+    component_dev: float
 
     def passed(self, tol: float = 1e-9) -> bool:
-        checks = [
-            self.phase_multiset_dev <= tol,
-            self.nonreal_count == self.expected_nonreal_count,
-            self.projection_sum_dev <= tol,
-            self.uniform_intersection_dev <= tol,
-            self.eigenpair_residual <= tol,
-        ]
-        if not self.bipartite_mode_detected:
-            checks.append(self.invariant_dim == self.expected_invariant_dim)
-            checks.append(self.overlap_law_dev <= tol)
-            checks.append(self.minus_one_intersection_dev <= tol)
-        if self.component_dev is not None:
-            checks.append(self.component_dev <= tol)
-        return all(checks)
+        return all(
+            [
+                self.phase_multiset_dev <= tol,
+                self.nonreal_count == self.expected_nonreal_count,
+                self.invariant_dim == self.expected_invariant_dim,
+                self.projection_sum_dev <= tol,
+                self.overlap_law_dev <= tol,
+                self.real_weight_dev <= tol,
+                self.eigenpair_residual <= tol,
+                self.component_dev <= tol,
+            ]
+        )
 
 
 def correspondence_report(
-    grid: TorusGrid,
-    t: int,
-    budget: int = DEFAULT_DENSE_BUDGET,
-    check_components: bool = True,
+    grid: TorusGrid, t: int, budget: int = DEFAULT_DENSE_BUDGET
 ) -> CorrespondenceReport:
     """Run every full-space spectral check on one (grid, t) instance.
 
@@ -466,23 +452,25 @@ def correspondence_report(
         applied to each block's full-space eigenvectors gives
         max |W Phi - lambda Phi| (the eigenpair residual),
       - the non-real eigenphase multiset equals {+-arccos(cos^t phi_k)},
-      - the count of non-real eigenvectors matches twice the interior
-        adjacency eigenvalue count (invariant subspace dimension 2N-1 for
-        odd side),
+      - the count of non-real eigenvectors is 2 #{k : |cos phi_k| < 1}, so the
+        invariant subspace (the uniform state plus every non-real eigenvector)
+        has dimension 2N-1 on odd sides and 2N-3 on even sides,
       - every non-real unit eigenvector carries projection sum 1/2,
       - per eigenvalue cluster, the marked-state overlap law
         <psi_m|P|psi_m> = multiplicity/(2N) for every vertex m,
-      - the eigenvalue-1 subspace meets span{|psi_u>} exactly in the uniform
-        state (and the -1 subspace not at all for odd side),
-      - the path-basis component formulas (optional).
+      - in every block k the vertex-uniform vector |k> (x) |uniform> is itself
+        a +-1 eigenvector when cos^t phi_k = +-1 and otherwise splits between
+        two non-real ones: its weight on the +1 and -1 eigenvectors is
+        [cos^t phi_k = +1] and [cos^t phi_k = -1] (the real weight),
+      - the path-basis component formulas.
 
-    The residual and the component formulas read the eigenvectors one
-    (dim, d^t) block slab at a time, and every other check reads the block
-    data; no dim x dim or dim x N array is formed. For even sides the bipartite -1
-    mode is reported and the odd-side-only checks are skipped.
+    These hold on every side and step count. The residual and the component
+    formulas read the eigenvectors one (dim, d^t) block slab at a time, and
+    every other check reads the block data; no dim x dim or dim x N array is
+    formed.
     """
     spec = walk_spectrum(grid, t, budget=budget)
-    L, N, d_t = grid.side, grid.vertex_count, DEGREE**t
+    N, d_t = grid.vertex_count, DEGREE**t
     nonreal_mask = spec.nonreal_mask()
     idx = np.flatnonzero(nonreal_mask)
     idx = idx[np.argsort(spec.signed_phases[idx])]
@@ -498,7 +486,8 @@ def correspondence_report(
 
     nonreal = int(idx.size)
     cos = mode_cosines(grid)
-    expected_nonreal = 2 * int(np.count_nonzero(np.abs(cos) < 1.0 - 1e-12))
+    interior = np.abs(cos) < 1.0 - 1e-12
+    expected_nonreal = 2 * int(np.count_nonzero(interior))
 
     proj = spec.projection_sums[nonreal_mask]
     proj_dev = float(np.max(np.abs(proj - 0.5))) if proj.size else 0.0
@@ -514,30 +503,19 @@ def correspondence_report(
         target = np.diff(starts, append=idx.size) / (2.0 * N)
         overlap_dev = float(np.max(np.abs(weight - target)))
 
-    # <psi_u|P|psi_v> for the projector onto the +1 (or -1) eigenvectors
-    # depends on r = u - v only: (1/N) sum_k w_k e^{2 pi i k.r/L}, where w_k
-    # sums the projection sums of that kind in block k. The eigenvalue +1
-    # subspace must meet span{psi_u} in the uniform state only: 1/N for all r.
-    kinds = np.array(spec.kinds).reshape(L, L, d_t)
-    sums = spec.projection_sums.reshape(L, L, d_t)
-
-    def gram(kind: str) -> np.ndarray:
-        return np.fft.ifft2(np.where(kinds == kind, sums, 0.0).sum(axis=2))
-
-    uniform_dev = float(np.max(np.abs(gram("plus_one") - 1.0 / N)))
-    gram_minus = gram("minus_one")
-    bipartite = grid.is_bipartite
-    if bipartite:
-        # Bipartite mode: (-1)^(r_x + r_y)/N, the checkerboard sign of u and v.
-        sign = 1.0 - 2.0 * (np.add.outer(np.arange(L), np.arange(L)) % 2)
-        minus_dev = float(np.max(np.abs(gram_minus - sign / N)))
-        bip_detected = np.max(np.abs(gram_minus)) > 1e-6
-    else:
-        minus_dev = float(np.max(np.abs(gram_minus)))
-        bip_detected = False
+    # The projection sum of a block eigenvector is its weight in the block's
+    # vertex-uniform vector; block b has the cos phi_k of mode b. ``ends``
+    # holds cos^t phi_k = +-1 where |cos phi_k| = 1, and 0 elsewhere.
+    kinds = np.array(spec.kinds).reshape(N, d_t)
+    sums = spec.projection_sums.reshape(N, d_t)
+    ends = np.where(interior, 0.0, np.rint(cos) ** t)
+    real_dev = 0.0
+    for kind, end in (("plus_one", 1.0), ("minus_one", -1.0)):
+        weight = np.where(kinds == kind, sums, 0.0).sum(axis=1)
+        real_dev = max(real_dev, float(np.max(np.abs(weight - (ends == end)))))
 
     residual = 0.0
-    component_dev = 0.0 if check_components else None
+    component_dev = 0.0
     pairs = _path_pairs(grid, t)
     for b in range(N):
         block = slice(b * d_t, (b + 1) * d_t)
@@ -547,7 +525,7 @@ def correspondence_report(
             residual, float(np.abs(apply_walk(grid, t, slab) - slab * values).max())
         )
         cols = nonreal_mask[block]
-        if check_components and cols.any():
+        if cols.any():
             vectors = slab[:, cols]
             plus_m, plus_p, minus_m, minus_p = _path_components(
                 t, vectors, vertex_overlaps(grid, t, vectors), values[cols], *pairs
@@ -564,13 +542,11 @@ def correspondence_report(
         phase_multiset_dev=phase_dev,
         nonreal_count=nonreal,
         expected_nonreal_count=expected_nonreal,
-        invariant_dim=spec.invariant_subspace_dim(),
-        expected_invariant_dim=2 * N - 1,
+        invariant_dim=1 + nonreal,
+        expected_invariant_dim=1 + expected_nonreal,
         projection_sum_dev=proj_dev,
         overlap_law_dev=overlap_dev,
-        uniform_intersection_dev=uniform_dev,
-        minus_one_intersection_dev=minus_dev,
-        bipartite_mode_detected=bool(bip_detected) if bipartite else False,
+        real_weight_dev=real_dev,
         eigenpair_residual=residual,
         component_dev=component_dev,
     )

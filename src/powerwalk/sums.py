@@ -36,7 +36,6 @@ class GridSums:
     S3: float
     lower: float
     upper: float
-    split_shell: int  # shell index floor(sqrt(N/4t)) where the upper bound splits
 
     @property
     def vertex_count(self) -> int:
@@ -67,7 +66,6 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
 
     shells = np.arange(1, grid.side // 2 + 1)
     upper = 8.0 * math.fsum(shells / (1.0 - np.exp(-4.0 * shells**2 * t / N)))
-    split = int(math.isqrt(N // (4 * t))) if N >= 4 * t else 0
     return GridSums(
         side=grid.side,
         t=t,
@@ -76,5 +74,4 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
         S3=S3,
         lower=lower,
         upper=upper,
-        split_shell=split,
     )

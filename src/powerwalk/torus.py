@@ -67,11 +67,6 @@ class TorusGrid:
     def vertex_count(self) -> int:
         return self.side * self.side
 
-    @property
-    def is_bipartite(self) -> bool:
-        """Even-side tori are bipartite; the adjacency spectrum then contains -1."""
-        return self.side % 2 == 0
-
     def vertex_index(self, vertex: tuple[int, int]) -> int:
         """Row-major serialization y*L + x."""
         x, y = vertex

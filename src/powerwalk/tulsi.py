@@ -13,7 +13,8 @@ the full-space circuit that cross-checks it. The per-iteration circuit
 (ancilla ops X_delta, X_delta^dagger, Z with O and W controlled on the ancilla
 |0> state) equals the block operator
 U~ = diag(W_t, -I) . (I - 2|psi_m, delta><psi_m, delta|) exactly; the block
-form is authoritative and the circuit is the cross-check.
+form is authoritative and the circuit is the cross-check. Both are
+matrix-free, so the cross-check reaches the sizes the reduced engine runs at.
 """
 
 from __future__ import annotations
@@ -61,12 +62,8 @@ def tune_delta(model: SpectralModel, target: str) -> float:
     return math.atan(math.sqrt(ratio))
 
 
-# Full-space circuit cross-check. Ancilla is the least significant factor:
-# index = walk_index * 2 + ancilla_index.
-
-_P0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-_P1 = np.array([[0.0, 0.0], [0.0, 1.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+# Full-space circuit cross-check. A walk (x) ancilla state is a (dim, 2) slab
+# whose column a holds the ancilla |a> amplitudes (flat index walk * 2 + a).
 
 
 def x_delta_matrix(delta: float) -> np.ndarray:
@@ -79,50 +76,45 @@ def delta_state(delta: float) -> np.ndarray:
     return x_delta_matrix(delta).T @ np.array([1.0, 0.0])
 
 
-def circuit_step_matrix(
-    grid: TorusGrid, t: int, m: tuple[int, int], delta: float
-) -> np.ndarray:
-    """One iteration of the controlled-search circuit, as a dense unitary.
+def _walk_and_z(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
+    """diag(W_t, -I): the walk controlled on ancilla |0>, then Z."""
+    return np.column_stack([fullwalk.apply_walk(grid, t, state[:, 0]), -state[:, 1]])
 
-    Gate order (first applied rightmost): X_delta on the ancilla, O controlled
-    on ancilla |0>, X_delta^dagger, W controlled on ancilla |0>, Z.
+
+def circuit_step(
+    grid: TorusGrid, t: int, m: tuple[int, int], delta: float, state: np.ndarray
+) -> np.ndarray:
+    """One iteration of the controlled-search circuit on a (dim, 2) slab.
+
+    Gate order: X_delta on the ancilla, O controlled on ancilla |0>,
+    X_delta^dagger, W controlled on ancilla |0>, Z.
     """
-    O = fullwalk.oracle_matrix(grid, t, m)
-    W = fullwalk.walk_matrix(grid, t)
-    dim = O.shape[0]
-    eye = np.eye(dim)
     X = x_delta_matrix(delta)
-    x_full = np.kron(eye, X)
-    controlled_O = np.kron(O, _P0) + np.kron(eye, _P1)
-    controlled_W = np.kron(W, _P0) + np.kron(eye, _P1)
-    z_full = np.kron(eye, _Z)
-    return z_full @ controlled_W @ x_full.T @ controlled_O @ x_full
+    state = state @ X.T
+    state[:, 0] = fullwalk.apply_oracle(grid, t, m, state[:, 0])
+    return _walk_and_z(grid, t, state @ X)
 
 
-def block_step_matrix(
-    grid: TorusGrid, t: int, m: tuple[int, int], delta: float
+def block_step(
+    grid: TorusGrid, t: int, m: tuple[int, int], delta: float, state: np.ndarray
 ) -> np.ndarray:
-    """The authoritative block form: diag(W_t, -I) times the rotated-target
-    reflection."""
-    W = fullwalk.walk_matrix(grid, t)
-    dim = W.shape[0]
-    walk_block = np.kron(W, _P0) - np.kron(np.eye(dim), _P1)
-    target = np.kron(fullwalk.coin_uniform_state(grid, t, m), delta_state(delta))
-    oracle_block = np.eye(2 * dim) - 2.0 * np.outer(target, target)
-    return walk_block @ oracle_block
+    """The authoritative block form on a (dim, 2) slab: diag(W_t, -I) times
+    the rotated-target reflection I - 2|psi_m, delta><psi_m, delta|."""
+    target = np.outer(fullwalk.coin_uniform_state(grid, t, m), delta_state(delta))
+    return _walk_and_z(grid, t, state - 2.0 * np.vdot(target, state) * target)
 
 
 def circuit_trajectory(
     grid: TorusGrid, t: int, m: tuple[int, int], delta: float, Q: int
 ) -> np.ndarray:
-    """Success probabilities from explicit circuit simulation on the doubled
-    full space, starting from |uniform>|0>."""
-    step = circuit_step_matrix(grid, t, m, delta)
-    state = np.kron(fullwalk.uniform_superposition(grid, t), np.array([1.0, 0.0]))
-    target = np.kron(fullwalk.coin_uniform_state(grid, t, m), delta_state(delta))
+    """Success probabilities |<psi_m, delta|state>|^2 from explicit circuit
+    simulation on the doubled full space, starting from |uniform>|0>."""
+    uniform = fullwalk.uniform_superposition(grid, t)
+    state = np.column_stack([uniform, np.zeros_like(uniform)])
+    target = np.outer(fullwalk.coin_uniform_state(grid, t, m), delta_state(delta))
     trajectory = np.empty(Q + 1)
-    trajectory[0] = abs(np.dot(target, state)) ** 2
+    trajectory[0] = abs(np.vdot(target, state)) ** 2
     for i in range(1, Q + 1):
-        state = step @ state
-        trajectory[i] = abs(np.dot(target, state)) ** 2
+        state = circuit_step(grid, t, m, delta, state)
+        trajectory[i] = abs(np.vdot(target, state)) ** 2
     return trajectory

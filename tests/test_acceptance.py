@@ -25,8 +25,8 @@ from powerwalk.search import (
 from powerwalk.sums import grid_sums
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import (
-    block_step_matrix,
-    circuit_step_matrix,
+    block_step,
+    circuit_step,
     circuit_trajectory,
     tune_delta,
 )
@@ -270,11 +270,17 @@ def test_criterion_08_controlled_search_recovery():
     a_zero, _ = compute_alpha(zero)
     zero_ok = zero_ok and abs(a_plain - a_zero) <= 1e-12
 
-    # (c) the explicit circuit equals the abstract block operator on L=5
+    # (c) the explicit circuit equals the abstract block operator on L=5,
+    # applied to every basis state of the walk (x) ancilla space
     delta = 0.8
-    circuit = circuit_step_matrix(TorusGrid(5), 1, (2, 2), delta)
-    block = block_step_matrix(TorusGrid(5), 1, (2, 2), delta)
-    circuit_dev = float(np.max(np.abs(circuit - block)))
+    grid5 = TorusGrid(5)
+    dim = fullwalk.full_dim(grid5, 1)
+    circuit_dev = 0.0
+    for state in np.eye(2 * dim).reshape(2 * dim, dim, 2):
+        step_dev = circuit_step(grid5, 1, (2, 2), delta, state) - block_step(
+            grid5, 1, (2, 2), delta, state
+        )
+        circuit_dev = max(circuit_dev, float(np.max(np.abs(step_dev))))
     controlled = build_model(TorusGrid(5), 1, (2, 2), delta=delta)
     traj_dev = float(
         np.max(

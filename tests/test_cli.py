@@ -139,10 +139,37 @@ def test_tulsi_refuses_policy_mismatch_before_any_trajectory(capsys, monkeypatch
     assert calls == [(9, 1)]
 
 
-def test_verify_spectrum_bipartite_branch(capsys):
-    code, _, err = run_cli(["verify-spectrum", "--sizes", "4", "--t", "1"], capsys)
-    assert code == 0
-    assert "bipartite" in err
+def test_verify_spectrum_every_side_and_step_count(capsys):
+    code, out, err = run_cli(
+        ["verify-spectrum", "--sizes", "2,3,4,5,6,7,8", "--t", "1,2,3"], capsys
+    )
+    assert (code, out) == (0, "")
+    lines = err.splitlines()
+    for side in range(2, 9):
+        # Even sides lose the conjugate pair of the checkerboard mode.
+        dim = 2 * side * side - (1 if side % 2 else 3)
+        for t in (1, 2, 3):
+            prefix = f"L={side} t={t}: "
+            [line] = [ln for ln in lines if ln.startswith(prefix)]
+            assert line.startswith(prefix + "pass ("), line
+            assert f"invariant dim {dim}/{dim}," in line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-spectrum", "--sizes", "3", "--t", "-1"],
+        ["verify-spectrum", "--sizes", "3", "--t", "0"],
+        ["search", "--sizes", "1001", "--t", "1,2"],
+    ],
+)
+def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "iterate_search", lambda model, Q: calls.append(model))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, calls) == (2, "", [])
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_search_command_columns(capsys):

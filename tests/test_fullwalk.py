@@ -344,11 +344,15 @@ def test_correspondence_report_beyond_dense_sizes():
         assert rep.eigenpair_residual <= 1e-12
 
 
-def test_correspondence_report_even_side_detects_bipartite_mode():
-    rep = correspondence_report(TorusGrid(4), 1)
-    assert rep.bipartite_mode_detected
-    assert rep.passed(1e-9)
-    assert rep.invariant_dim == 2 * 16 - 3  # one conjugate pair lost to -1
+def test_correspondence_report_even_sides():
+    # The checkerboard mode has cos phi = -1: its vertex-uniform vector is a
+    # -1 eigenvector for odd t and a +1 eigenvector for even t, so one
+    # conjugate pair is lost from the invariant subspace either way.
+    for side in (4, 6, 8):
+        for t in (1, 2, 3):
+            rep = correspondence_report(TorusGrid(side), t)
+            assert rep.passed(1e-9), (side, t, rep)
+            assert rep.invariant_dim == rep.expected_invariant_dim == 2 * side**2 - 3
 
 
 @settings(max_examples=20, deadline=None)

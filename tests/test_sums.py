@@ -35,11 +35,6 @@ def test_sums_positive_and_ordered():
     assert gs.S3 > 0
 
 
-def test_split_shell_definition():
-    gs = grid_sums(TorusGrid(32), 5)
-    assert gs.split_shell == int(math.isqrt(32 * 32 // (4 * 5)))
-
-
 def test_rejects_bad_power():
     with pytest.raises(ValueError):
         grid_sums(TorusGrid(8), 0)

@@ -179,8 +179,3 @@ def test_mode_cosines_bounds():
 def test_grid_rejects_degenerate_side():
     with pytest.raises(ValueError):
         TorusGrid(1)
-
-
-def test_bipartite_flag():
-    assert TorusGrid(4).is_bipartite
-    assert not TorusGrid(5).is_bipartite

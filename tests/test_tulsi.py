@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from powerwalk.fullwalk import full_dim
 from powerwalk.search import (
     alpha_estimate,
     build_model,
@@ -14,8 +15,8 @@ from powerwalk.search import (
 )
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import (
-    block_step_matrix,
-    circuit_step_matrix,
+    block_step,
+    circuit_step,
     circuit_trajectory,
     delta_state,
     tune_delta,
@@ -79,16 +80,28 @@ def test_tune_delta_errors_and_clamps():
     assert math.tan(tune_delta(mid, "optimal-qo")) ** 2 == pytest.approx(1.0)
 
 
+def slab_basis(grid, t):
+    """Every basis state of the walk (x) ancilla space, as a (dim, 2) slab."""
+    dim = full_dim(grid, t)
+    return np.eye(2 * dim).reshape(2 * dim, dim, 2)
+
+
 def test_circuit_equals_block_form():
+    # Both step functions on every basis state: the whole operators agree.
     grid = TorusGrid(5)
     for delta in (0.0, 0.4, 1.1):
-        C = circuit_step_matrix(grid, 1, (1, 3), delta)
-        B = block_step_matrix(grid, 1, (1, 3), delta)
-        assert np.max(np.abs(C - B)) <= 1e-12
+        for state in slab_basis(grid, 1):
+            C = circuit_step(grid, 1, (1, 3), delta, state)
+            B = block_step(grid, 1, (1, 3), delta, state)
+            assert np.max(np.abs(C - B)) <= 1e-12
 
 
 def test_circuit_unitary():
-    G = circuit_step_matrix(TorusGrid(3), 1, (0, 0), 0.8)
+    grid = TorusGrid(5)
+    # Row i is the image of basis state i, so G = U^T.
+    G = np.array(
+        [circuit_step(grid, 1, (0, 0), 0.8, e).ravel() for e in slab_basis(grid, 1)]
+    )
     assert np.max(np.abs(G @ G.T - np.eye(G.shape[0]))) <= 1e-12
 
 
@@ -100,6 +113,16 @@ def test_reduced_matches_circuit_trajectory():
             reduced = iterate_search(build_model(grid, 1, m, delta), 40).trajectory
             full = circuit_trajectory(grid, 1, m, delta, 40)
             assert np.max(np.abs(reduced - full)) <= 1e-9, (side, delta)
+    # Up to the search's own Q, at sizes the scaling claims are made at.
+    for side, t in ((33, 1), (65, 1), (65, 3), (17, 5)):
+        grid = TorusGrid(side)
+        balanced = tune_delta(build_model(grid, t), "balanced")
+        for delta in (0.0, balanced):
+            model = build_model(grid, t, (2, 4), delta)
+            Q = success_probability(model, compute_alpha(model)[0]).Q
+            reduced = iterate_search(model, Q).trajectory
+            full = circuit_trajectory(grid, t, (2, 4), delta, Q)
+            assert np.max(np.abs(reduced - full)) <= 1e-9, (side, t, delta)
 
 
 def test_reduced_iteration_is_unitary():
