@@ -96,6 +96,8 @@ class ExperimentConfig:
         n = side * side
         if self.t_schedule == "fixed":
             return self.t_values
+        if not self.log_c > 0.0:
+            raise ValueError(f"--log-c must be > 0, got {self.log_c}")
         if self.t_schedule == "log-n":
             return (nearest_odd(self.log_c * math.log(n)),)
         if self.t_schedule == "sweep":
@@ -143,7 +145,7 @@ COLUMN_DOC = {
     "N": "vertex count L^2",
     "t": "walk steps per oracle call",
     "alpha_exact": "smallest nonzero search eigenphase (numerical)",
-    "alpha_estimate": "closed-form eigenphase estimate (constant 1)",
+    "alpha_estimate": "closed-form eigenphase estimate a0/sqrt(S1/(2N)) (constant 1)",
     "Q": "iterations floor(pi/(2 alpha_exact))",
     "p_s": "success probability measured on the trajectory at Q",
     "p_s_bound": "three-factor analytic success probability",
@@ -478,7 +480,7 @@ def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: b
         "p_s_bound": result.p_s,
         "Q_O": result.Q_O,
         "Q_G": result.Q_G,
-        **_sum_fields(grid_sums(model.grid, model.t)),
+        **_sum_fields(model.sums),
     }
 
 
@@ -519,7 +521,11 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
         else:
             delta = tune_delta(base, config.delta_policy)
         models.append((base, build_model(grid, t, config.marked, delta)))
-    for base, controlled in models:
+    while models:  # dropping each solved pair frees its cached phases and sums
+        base, controlled = models.pop(0)
+        # Both depend on (L, t) only, so the pair shares one of each.
+        controlled.distinct_phases = base.distinct_phases
+        controlled.sums = base.sums
         delta = controlled.delta
         # The base columns describe plain search at the same (L, t); only
         # the controlled run's trajectory is measured.
@@ -603,6 +609,10 @@ def _szegedy_chains(config: ExperimentConfig):
 
 
 def run_szegedy(config: ExperimentConfig) -> ScalingReport:
+    if not (config.sizes or config.chain_csv):
+        raise ValueError("--sizes must name at least one chain size")
+    if config.chains < 0:
+        raise ValueError(f"--chains must be >= 0, got {config.chains}")
     report = ScalingReport()
     disc_tol = config.tolerances["discriminant"]
     eig_tol = config.tolerances["eigenphase"]

@@ -18,6 +18,10 @@ orbit, so the dynamics sees one (phase, weight) pair per orbit: about N/8 of
 them. The +phi and -phi halves of every pair stay complex conjugates, so the
 engine stores only the +phi half plus the real 0 and pi modes, and one search
 step costs O(number of orbits).
+
+As cos phi^(t)_k = cos^t phi_k and a_k^2 = 1/(2N), the closed-form alpha
+estimate and both overlap factors are read off the grid sums S1, S2 and S3
+(``SpectralModel.sums``); only the secular root sums over the orbit table.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
+from .sums import GridSums, grid_sums
 from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines, mode_orbits
 
 
@@ -69,9 +74,15 @@ class SpectralModel:
     grid: TorusGrid
     t: int
     marked: tuple[int, int]
-    a0: float
-    ak: float
     delta: float = 0.0
+
+    @property
+    def a0(self) -> float:
+        return self.grid.vertex_count**-0.5
+
+    @property
+    def ak(self) -> float:
+        return (2.0 * self.grid.vertex_count) ** -0.5
 
     @cached_property
     def distinct_phases(self) -> tuple[np.ndarray, np.ndarray]:
@@ -80,6 +91,11 @@ class SpectralModel:
         on the +phi side."""
         cos_phi, count = mode_orbits(self.grid)
         return np.arccos(np.clip(cos_phi**self.t, -1.0, 1.0)), count * self.ak**2
+
+    @cached_property
+    def sums(self) -> GridSums:
+        """S1, S2 and S3 of (L, t): they fix alpha_estimate and both overlaps."""
+        return grid_sums(self.grid, self.t)
 
     @property
     def phi1(self) -> float:
@@ -130,10 +146,7 @@ def build_model(
         raise ValueError(f"marked vertex {marked} outside grid")
     if not 0.0 <= delta < math.pi / 2.0:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
-    N = grid.vertex_count
-    return SpectralModel(
-        grid=grid, t=t, marked=marked, a0=N**-0.5, ak=(2.0 * N) ** -0.5, delta=delta
-    )
+    return SpectralModel(grid=grid, t=t, marked=marked, delta=delta)
 
 
 def iterate_search(model: SpectralModel, Q: int) -> SearchResult:
@@ -182,19 +195,20 @@ def alpha_estimate(model: SpectralModel) -> float:
         a_0(delta) / sqrt(sum_{k!=0} a_k^2(delta) / (1 - cos phi^(t)_k)
                           + sin^2(delta) / 4)
 
-    with a(delta) = a cos(delta).
+    with a(delta) = a cos(delta). Every a_k^2 is 1/(2N), so the sum is
+    cos^2(delta) S1 / (2N).
     """
-    phases, weights = model.distinct_phases
     c = math.cos(model.delta)
-    denom = c**2 * float(np.sum(weights / (2.0 * np.sin(phases / 2.0) ** 2)))
+    denom = c**2 * model.sums.S1 / (2.0 * model.grid.vertex_count)
     denom += math.sin(model.delta) ** 2 / 4.0
     if denom <= 0.0:
         raise ValueError("degenerate model: no nonzero-mode overlap")
     return float(model.a0 * c / math.sqrt(denom))
 
 
-def secular_alpha(model: SpectralModel) -> float:
-    """Exact smallest nonzero eigenphase of U_t from its secular equation.
+def compute_alpha(model: SpectralModel) -> tuple[float, float]:
+    """(alpha_exact, alpha_estimate): the exact smallest nonzero eigenphase of
+    U_t, and the closed form, which places its bracket and tolerance.
 
     U_t restricted to the invariant subspace is a diagonal unitary times a
     rank-one reflection (Bunch, Nielsen & Sorensen 1978); its coupled
@@ -204,12 +218,7 @@ def secular_alpha(model: SpectralModel) -> float:
     with a sign change, so the principal eigenphase is that interval's
     unique root.
     """
-    return _secular_root(model, alpha_estimate(model))
-
-
-def _secular_root(model: SpectralModel, est: float) -> float:
-    """secular_alpha, given the model's alpha_estimate, which places the
-    bracket and the tolerance."""
+    est = alpha_estimate(model)
     phases, weights = model.distinct_phases
     c2 = math.cos(model.delta) ** 2
     weights = weights * c2
@@ -237,7 +246,7 @@ def _secular_root(model: SpectralModel, est: float) -> float:
         lo *= 1e-2
     else:
         raise RuntimeError("failed to bracket the principal eigenphase")
-    return float(brentq(f, lo, hi, xtol=est * 1e-13, rtol=1e-14))
+    return float(brentq(f, lo, hi, xtol=est * 1e-13, rtol=1e-14)), est
 
 
 def reduced_operator(model: SpectralModel) -> np.ndarray:
@@ -288,18 +297,13 @@ def trajectory_alpha(model: SpectralModel) -> float:
     return math.pi / spacing
 
 
-def compute_alpha(model: SpectralModel) -> tuple[float, float]:
-    """(alpha_exact, alpha_estimate): the secular root and the closed form."""
-    est = alpha_estimate(model)
-    return _secular_root(model, est), est
-
-
 def overlap_ws(model: SpectralModel, alpha: float) -> float:
     """Start-state overlap with the principal rotation plane (Theta constant 1):
 
         1 - alpha^4 ( sum_{k!=0} (a_k^2/a_0^2) / (1 - cos phi^(t)_k)^2
                       + sin^2(delta) / a_0^2(delta) )
 
+    Every a_k^2/a_0^2 is 1/2, so the bracket is S2/2 + N tan^2(delta).
     Valid when alpha < phi^(t)_1 / 2; a violation is warned, not silenced.
     """
     if alpha >= model.phi1 / 2.0:
@@ -308,10 +312,7 @@ def overlap_ws(model: SpectralModel, alpha: float) -> float:
             "the overlap expressions are outside their guarantee",
             stacklevel=2,
         )
-    phases, weights = model.distinct_phases
-    a02 = model.a0**2
-    loss = float(np.sum((weights / a02) / (2.0 * np.sin(phases / 2.0) ** 2) ** 2))
-    loss += math.tan(model.delta) ** 2 / a02
+    loss = model.sums.S2 / 2.0 + model.grid.vertex_count * math.tan(model.delta) ** 2
     return float(max(0.0, 1.0 - alpha**4 * loss))
 
 
@@ -320,16 +321,12 @@ def overlap_wt(model: SpectralModel) -> float:
 
         min( 1 / sqrt(sum_{k!=0} a_k^2(delta) cot^2(phi^(t)_k / 2)), 1 )
 
-    The cotangent is squared at half the eigenphase (not a quarter); the pi
-    mode adds cot^2(pi/2) = 0, so the controlled overlap gains 1/cos(delta).
+    The cotangent is squared at half the eigenphase (not a quarter), so the
+    sum is cos^2(delta) S3 / (2N); the pi mode adds cot^2(pi/2) = 0, so the
+    controlled overlap gains 1/cos(delta).
     """
-    phases, weights = model.distinct_phases
-    total = math.cos(model.delta) ** 2 * float(
-        np.sum(weights / np.tan(phases / 2.0) ** 2)
-    )
-    if total <= 0.0:
-        return 1.0
-    return min(1.0, total**-0.5)
+    total = math.cos(model.delta) ** 2 * model.sums.S3 / (2.0 * model.grid.vertex_count)
+    return min(1.0, total**-0.5) if total > 0.0 else 1.0
 
 
 def success_probability(

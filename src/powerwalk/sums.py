@@ -66,12 +66,4 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
 
     shells = np.arange(1, grid.side // 2 + 1)
     upper = 8.0 * math.fsum(shells / (1.0 - np.exp(-4.0 * shells**2 * t / N)))
-    return GridSums(
-        side=grid.side,
-        t=t,
-        S1=S1,
-        S2=S2,
-        S3=S3,
-        lower=lower,
-        upper=upper,
-    )
+    return GridSums(side=grid.side, t=t, S1=S1, S2=S2, S3=S3, lower=lower, upper=upper)

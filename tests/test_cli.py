@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerwalk import cli, records
+from powerwalk import cli, records, search
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -161,6 +161,9 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["verify-spectrum", "--sizes", "3", "--t", "-1"],
         ["verify-spectrum", "--sizes", "3", "--t", "0"],
         ["search", "--sizes", "1001", "--t", "1,2"],
+        ["search", "--sizes", "9", "--t-schedule", "sweep", "--log-c", "-3"],
+        ["szegedy", "--sizes", ""],
+        ["szegedy", "--chains", "-2"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
@@ -170,6 +173,33 @@ def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
     assert (code, out, calls) == (2, "", [])
     [line] = err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--sizes", "9,13", "--t-schedule", "sweep"],
+        ["tulsi", "--sizes", "9,13", "--t-schedule", "sweep",
+         "--delta-policy", "balanced"],
+    ],
+)
+def test_grid_sums_once_per_instance(argv, capsys, monkeypatch):
+    # The sum columns, the estimate and both overlap factors of a record (and,
+    # on tulsi, of its controlled run) all read one GridSums.
+    calls = []
+    grid_sums = search.grid_sums
+
+    def counting(grid, t):
+        calls.append((grid.side, t))
+        return grid_sums(grid, t)
+
+    monkeypatch.setattr(search, "grid_sums", counting)
+    monkeypatch.setattr(cli, "grid_sums", counting)
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert calls == [(int(row[0]), int(row[2])) for row in rows]
+    assert len(calls) == len(set(calls)) == 6
 
 
 def test_search_command_columns(capsys):
@@ -296,6 +326,7 @@ def test_benchmark_tracer_wraps_engine():
     assert result["code"] == 0
     assert "search.iterate_search" in result["functions"]
     assert "search.SpectralModel.distinct_phases" in result["functions"]
+    assert "sums.grid_sums" in result["functions"]
 
 
 # The canonical config JSON of each subcommand's default argv, as pinned below:

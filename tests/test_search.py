@@ -5,7 +5,6 @@ import pytest
 
 from powerwalk import fullwalk
 from powerwalk.search import (
-    SpectralModel,
     alpha_estimate,
     build_model,
     compute_alpha,
@@ -14,11 +13,11 @@ from powerwalk.search import (
     nearest_odd,
     overlap_ws,
     overlap_wt,
-    secular_alpha,
     spectral_gap_power,
     success_probability,
     trajectory_alpha,
 )
+from powerwalk.sums import GridSums
 from powerwalk.torus import TorusGrid
 
 
@@ -108,17 +107,29 @@ def test_reduced_matches_full_simulation():
             assert np.max(np.abs(reduced - np.array(full))) <= 1e-9, (side, t)
 
 
-def toy_model(phases, weights, a0):
-    """Hand-built model: one orbit per phase, each of overlap ``weights``."""
-    phases = np.asarray(phases, dtype=float)
-    model = SpectralModel(grid=TorusGrid(5), t=1, marked=(0, 0), a0=a0, ak=float(weights))
-    model.distinct_phases = (phases, np.full(phases.size, float(weights) ** 2))
+def toy_model(phases, weights, side):
+    """Hand-built model on the side x side torus, so a_0 = 1/side: one orbit
+    per phase, each of target overlap ``weights``. The orbits enter through
+    the grid sums, which the estimate and the overlap factors read."""
+    n = side * side
+    cos_t = np.cos(np.asarray(phases, dtype=float))
+    count = 2 * n * float(weights) ** 2  # squared overlap in units of a_k^2
+    model = build_model(TorusGrid(side), 1)
+    model.sums = GridSums(
+        side=side,
+        t=1,
+        S1=float(np.sum(count / (1.0 - cos_t))),
+        S2=float(np.sum(count / (1.0 - cos_t) ** 2)),
+        S3=float(np.sum(count * (1.0 + cos_t) / (1.0 - cos_t))),
+        lower=0.0,
+        upper=math.inf,
+    )
     return model
 
 
 def test_alpha_estimate_toy_single_mode():
     # one mode at phase pi with a_1 = a_0: estimate = a0/sqrt(a0^2/2) = sqrt(2)
-    model = toy_model([math.pi], weights=0.2, a0=0.2)
+    model = toy_model([math.pi], weights=0.2, side=5)
     assert alpha_estimate(model) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
@@ -127,14 +138,14 @@ def test_alpha_methods_agree():
         for t in (1, 3):
             model = build_model(TorusGrid(side), t)
             dense = dense_alpha(model)
-            secular = secular_alpha(model)
+            secular = compute_alpha(model)[0]
             assert secular == pytest.approx(dense, abs=1e-10)
 
 
 def test_trajectory_alpha_close_to_secular():
     for side, t in ((17, 1), (33, 1), (17, 5)):
         model = build_model(TorusGrid(side), t)
-        exact = secular_alpha(model)
+        exact = compute_alpha(model)[0]
         approx = trajectory_alpha(model)
         q_exact = math.pi / (2 * exact)
         q_approx = math.pi / (2 * approx)
@@ -156,27 +167,59 @@ def test_alpha_below_half_phi1_small_sweep():
 
 
 def test_degenerate_model_rejected():
-    model = toy_model([1.0], weights=0.0, a0=0.5)
+    model = toy_model([1.0], weights=0.0, side=2)
     with pytest.raises(ValueError):
         alpha_estimate(model)
 
 
 def test_overlap_ws_empty_sum_limit():
-    model = toy_model([math.pi], weights=1e-12, a0=0.5)
-    assert overlap_ws(model, 1e-6) == pytest.approx(1.0, abs=1e-10)
+    # alpha is large enough that the L=10 grid's own S2 would cost 3.5%.
+    model = toy_model([math.pi], weights=1e-12, side=10)
+    assert overlap_ws(model, 0.1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_overlap_wt_uses_half_angle_cotangent():
     # one mode at phase pi/2 with weight w: sum = w^2 cot^2(pi/4) = w^2,
     # whereas the quarter-angle form would give w^2 cot^2(pi/8) ~ 5.83 w^2.
-    w = 0.3
-    model = toy_model([math.pi / 2], weights=w, a0=0.1)
-    assert overlap_wt(model) == pytest.approx(min(1.0, 1.0 / w), rel=1e-12)
+    # Only w > 1 keeps the overlap below its clamp at 1.
+    for w in (0.3, 3.0):
+        model = toy_model([math.pi / 2], weights=w, side=10)
+        assert overlap_wt(model) == pytest.approx(min(1.0, 1.0 / w), rel=1e-12)
 
 
 def test_overlap_wt_clamps_at_one():
-    model = toy_model([math.pi], weights=1e-8, a0=0.5)
+    # 1/sqrt(sum) = 1e8 here; the L=10 grid's own S3 would give 0.93.
+    model = toy_model([math.pi / 2], weights=1e-8, side=10)
     assert overlap_wt(model) == 1.0
+
+
+def orbit_oracles(model, alpha):
+    """alpha_estimate, overlap_ws and overlap_wt summed directly over the
+    orbit table, from each docstring formula."""
+    phases, weights = model.distinct_phases
+    c2, s2 = math.cos(model.delta) ** 2, math.sin(model.delta) ** 2
+    a02 = model.a0**2
+    one_minus = 2.0 * np.sin(phases / 2.0) ** 2  # 1 - cos phi^(t)
+    est = model.a0 * math.sqrt(c2) / math.sqrt(
+        c2 * float(np.sum(weights / one_minus)) + s2 / 4.0
+    )
+    loss = float(np.sum((weights / a02) / one_minus**2)) + s2 / (a02 * c2)
+    ws = max(0.0, 1.0 - alpha**4 * loss)
+    total = c2 * float(np.sum(weights / np.tan(phases / 2.0) ** 2))
+    return est, ws, min(1.0, total**-0.5)
+
+
+def test_grid_sum_readings_match_orbit_sums():
+    for side in (5, 9, 17, 33, 64):
+        for t in (1, 3, 5):
+            for delta in (0.0, 0.4):
+                model = build_model(TorusGrid(side), t, delta=delta)
+                alpha, est = compute_alpha(model)
+                oracle = orbit_oracles(model, alpha)
+                got = (est, overlap_ws(model, alpha), overlap_wt(model))
+                expected = pytest.approx(oracle, rel=1e-12, abs=0.0)
+                assert got == expected, (side, t, delta)
+                assert alpha_estimate(model) == est
 
 
 def test_overlap_ws_warns_on_precondition_violation():
