@@ -9,17 +9,19 @@ Subcommands:
   gap              spectral-gap powering table
 
 Every subcommand is one entry of ``COMMANDS``: its record columns and a run
-function that fills a ScalingReport. ``main`` writes the records as CSV
-(versioned header, fixed column order) or JSON, prints the slope/band/check
-summary to stderr, and exits 0 when every check passed, 1 on a check failure,
-2 on usage, config or budget errors. verify-spectrum has no record columns:
-its verdicts are per-instance stderr lines.
+function that fills a ScalingReport; it accepts only the flags that run reads.
+``main`` writes the records as CSV (versioned header, fixed column order) or
+JSON, prints the slope/band/check summary to stderr, and exits 0 when every
+check passed, 1 on a check failure, 2 on usage, config or budget errors and on
+a run that checks nothing. verify-spectrum has no record columns: its verdicts
+are per-instance stderr lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -113,6 +115,8 @@ class ExperimentConfig:
             if not grid.contains(self.marked):
                 raise ValueError(f"marked vertex {self.marked} outside grid")
         instances = [(grid, t) for grid in grids for t in self.schedule_for(grid.side)]
+        if not instances:
+            raise ValueError("--sizes and --t leave no (L, t) instance to run")
         for _, t in instances:
             if t < 1:
                 raise ValueError(f"step count t must be >= 1, got {t}")
@@ -187,30 +191,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Every dest equals its ExperimentConfig field name (config_from_args).
-    def common(
-        p: argparse.ArgumentParser,
-        budget_help: str = "unused: this subcommand builds no dense matrix "
-        "(accepted so every subcommand takes the same flags)",
-        out_help: str = "output file (default: stdout)",
-        format_help: str | None = None,
-    ) -> None:
-        p.add_argument("--out", help=out_help)
-        p.add_argument(
-            "--format", choices=("csv", "json"), default="csv", help=format_help
-        )
+    def output_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(
+                f"--tol-{name}",
+                type=float,
+                default=DEFAULT_TOLERANCES[name],
+                help=f"tolerance for {name} checks (default %(default)g)",
+            )
+
+    def dense_flags(p: argparse.ArgumentParser, tolerances, budget_help: str) -> None:
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument(
             "--budget", type=int, default=DEFAULT_DENSE_BUDGET, help=budget_help
         )
-        for name, default in DEFAULT_TOLERANCES.items():
-            p.add_argument(
-                f"--tol-{name}",
-                type=float,
-                default=default,
-                help=f"tolerance for {name} checks (default {default:g})",
-            )
+        tolerance_flags(p, *tolerances)
 
-    def walk_flags(p: argparse.ArgumentParser) -> None:
+    def walk_flags(p: argparse.ArgumentParser, marked: bool = True) -> None:
         p.add_argument(
             "--sizes", type=_int_list, help="comma-separated grid sides"
         )
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--log-c", type=float, default=1.0, help="c in t = nearest-odd(c ln N)"
         )
-        p.add_argument("--marked", type=_vertex, default=(0, 0), help="'x,y'")
+        if marked:
+            p.add_argument("--marked", type=_vertex, default=(0, 0), help="'x,y'")
 
     def accounting_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rounding", choices=("floor", "nearest"), default="floor")
@@ -242,10 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="amplify when the analytic p_s falls below this",
         )
 
-    unused = (
-        "unused: verify-spectrum writes no records "
-        "(accepted so every subcommand takes the same flags)"
-    )
     p = sub.add_parser(
         "verify-spectrum",
         help="full-space spectral correspondence checks",
@@ -255,13 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
         "subspace dimension, projection sums, overlap law, path components. "
         "Verdicts go to stderr, one line per instance; no records are written.",
     )
-    common(
+    dense_flags(
         p,
+        ("spectrum", "unitarity"),
         "largest full-walk dimension N*4^t to check (it is decomposed in N "
         "blocks of size 4^t); a larger instance is refused with exit 2 "
         "before any check runs",
-        out_help=unused,
-        format_help=unused,
     )
     walk_flags(p)
     p.set_defaults(sizes=(5,), t_values=(1, 3))
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_columns_epilog(records.SEARCH_COLUMNS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(p)
+    output_flags(p)
     walk_flags(p)
     p.add_argument(
         "--no-trajectory",
@@ -294,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_columns_epilog(records.TULSI_COLUMNS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(p)
+    output_flags(p)
     walk_flags(p)
     p.add_argument(
-        "--delta", type=float, default=0.0, help="ancilla angle for --delta-policy fixed"
+        "--delta", type=float, default=argparse.SUPPRESS, help="needs --delta-policy fixed"
     )
     p.add_argument(
         "--delta-policy",
@@ -315,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_columns_epilog(records.SUMS_COLUMNS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(p)
-    walk_flags(p)
+    output_flags(p)
+    tolerance_flags(p, "identity")
+    walk_flags(p, marked=False)
     p.set_defaults(sizes=(8, 16, 32, 64, 128, 256, 512))
 
     p = sub.add_parser(
@@ -328,8 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_columns_epilog(records.SZEGEDY_COLUMNS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(
+    output_flags(p)
+    dense_flags(
         p,
+        ("discriminant", "eigenphase"),
         "largest Szegedy walk dimension N^(k+1) to build densely; "
         "larger (chain, k) pairs are skipped",
     )
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_columns_epilog(records.GAP_COLUMNS),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common(p)
+    output_flags(p)
     p.add_argument(
         "--g", dest="g_values", metavar="G", type=_float_list, default=(0.5, 0.1, 0.01)
     )
@@ -380,8 +380,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """The parsed flags that name config fields, plus the --tol-* tolerances."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
+    if "delta" in values and values["delta_policy"] != "fixed":
+        raise ValueError("--delta needs --delta-policy fixed")
     values["tolerances"] = {
-        name: getattr(args, f"tol_{name}") for name in DEFAULT_TOLERANCES
+        name: getattr(args, f"tol_{name}", tol) for name, tol in DEFAULT_TOLERANCES.items()
     }
     return ExperimentConfig(**values)
 
@@ -589,8 +591,7 @@ def _szegedy_chains(config: ExperimentConfig):
         return
     rng = np.random.default_rng(config.seed)
     if config.generator == "random":
-        for i in range(config.chains):
-            n = config.sizes[i % len(config.sizes)]
+        for i, n in zip(range(config.chains), itertools.cycle(config.sizes)):
             yield f"random:{i}", szegedy.random_symmetric_chain(n, rng)
         return
     for n in config.sizes:
@@ -609,50 +610,47 @@ def _szegedy_chains(config: ExperimentConfig):
 
 
 def run_szegedy(config: ExperimentConfig) -> ScalingReport:
-    if not (config.sizes or config.chain_csv):
-        raise ValueError("--sizes must name at least one chain size")
-    if config.chains < 0:
-        raise ValueError(f"--chains must be >= 0, got {config.chains}")
+    pairs = [(label, chain, k) for label, chain in _szegedy_chains(config)
+             for k in config.k_values]
+    if all(chain.size ** (k + 1) > config.budget for _, chain, k in pairs):
+        raise ValueError(f"no (chain, k) pair to check within budget {config.budget}")
     report = ScalingReport()
     disc_tol = config.tolerances["discriminant"]
     eig_tol = config.tolerances["eigenphase"]
     disc_ok = True
     eig_ok = True
-    for label, chain in _szegedy_chains(config):
-        for k in config.k_values:
-            dim = chain.size ** (k + 1)
-            if dim > config.budget:
-                print(
-                    f"chain {label} k={k}: dimension {dim} exceeds budget "
-                    f"{config.budget}; skipped",
-                    file=sys.stderr,
-                )
-                continue
-            walk = szegedy.build_isometries(chain, k, budget=config.budget)
-            powered = np.linalg.matrix_power(chain.matrix, k)
-            disc_err = float(np.max(np.abs(szegedy.discriminant(walk) - powered)))
-            multi = szegedy.nontrivial_eigenphases(walk)
-            single = szegedy.nontrivial_eigenphases(
-                szegedy.build_isometries(szegedy.MarkovChain(powered), 1)
+    for label, chain, k in pairs:
+        dim = chain.size ** (k + 1)
+        if dim > config.budget:
+            print(
+                f"chain {label} k={k}: dimension {dim} exceeds budget "
+                f"{config.budget}; skipped",
+                file=sys.stderr,
             )
-            if multi.size == single.size:
-                eig_err = (
-                    float(np.max(np.abs(multi - single))) if multi.size else 0.0
-                )
-            else:
-                eig_err = math.inf
-            disc_ok = disc_ok and disc_err <= disc_tol
-            eig_ok = eig_ok and eig_err <= eig_tol
-            report.records.append(
-                {
-                    "N": chain.size,
-                    "k": k,
-                    "chain": label,
-                    "discriminant_error": disc_err,
-                    "eigenphase_error": eig_err,
-                    "query_cost": szegedy.query_cost(walk),
-                }
-            )
+            continue
+        walk = szegedy.build_isometries(chain, k, budget=config.budget)
+        powered = np.linalg.matrix_power(chain.matrix, k)
+        disc_err = float(np.max(np.abs(szegedy.discriminant(walk) - powered)))
+        multi = szegedy.nontrivial_eigenphases(walk)
+        single = szegedy.nontrivial_eigenphases(
+            szegedy.build_isometries(szegedy.MarkovChain(powered), 1)
+        )
+        if multi.size == single.size:
+            eig_err = float(np.max(np.abs(multi - single))) if multi.size else 0.0
+        else:
+            eig_err = math.inf
+        disc_ok = disc_ok and disc_err <= disc_tol
+        eig_ok = eig_ok and eig_err <= eig_tol
+        report.records.append(
+            {
+                "N": chain.size,
+                "k": k,
+                "chain": label,
+                "discriminant_error": disc_err,
+                "eigenphase_error": eig_err,
+                "query_cost": szegedy.query_cost(walk),
+            }
+        )
     report.checks[f"discriminant error <= {disc_tol:g}"] = disc_ok
     report.checks[f"eigenphase error <= {eig_tol:g}"] = eig_ok
     report.checks["query_cost = 4k"] = all(
@@ -664,17 +662,18 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
 def run_gap(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     target = 1.0 - math.exp(-1.0) - 0.05
-    ok = True
+    if not config.g_values:
+        raise ValueError("--g must name at least one spectral gap")
     for g in config.g_values:
         if not 0.0 < g <= 1.0:
             raise ValueError(f"spectral gap must lie in (0, 1], got {g}")
+    check = "g_t >= 1 - 1/e - 0.05 at t = ceil(1/g)"
     for i, g in enumerate(config.g_values):
         t = config.t_values[i] if i < len(config.t_values) else math.ceil(1.0 / g)
         g_t = spectral_gap_power(g, t)
-        if not config.t_values:
-            ok = ok and g_t >= target
+        if t == math.ceil(1.0 / g):  # rows that --t moved off ceil(1/g) are not checked
+            report.checks[check] = report.checks.get(check, True) and g_t >= target
         report.records.append({"g": g, "t": t, "g_t": g_t})
-    report.checks["g_t >= 1 - 1/e - 0.05 at t = ceil(1/g)"] = ok
     return report
 
 
@@ -691,9 +690,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    config = config_from_args(build_parser().parse_args(argv))
-    columns, run = COMMANDS[config.command]
     try:
+        config = config_from_args(build_parser().parse_args(argv))
+        columns, run = COMMANDS[config.command]
         report = run(config)
         if columns:
             to_text = records.to_csv if config.format == "csv" else records.to_json

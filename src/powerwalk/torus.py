@@ -21,7 +21,6 @@ import numpy as np
 # Edge label alphabet. Reversal pairs 0<->1 and 2<->3.
 RIGHT, LEFT, UP, DOWN = 0, 1, 2, 3
 LABELS = (RIGHT, LEFT, UP, DOWN)
-LABEL_NAMES = ("right", "left", "up", "down")
 REVERSE = (LEFT, RIGHT, DOWN, UP)
 STEP = ((1, 0), (-1, 0), (0, 1), (0, -1))
 

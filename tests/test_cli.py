@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -21,7 +22,7 @@ def run_cli(argv, capsys):
 def test_config_round_trips_to_canonical_json():
     parser = cli.build_parser()
     args = parser.parse_args(
-        ["search", "--sizes", "5,9", "--t", "1,3", "--seed", "7"]
+        ["search", "--sizes", "5,9", "--t", "1,3", "--marked", "1,2"]
     )
     config = cli.config_from_args(args)
     text = config.canonical_json()
@@ -164,6 +165,16 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["search", "--sizes", "9", "--t-schedule", "sweep", "--log-c", "-3"],
         ["szegedy", "--sizes", ""],
         ["szegedy", "--chains", "-2"],
+        # Runs that would check nothing.
+        ["search", "--sizes", ""],
+        ["tulsi", "--sizes", ""],
+        ["sums", "--sizes", ""],
+        ["verify-spectrum", "--sizes", ""],
+        ["gap", "--g", ""],
+        ["szegedy", "--chains", "0"],
+        ["szegedy", "--generator", "cycle", "--sizes", "2"],
+        ["szegedy", "--sizes", "9", "--k", "4"],  # every pair over budget
+        ["tulsi", "--sizes", "9", "--delta", "0.3"],  # --delta needs fixed
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
@@ -246,10 +257,16 @@ def test_sums_command_exit_and_band(capsys):
 
 
 def test_gap_with_explicit_t(capsys):
-    code, out, _ = run_cli(["gap", "--g", "0.5", "--t", "3"], capsys)
+    code, out, err = run_cli(["gap", "--g", "0.5", "--t", "3"], capsys)
     assert code == 0
     row = out.splitlines()[2].split(",")
     assert float(row[2]) == pytest.approx(1 - 0.5**3)
+    assert err == ""  # no row sits at t = ceil(1/g), so nothing is checked
+    # g_t = 0.5 at t = 1 is below the target, but t = 1 is not ceil(1/0.5).
+    code, out, err = run_cli(["gap", "--g", "0.5,0.1", "--t", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[2:] == ["0.5,1,0.5", "0.1,10,0.6513215599"]
+    assert err == "check g_t >= 1 - 1/e - 0.05 at t = ceil(1/g): pass\n"
 
 
 def test_szegedy_generator_cycle(capsys):
@@ -277,15 +294,6 @@ def test_bad_chain_csv_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(["szegedy", "--chain-csv", str(path)], capsys)
     assert code == 2
     assert "error" in err
-
-
-def test_budget_help_names_its_readers(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--help"])
-    assert exc.value.code == 0
-    out = " ".join(capsys.readouterr().out.split())
-    assert "--budget BUDGET unused: this subcommand builds no dense matrix" in out
-    assert "dense-eigendecomposition dimension budget" not in out
 
 
 def test_usage_error_exit_code():
@@ -345,7 +353,7 @@ DEFAULT_CONFIG_JSON = (
 
 # name -> (small argv, config-error argv, default sizes, default t_values).
 # The verify-spectrum error sits on the second instance, so it must be refused
-# before the first one runs; sums must check --marked although it never reads it.
+# before the first one runs.
 CONTRACT = {
     "verify-spectrum": (
         ["--sizes", "3", "--t", "1", "--marked", "1,2"],
@@ -367,7 +375,7 @@ CONTRACT = {
     ),
     "sums": (
         ["--sizes", "8,9", "--t-schedule", "log-n"],
-        ["--sizes", "9", "--marked", "99,99"],
+        ["--sizes", "9", "--t", "1,0"],
         "[8, 16, 32, 64, 128, 256, 512]",
         "[1]",
     ),
@@ -381,9 +389,43 @@ CONTRACT = {
 }
 
 
+# Each subcommand accepts exactly the flags its run reads.
+WALK = "--sizes --t --t-schedule --log-c"
+FLAGS = {
+    "verify-spectrum": f"--seed --budget --tol-spectrum --tol-unitarity {WALK} "
+    "--marked",
+    "search": f"--out --format {WALK} --marked --no-trajectory --rounding "
+    "--amplification-threshold",
+    "tulsi": f"--out --format {WALK} --marked --delta --delta-policy --rounding "
+    "--amplification-threshold",
+    "sums": f"--out --format --tol-identity {WALK}",
+    "szegedy": "--out --format --seed --budget --tol-discriminant --tol-eigenphase "
+    "--sizes --k --chains --generator --chain-csv",
+    "gap": "--out --format --g --t",
+}
+
+
+def subcommand_flags(command):
+    [subparsers] = [
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    parser = subparsers.choices[command]
+    return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_command_contract(command, capsys):
     small, bad, sizes, t_values = CONTRACT[command]
+    flags = set(FLAGS[command].split())
+    assert subcommand_flags(command) == flags
+    # A flag that only other subcommands read is a usage error here.
+    for flag in sorted(set(" ".join(FLAGS.values()).split()) - flags):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, "1"])
+        assert exc.value.code == 2, flag
+    capsys.readouterr()
+
     first = run_cli([command, *small], capsys)
     assert first[0] == 0
     assert run_cli([command, *small], capsys) == first
