@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -85,14 +86,6 @@ class ExperimentConfig:
     def canonical_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        data = json.loads(text)
-        for key in ("sizes", "t_values", "k_values", "g_values"):
-            data[key] = tuple(data[key])
-        data["marked"] = tuple(data["marked"])
-        return cls(**data)
-
     def schedule_for(self, side: int) -> tuple[int, ...]:
         """Walk-step counts for one grid size under the configured schedule."""
         n = side * side
@@ -121,6 +114,15 @@ class ExperimentConfig:
             if t < 1:
                 raise ValueError(f"step count t must be >= 1, got {t}")
         return instances
+
+
+# --generator name -> chain of size n, for the named (non-random) chains.
+NAMED_CHAINS = {
+    "cycle": szegedy.cycle_chain,
+    "complete": szegedy.complete_chain,
+    "lazy-cycle": lambda n: szegedy.lazy_chain(szegedy.cycle_chain(n)),
+    "lazy-complete": lambda n: szegedy.lazy_chain(szegedy.complete_chain(n)),
+}
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -188,27 +190,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-step quantum-walk search on the torus: "
         "experiments and verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A flag left out stays out of the namespace, so config_from_args knows
+    # which flags were given and takes every other field from ExperimentConfig.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, argument_default=argparse.SUPPRESS
+        ),
+    )
 
     # Every dest equals its ExperimentConfig field name (config_from_args).
     def output_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"))
 
     def tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
         for name in names:
             p.add_argument(
                 f"--tol-{name}",
                 type=float,
-                default=DEFAULT_TOLERANCES[name],
-                help=f"tolerance for {name} checks (default %(default)g)",
+                help=f"tolerance for {name} checks "
+                f"(default {DEFAULT_TOLERANCES[name]:g})",
             )
 
     def dense_flags(p: argparse.ArgumentParser, tolerances, budget_help: str) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument(
-            "--budget", type=int, default=DEFAULT_DENSE_BUDGET, help=budget_help
-        )
+        p.add_argument("--seed", type=int, help="RNG seed")
+        p.add_argument("--budget", type=int, help=budget_help)
         tolerance_flags(p, *tolerances)
 
     def walk_flags(p: argparse.ArgumentParser, marked: bool = True) -> None:
@@ -220,27 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
             dest="t_values",
             metavar="T",
             type=_int_list,
-            default=(1,),
             help="comma-separated step counts",
         )
         p.add_argument(
             "--t-schedule",
             choices=("fixed", "log-n", "sweep"),
-            default="fixed",
             help="fixed: use --t; log-n: nearest odd c*ln N; sweep: odd 1..ln N",
         )
-        p.add_argument(
-            "--log-c", type=float, default=1.0, help="c in t = nearest-odd(c ln N)"
-        )
+        p.add_argument("--log-c", type=float, help="c in t = nearest-odd(c ln N)")
         if marked:
-            p.add_argument("--marked", type=_vertex, default=(0, 0), help="'x,y'")
+            p.add_argument("--marked", type=_vertex, help="'x,y'")
 
     def accounting_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rounding", choices=("floor", "nearest"), default="floor")
+        p.add_argument("--rounding", choices=("floor", "nearest"))
         p.add_argument(
             "--amplification-threshold",
             type=float,
-            default=0.25,
             help="amplify when the analytic p_s falls below this",
         )
 
@@ -293,14 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     output_flags(p)
     walk_flags(p)
-    p.add_argument(
-        "--delta", type=float, default=argparse.SUPPRESS, help="needs --delta-policy fixed"
-    )
-    p.add_argument(
-        "--delta-policy",
-        choices=("fixed",) + DELTA_POLICIES,
-        default="original-tulsi",
-    )
+    p.add_argument("--delta", type=float, help="needs --delta-policy fixed")
+    p.add_argument("--delta-policy", choices=("fixed",) + DELTA_POLICIES)
     accounting_flags(p)
     p.set_defaults(sizes=(17, 33, 65, 129, 257))
 
@@ -333,25 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
         "largest Szegedy walk dimension N^(k+1) to build densely; "
         "larger (chain, k) pairs are skipped",
     )
+    p.add_argument("--sizes", type=_int_list, help="chain sizes N")
     p.add_argument(
-        "--sizes", type=_int_list, default=(2, 3, 4), help="chain sizes N"
+        "--k", dest="k_values", metavar="K", type=_int_list, help="step counts"
     )
-    p.add_argument(
-        "--k",
-        dest="k_values",
-        metavar="K",
-        type=_int_list,
-        default=(1, 2, 3),
-        help="step counts",
-    )
-    p.add_argument(
-        "--chains", type=int, default=20, help="number of random chains"
-    )
-    p.add_argument(
-        "--generator",
-        choices=("random", "cycle", "complete", "lazy-cycle", "lazy-complete"),
-        default="random",
-    )
+    p.add_argument("--chains", type=int, help="number of random chains")
+    p.add_argument("--generator", choices=("random", *NAMED_CHAINS))
     p.add_argument("--chain-csv", help="load one chain from an NxN CSV grid")
 
     p = sub.add_parser(
@@ -362,26 +346,34 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     output_flags(p)
-    p.add_argument(
-        "--g", dest="g_values", metavar="G", type=_float_list, default=(0.5, 0.1, 0.01)
-    )
+    p.add_argument("--g", dest="g_values", metavar="G", type=_float_list)
     p.add_argument(
         "--t",
         dest="t_values",
         metavar="T",
         type=_int_list,
-        default=(),
         help="overrides t = ceil(1/g)",
     )
+    p.set_defaults(t_values=())
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The parsed flags that name config fields, plus the --tol-* tolerances."""
+    """The parsed flags that name config fields, plus the --tol-* tolerances.
+    A flag given to a run that would ignore it is refused."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
-    if "delta" in values and values["delta_policy"] != "fixed":
+    if "delta" in values and values.get("delta_policy") != "fixed":
         raise ValueError("--delta needs --delta-policy fixed")
+    if "chain_csv" in values:
+        ignored = [k for k in ("sizes", "generator", "chains", "seed") if k in values]
+        if ignored:
+            raise ValueError(f"--chain-csv replaces --{', --'.join(ignored)}")
+    elif values.get("generator", "random") != "random":
+        if "chains" in values or "seed" in values:
+            raise ValueError("--chains and --seed are read only by --generator random")
+    if values["command"] == "szegedy" and "chain_csv" not in values:
+        values.setdefault("sizes", (2, 3, 4))  # the generated chains' sizes
     values["tolerances"] = {
         name: getattr(args, f"tol_{name}", tol) for name, tol in DEFAULT_TOLERANCES.items()
     }
@@ -585,28 +577,17 @@ def run_sums(config: ExperimentConfig) -> ScalingReport:
     return report
 
 
-def _szegedy_chains(config: ExperimentConfig):
+def _szegedy_chains(config: ExperimentConfig) -> list[tuple[str, szegedy.MarkovChain]]:
     if config.chain_csv:
-        yield "csv:0", szegedy.load_chain_csv(config.chain_csv)
-        return
-    rng = np.random.default_rng(config.seed)
+        return [("csv:0", szegedy.load_chain_csv(config.chain_csv))]
     if config.generator == "random":
-        for i, n in zip(range(config.chains), itertools.cycle(config.sizes)):
-            yield f"random:{i}", szegedy.random_symmetric_chain(n, rng)
-        return
-    for n in config.sizes:
-        if config.generator == "cycle":
-            if n < 3:
-                continue
-            yield f"cycle:{n}", szegedy.cycle_chain(n)
-        elif config.generator == "complete":
-            yield f"complete:{n}", szegedy.complete_chain(n)
-        elif config.generator == "lazy-cycle":
-            if n < 3:
-                continue
-            yield f"lazy-cycle:{n}", szegedy.lazy_chain(szegedy.cycle_chain(n))
-        elif config.generator == "lazy-complete":
-            yield f"lazy-complete:{n}", szegedy.lazy_chain(szegedy.complete_chain(n))
+        rng = np.random.default_rng(config.seed)
+        return [
+            (f"random:{i}", szegedy.random_symmetric_chain(n, rng))
+            for i, n in zip(range(config.chains), itertools.cycle(config.sizes))
+        ]
+    make = NAMED_CHAINS[config.generator]
+    return [(f"{config.generator}:{n}", make(n)) for n in config.sizes]
 
 
 def run_szegedy(config: ExperimentConfig) -> ScalingReport:
@@ -664,6 +645,11 @@ def run_gap(config: ExperimentConfig) -> ScalingReport:
     target = 1.0 - math.exp(-1.0) - 0.05
     if not config.g_values:
         raise ValueError("--g must name at least one spectral gap")
+    if len(config.t_values) > len(config.g_values):
+        raise ValueError(
+            f"--t has {len(config.t_values)} entries but --g only "
+            f"{len(config.g_values)}"
+        )
     for g in config.g_values:
         if not 0.0 < g <= 1.0:
             raise ValueError(f"spectral gap must lie in (0, 1], got {g}")

@@ -323,91 +323,26 @@ def _path_pairs(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     return lower, perm[lower]
 
 
-def path_ports(grid: TorusGrid, t: int) -> list[PathPort]:
-    """One canonical port per length-t path (the lower basis index of the pair).
-
-    For even t, ports fixed by the powered rotation map (paths that double
-    back onto themselves) are skipped; their |p-> vectors vanish.
-    """
-    return [index_port(grid, t, i) for i in _path_pairs(grid, t)[0].tolist()]
-
-
-def path_basis_vectors(
-    grid: TorusGrid, t: int, port: PathPort
-) -> tuple[np.ndarray, np.ndarray, PathPort]:
-    """|p+> and |p-> for the path named by ``port``, plus its partner port.
-
-    |p+-> = (|u, g_1..g_t> +- |v, h_1..h_t>)/sqrt(2); both are eigenvectors of
-    the shift, with eigenvalues +1 and -1.
-    """
-    i = basis_index(grid, t, port)
-    j = int(_shift_permutation(grid, t)[i])
-    if i == j:
-        raise ValueError(f"path {port} doubles back on itself; |p-> vanishes")
-    dim = full_dim(grid, t)
-    plus = np.zeros(dim)
-    minus = np.zeros(dim)
-    plus[i] = plus[j] = 2**-0.5
-    minus[i] = 2**-0.5
-    minus[j] = -(2**-0.5)
-    return plus, minus, index_port(grid, t, j)
-
-
-def _path_components(t: int, vector, overlaps, eigenvalue, i, j) -> tuple:
-    """Measured and predicted <Phi|p+>, <Phi|p-> for the paths between basis
-    states i and j = S_t i (scalars or index arrays), given the eigenvector
-    Phi, its vertex overlaps a_u and its eigenvalue e^{i phi} (or a slab of
-    eigenvectors as columns, their overlaps and their eigenvalues):
+def _path_component_dev(grid: TorusGrid, t: int, vectors, eigenvalues, i, j) -> float:
+    """Largest deviation of the measured <Phi|p+->, over the paths between
+    basis states i and j = S_t i (index arrays), from the closed forms driven
+    by the vertex overlaps a_u of each eigenvector Phi in the columns of
+    ``vectors``, with non-real eigenvalue e^{i phi}:
 
         <Phi|p+> = sqrt(2/d^t) (a_u + a_v) / (1 + e^{-i phi})
         <Phi|p-> = sqrt(2/d^t) (a_u - a_v) / (1 - e^{-i phi})
 
-    Returns (plus measured, plus predicted, minus measured, minus predicted).
+    where |p+-> = (|i> +- |j>)/sqrt(2) are the +-1 eigenvectors of the shift.
     """
     d_t = DEGREE**t
-    cvec = np.conj(vector)
-    a_u = overlaps[i // d_t]
-    a_v = overlaps[j // d_t]
+    a = vertex_overlaps(grid, t, vectors)
+    a_u, a_v = a[i // d_t], a[j // d_t]
+    cvec = np.conj(vectors)
     scale = (2.0 / d_t) ** 0.5
-    conj_ev = np.conj(eigenvalue)
-    return (
-        (cvec[i] + cvec[j]) * 2**-0.5,
-        scale * (a_u + a_v) / (1.0 + conj_ev),
-        (cvec[i] - cvec[j]) * 2**-0.5,
-        scale * (a_u - a_v) / (1.0 - conj_ev),
-    )
-
-
-@dataclass(frozen=True)
-class PathComponents:
-    """Measured vs predicted eigenvector components in the path basis."""
-
-    plus_measured: complex
-    plus_predicted: complex
-    minus_measured: complex
-    minus_predicted: complex
-
-
-def path_component_check(
-    grid: TorusGrid,
-    t: int,
-    vector: np.ndarray,
-    eigenvalue: complex,
-    port: PathPort,
-) -> PathComponents:
-    """Compare <Phi|p+-> against the closed forms driven by the vertex
-    overlaps (_path_components) for the path named by ``port``, where Phi is
-    an eigenvector of W_t with non-real eigenvalue e^{i phi}.
-
-    The minus form flips sign with the (u, v) ordering; measured and predicted
-    flip together, so the comparison is ordering-safe.
-    """
-    i = basis_index(grid, t, port)
-    j = int(_shift_permutation(grid, t)[i])
-    parts = _path_components(
-        t, vector, vertex_overlaps(grid, t, vector), eigenvalue, i, j
-    )
-    return PathComponents(*(complex(part) for part in parts))
+    conj_ev = np.conj(eigenvalues)
+    plus = (cvec[i] + cvec[j]) * 2**-0.5 - scale * (a_u + a_v) / (1.0 + conj_ev)
+    minus = (cvec[i] - cvec[j]) * 2**-0.5 - scale * (a_u - a_v) / (1.0 - conj_ev)
+    return float(max(np.abs(plus).max(), np.abs(minus).max()))
 
 
 @dataclass
@@ -526,14 +461,9 @@ def correspondence_report(
         )
         cols = nonreal_mask[block]
         if cols.any():
-            vectors = slab[:, cols]
-            plus_m, plus_p, minus_m, minus_p = _path_components(
-                t, vectors, vertex_overlaps(grid, t, vectors), values[cols], *pairs
-            )
             component_dev = max(
                 component_dev,
-                float(np.abs(plus_m - plus_p).max()),
-                float(np.abs(minus_m - minus_p).max()),
+                _path_component_dev(grid, t, slab[:, cols], values[cols], *pairs),
             )
 
     return CorrespondenceReport(

@@ -26,12 +26,10 @@ STEP = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 DEGREE = 4
 
-# Largest number of length-t paths adjacency_power_entry will enumerate.
-DEFAULT_PATH_BUDGET = DEGREE**7
-
 # Largest full-walk dimension N*4^t that walk_spectrum decomposes (block by
-# block), and largest dimension of the dense matrices the package builds: the
-# reduced search operator and the Szegedy isometries.
+# block), largest dimension of the dense matrices the package builds (the
+# reduced search operator and the Szegedy isometries), and largest number of
+# length-t paths adjacency_power_entry enumerates.
 DEFAULT_DENSE_BUDGET = 4096
 
 
@@ -169,7 +167,7 @@ def adjacency_power_entry(
     t: int,
     u: tuple[int, int],
     v: tuple[int, int],
-    max_paths: int = DEFAULT_PATH_BUDGET,
+    max_paths: int = DEFAULT_DENSE_BUDGET,
 ) -> float:
     """(A^t)_{uv} by exhaustive enumeration of the d^t label sequences from u.
 

@@ -26,9 +26,10 @@ def test_config_round_trips_to_canonical_json():
     )
     config = cli.config_from_args(args)
     text = config.canonical_json()
-    again = cli.ExperimentConfig.from_json(text)
-    assert again == config
-    assert again.canonical_json() == text
+    data = json.loads(text)
+    assert (data["sizes"], data["t_values"], data["marked"]) == ([5, 9], [1, 3], [1, 2])
+    # Every field is in the JSON: the config it builds writes the same JSON.
+    assert cli.ExperimentConfig(**data).canonical_json() == text
 
 
 def test_schedules():
@@ -175,6 +176,13 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["szegedy", "--generator", "cycle", "--sizes", "2"],
         ["szegedy", "--sizes", "9", "--k", "4"],  # every pair over budget
         ["tulsi", "--sizes", "9", "--delta", "0.3"],  # --delta needs fixed
+        ["gap", "--g", "0.5", "--t", "1,2,3"],  # more step counts than gaps
+        ["szegedy", "--generator", "cycle", "--sizes", "2,5", "--k", "1"],
+        ["szegedy", "--generator", "lazy-cycle", "--sizes", "2,5", "--k", "1"],
+        # Only the random generator reads --chains and --seed.
+        ["szegedy", "--generator", "cycle", "--sizes", "5", "--chains", "7",
+         "--k", "1"],
+        ["szegedy", "--generator", "complete", "--seed", "3"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
@@ -286,6 +294,12 @@ def test_szegedy_chain_csv(tmp_path, capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 2 + 2
+    # The CSV chain replaces the generated ones and every flag they read.
+    for flags in (["--sizes", "7"], ["--generator", "cycle"], ["--chains", "3"],
+                  ["--seed", "1"]):
+        code, out, err = run_cli(["szegedy", "--chain-csv", str(path), *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --chain-csv replaces {flags[0]}\n"
 
 
 def test_bad_chain_csv_is_config_error(tmp_path, capsys):

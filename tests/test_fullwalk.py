@@ -18,9 +18,6 @@ from powerwalk.fullwalk import (
     expected_nonreal_phases,
     full_dim,
     index_port,
-    path_basis_vectors,
-    path_component_check,
-    path_ports,
     projection_sum,
     shift_matrix,
     uniform_superposition,
@@ -28,7 +25,7 @@ from powerwalk.fullwalk import (
     walk_matrix,
     walk_spectrum,
 )
-from powerwalk.torus import PathPort, TorusGrid, powered_rotation_apply
+from powerwalk.torus import REVERSE, PathPort, TorusGrid, powered_rotation_apply
 
 
 def random_state(grid, t, seed=0, complex_=True):
@@ -197,47 +194,6 @@ def test_projection_sums():
     assert minus == pytest.approx(0.0, abs=1e-9)
 
 
-def test_path_basis_vectors_are_shift_eigenvectors():
-    grid = TorusGrid(3)
-    for port in path_ports(grid, 3)[:20]:
-        plus, minus, _ = path_basis_vectors(grid, 3, port)
-        assert np.allclose(apply_shift(grid, 3, plus), plus)
-        assert np.allclose(apply_shift(grid, 3, minus), -minus)
-
-
-def test_path_components_match_formula_L3_t3():
-    grid = TorusGrid(3)
-    spec = walk_spectrum(grid, 3)
-    ports = path_ports(grid, 3)
-    worst = 0.0
-    for i in np.flatnonzero(spec.nonreal_mask()):
-        vec = spec.vectors[:, i]
-        ev = spec.eigenvalues[i]
-        for port in ports:
-            comp = path_component_check(grid, 3, vec, ev, port)
-            worst = max(
-                worst,
-                abs(comp.plus_measured - comp.plus_predicted),
-                abs(comp.minus_measured - comp.minus_predicted),
-            )
-    assert worst <= 1e-9
-
-
-def test_path_component_sign_flip_is_consistent():
-    grid = TorusGrid(3)
-    spec = walk_spectrum(grid, 1)
-    idx = int(np.flatnonzero(spec.nonreal_mask())[0])
-    vec = spec.vectors[:, idx]
-    ev = spec.eigenvalues[idx]
-    port = path_ports(grid, 1)[0]
-    partner = powered_rotation_apply(grid, 1, port)
-    fwd = path_component_check(grid, 1, vec, ev, port)
-    bwd = path_component_check(grid, 1, vec, ev, partner)
-    assert fwd.minus_measured == pytest.approx(-bwd.minus_measured, abs=1e-12)
-    assert fwd.minus_predicted == pytest.approx(-bwd.minus_predicted, abs=1e-12)
-    assert fwd.plus_measured == pytest.approx(bwd.plus_measured, abs=1e-12)
-
-
 def test_vertex_overlaps_definition():
     grid = TorusGrid(4)
     state = random_state(grid, 1, seed=5)
@@ -249,18 +205,18 @@ def test_vertex_overlaps_definition():
 
 
 def test_even_step_count_allowed_in_spectrum_paths():
-    # even t is legal for the operators and spectrum; doubled-back paths
-    # (fixed by the powered rotation) are excluded from the path basis
+    # even t is legal for the operators and spectrum; a path that doubles back
+    # (label g, then its reverse) is a fixed point of the shift, so the path
+    # basis skips it
     grid = TorusGrid(3)
-    ports = path_ports(grid, 2)
-    assert 2 * len(ports) < full_dim(grid, 2)  # some paths double back
-    for port in ports:
-        plus, minus, _ = path_basis_vectors(grid, 2, port)
-        assert np.allclose(apply_shift(grid, 2, plus), plus)
-        assert np.allclose(apply_shift(grid, 2, minus), -minus)
-    doubled = PathPort((0, 0), (0, 1))  # right then left: returns to start
-    with pytest.raises(ValueError, match="doubles back"):
-        path_basis_vectors(grid, 2, doubled)
+    perm = fullwalk.shift_permutation(grid, 2)
+    doubled = basis_index(grid, 2, PathPort((0, 0), (0, 1)))  # right then left
+    assert perm[doubled] == doubled
+    fixed = np.flatnonzero(perm == np.arange(perm.size))
+    assert fixed.size == 4 * grid.vertex_count  # one per vertex and first label
+    for i in fixed:
+        g1, g2 = index_port(grid, 2, i).labels
+        assert g2 == REVERSE[g1]
     spec = walk_spectrum(grid, 2)
     assert np.max(np.abs(np.abs(spec.eigenvalues) - 1.0)) <= 1e-12
 
@@ -353,6 +309,40 @@ def test_correspondence_report_even_sides():
             rep = correspondence_report(TorusGrid(side), t)
             assert rep.passed(1e-9), (side, t, rep)
             assert rep.invariant_dim == rep.expected_invariant_dim == 2 * side**2 - 3
+
+
+def test_correspondence_report_catches_a_wrong_shift(monkeypatch):
+    # Swap two entries of vertex 1's block: walk_spectrum reads only vertex
+    # 0's block, so it still decomposes the true walk, and the eigenpair
+    # residual against the corrupted matrix-free walk must show it.
+    build = fullwalk._shift_permutation
+
+    def corrupted(grid, t):
+        perm = build(grid, t).copy()
+        d_t = 4**t
+        perm[[d_t, d_t + 1]] = perm[[d_t + 1, d_t]]
+        return perm
+
+    monkeypatch.setattr(fullwalk, "_shift_permutation", corrupted)
+    for t in (1, 3):
+        rep = correspondence_report(TorusGrid(5), t)
+        assert not rep.passed(1e-9)
+        assert rep.eigenpair_residual > 1e-9, (t, rep)
+
+
+def test_correspondence_report_catches_wrong_path_components(monkeypatch):
+    # Vertex overlaps off by one part in 10^6 drive only the path-component
+    # formulas: the eigenpairs stay exact and the component check must fail.
+    overlaps = fullwalk.vertex_overlaps
+    monkeypatch.setattr(
+        fullwalk,
+        "vertex_overlaps",
+        lambda grid, t, state: overlaps(grid, t, state) * (1 + 1e-6),
+    )
+    rep = correspondence_report(TorusGrid(5), 3)
+    assert not rep.passed(1e-9)
+    assert rep.component_dev > 1e-9
+    assert rep.eigenpair_residual <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
