@@ -33,7 +33,6 @@ import numpy as np
 from . import fullwalk, records, szegedy
 from .records import ScalingReport
 from .search import (
-    SearchResult,
     SpectralModel,
     build_model,
     compute_alpha,
@@ -146,44 +145,6 @@ def _vertex(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
-COLUMN_DOC = {
-    "L": "grid side",
-    "N": "vertex count L^2",
-    "t": "walk steps per oracle call",
-    "alpha_exact": "smallest nonzero search eigenphase (numerical)",
-    "alpha_estimate": "closed-form eigenphase estimate a0/sqrt(S1/(2N)) (constant 1)",
-    "Q": "iterations floor(pi/(2 alpha_exact))",
-    "p_s": "success probability measured on the trajectory at Q",
-    "p_s_bound": "three-factor analytic success probability",
-    "Q_O": "oracle queries incl. amplification rounds",
-    "Q_G": "rotation-map queries, exactly t*Q_O",
-    "S1": "sum 1/(1-cos^t phi_k) over nonzero modes",
-    "S2": "sum 1/(1-cos^t phi_k)^2",
-    "S3": "sum cot^2(phi^(t)_k/2)",
-    "lower": "bracketing lower bound (1/t) sum 1/(1-cos phi_k)",
-    "upper": "square-shell upper bound 8 sum_l l/(1-exp(-4l^2 t/N))",
-    "delta": "ancilla rotation angle",
-    "tan2_delta": "tan^2(delta)",
-    "a_pi": "target overlap sin(delta) on the eigenphase-pi mode",
-    "alpha_delta": "smallest nonzero controlled-search eigenphase",
-    "Q_delta": "controlled iterations floor(pi/(2 alpha_delta))",
-    "k": "Markov chain steps quantized per walk",
-    "chain": "chain label (generator:index)",
-    "discriminant_error": "max |A_k^T B_k - M^k|",
-    "eigenphase_error": "max deviation between nontrivial eigenphase multisets",
-    "query_cost": "state-preparation queries per walk step (4k per unit)",
-    "g": "spectral gap of the base graph",
-    "g_t": "powered spectral gap 1-(1-g)^t",
-}
-
-
-def _columns_epilog(columns) -> str:
-    lines = ["columns:"]
-    for c in columns:
-        lines.append(f"  {c:<20}{COLUMN_DOC[c]}")
-    return "\n".join(lines)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powerwalk",
@@ -219,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, help=budget_help)
         tolerance_flags(p, *tolerances)
 
-    def walk_flags(p: argparse.ArgumentParser, marked: bool = True) -> None:
+    def walk_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--sizes", type=_int_list, help="comma-separated grid sides"
         )
@@ -236,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="fixed: use --t; log-n: nearest odd c*ln N; sweep: odd 1..ln N",
         )
         p.add_argument("--log-c", type=float, help="c in t = nearest-odd(c ln N)")
-        if marked:
-            p.add_argument("--marked", type=_vertex, help="'x,y'")
 
     def accounting_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--rounding", choices=("floor", "nearest"))
@@ -264,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "before any check runs",
     )
     walk_flags(p)
+    p.add_argument("--marked", type=_vertex, help="'x,y'")
     p.set_defaults(sizes=(5,), t_values=(1, 3))
 
     p = sub.add_parser(
@@ -271,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reduced-engine search sweep",
         description="Sweeps grid sizes, computing the principal eigenphase, "
         "iteration count, success probability and query accounting.",
-        epilog=_columns_epilog(records.SEARCH_COLUMNS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     output_flags(p)
     walk_flags(p)
@@ -291,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Controlled-search sweep; base columns describe the "
         "uncontrolled run at the same (L, t), the delta columns and "
         "Q_delta/Q_O/Q_G/p_s the controlled one.",
-        epilog=_columns_epilog(records.TULSI_COLUMNS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     output_flags(p)
     walk_flags(p)
@@ -306,12 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid eigenphase sums and bounds",
         description="Direct summation of S1/S2/S3 with the bracketing bounds "
         "and the S3 = 1 - N + 2 S1 identity.",
-        epilog=_columns_epilog(records.SUMS_COLUMNS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     output_flags(p)
     tolerance_flags(p, "identity")
-    walk_flags(p, marked=False)
+    walk_flags(p)
     p.set_defaults(sizes=(8, 16, 32, 64, 128, 256, 512))
 
     p = sub.add_parser(
@@ -320,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Builds multi-step quantized walks for symmetric chains, "
         "checking the discriminant power law and the nontrivial-subspace "
         "eigenphase correspondence with the powered chain's walk.",
-        epilog=_columns_epilog(records.SZEGEDY_COLUMNS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     output_flags(p)
     dense_flags(
@@ -342,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gap",
         help="spectral-gap powering table",
         description="g_t = 1 - (1-g)^t at t = ceil(1/g) (or --t).",
-        epilog=_columns_epilog(records.GAP_COLUMNS),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     output_flags(p)
     p.add_argument("--g", dest="g_values", metavar="G", type=_float_list)
@@ -355,6 +305,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="overrides t = ceil(1/g)",
     )
     p.set_defaults(t_values=())
+
+    # --help of each subcommand that writes records lists their columns.
+    for name, (columns, _) in COMMANDS.items():
+        if columns:
+            p = sub.choices[name]
+            p.epilog = "\n".join(
+                ["columns:", *(f"  {c:<20}{doc}" for c, doc in columns.items())]
+            )
+            p.formatter_class = argparse.RawDescriptionHelpFormatter
     return parser
 
 
@@ -441,11 +400,13 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
     return verdict
 
 
-def _solve(
-    config: ExperimentConfig, model: SpectralModel, trajectory: bool
-) -> tuple[float, float, SearchResult, float]:
-    """alpha_exact, alpha_estimate, the analytic accounting, and p_s: measured
-    on the trajectory at Q, or the analytic bound."""
+def _sum_fields(gs) -> dict:
+    return {name: getattr(gs, name) for name in records.SUM_FIELDS}
+
+
+def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
+    """One search row: the secular root, the analytic accounting at its Q, the
+    grid sums, and p_s, measured on the trajectory at Q or the analytic bound."""
     alpha_exact, alpha_est = compute_alpha(model)
     result = success_probability(
         model,
@@ -453,16 +414,6 @@ def _solve(
         rounding=config.rounding,
         amplification_threshold=config.amplification_threshold,
     )
-    p_s = iterate_search(model, result.Q).p_s if trajectory else result.p_s
-    return alpha_exact, alpha_est, result, p_s
-
-
-def _sum_fields(gs) -> dict:
-    return {name: getattr(gs, name) for name in records.SUM_FIELDS}
-
-
-def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
-    alpha_exact, alpha_est, result, p_s = _solve(config, model, trajectory)
     return {
         "L": model.grid.side,
         "N": model.grid.vertex_count,
@@ -470,7 +421,7 @@ def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: b
         "alpha_exact": alpha_exact,
         "alpha_estimate": alpha_est,
         "Q": result.Q,
-        "p_s": p_s,
+        "p_s": float(iterate_search(model, result.Q)[-1]) if trajectory else result.p_s,
         "p_s_bound": result.p_s,
         "Q_O": result.Q_O,
         "Q_G": result.Q_G,
@@ -482,7 +433,7 @@ def run_search(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     # Models are lazy: building them all first refuses an even t before any
     # solve. Each is dropped once solved, which frees its cached phases.
-    models = [build_model(grid, t, config.marked) for grid, t in config.grid_instances()]
+    models = [build_model(grid, t) for grid, t in config.grid_instances()]
     while models:
         report.records.append(_search_record(config, models.pop(0), config.trajectory))
     recs = report.records
@@ -509,34 +460,30 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
     # delta that the policy cannot give at some (L, t) before any solve.
     models = []
     for grid, t in config.grid_instances():
-        base = build_model(grid, t, config.marked)
+        base = build_model(grid, t)
         if config.delta_policy == "fixed":
             delta = config.delta
         else:
             delta = tune_delta(base, config.delta_policy)
-        models.append((base, build_model(grid, t, config.marked, delta)))
+        models.append((base, build_model(grid, t, delta)))
     while models:  # dropping each solved pair frees its cached phases and sums
         base, controlled = models.pop(0)
         # Both depend on (L, t) only, so the pair shares one of each.
         controlled.distinct_phases = base.distinct_phases
         controlled.sums = base.sums
         delta = controlled.delta
-        # The base columns describe plain search at the same (L, t); only
-        # the controlled run's trajectory is measured.
+        # The base columns describe plain search at the same (L, t); the
+        # success and query columns come from the controlled run's own row,
+        # and only its trajectory is measured.
         rec = _search_record(config, base, trajectory=False)
-        alpha_delta, _, tres, p_s = _solve(config, controlled, config.trajectory)
+        ctl = _search_record(config, controlled, trajectory=True)
         rec.update(
-            {
-                "p_s": p_s,
-                "p_s_bound": tres.p_s,
-                "Q_O": tres.Q_O,
-                "Q_G": tres.Q_G,
-                "delta": delta,
-                "tan2_delta": math.tan(delta) ** 2,
-                "a_pi": math.sin(delta),
-                "alpha_delta": alpha_delta,
-                "Q_delta": tres.Q,
-            }
+            {name: ctl[name] for name in ("p_s", "p_s_bound", "Q_O", "Q_G")},
+            delta=delta,
+            tan2_delta=math.tan(delta) ** 2,
+            a_pi=math.sin(delta),
+            alpha_delta=ctl["alpha_exact"],
+            Q_delta=ctl["Q"],
         )
         report.records.append(rec)
     recs = report.records
@@ -581,6 +528,11 @@ def _szegedy_chains(config: ExperimentConfig) -> list[tuple[str, szegedy.MarkovC
     if config.chain_csv:
         return [("csv:0", szegedy.load_chain_csv(config.chain_csv))]
     if config.generator == "random":
+        if config.chains < len(config.sizes):
+            raise ValueError(
+                f"--chains {config.chains} draws fewer chains than the "
+                f"{len(config.sizes)} --sizes"
+            )
         rng = np.random.default_rng(config.seed)
         return [
             (f"random:{i}", szegedy.random_symmetric_chain(n, rng))
@@ -663,10 +615,11 @@ def run_gap(config: ExperimentConfig) -> ScalingReport:
     return report
 
 
-# name -> (record columns, run). A run only fills records and checks; main
-# writes the records, prints the summary and sets the exit code.
+# name -> (record columns with their descriptions, run). A run only fills
+# records and checks; main writes the records, prints the summary and sets the
+# exit code.
 COMMANDS = {
-    "verify-spectrum": ((), run_verify_spectrum),
+    "verify-spectrum": ({}, run_verify_spectrum),
     "search": (records.SEARCH_COLUMNS, run_search),
     "tulsi": (records.TULSI_COLUMNS, run_tulsi),
     "sums": (records.SUMS_COLUMNS, run_sums),

@@ -15,46 +15,60 @@ from typing import Any, Sequence
 
 CSV_VERSION_HEADER = "# powerwalk v1"
 
-SEARCH_COLUMNS = (
-    "L",
-    "N",
-    "t",
-    "alpha_exact",
-    "alpha_estimate",
-    "Q",
-    "p_s",
-    "p_s_bound",
-    "Q_O",
-    "Q_G",
-    "S1",
-    "S2",
-    "S3",
-    "lower",
-    "upper",
-)
+# Each subcommand's record columns: name -> description, in output order.
+# The shared pieces below are written once; --help lists each mapping.
+GRID_COLUMNS = {
+    "L": "grid side",
+    "N": "vertex count L^2",
+    "t": "walk steps per oracle call",
+}
 
-TULSI_COLUMNS = SEARCH_COLUMNS + (
-    "delta",
-    "tan2_delta",
-    "a_pi",
-    "alpha_delta",
-    "Q_delta",
-)
+# The five sum columns; JSON output nests them under "sums".
+SUM_FIELDS = {
+    "S1": "sum 1/(1-cos^t phi_k) over nonzero modes",
+    "S2": "sum 1/(1-cos^t phi_k)^2",
+    "S3": "sum cot^2(phi^(t)_k/2)",
+    "lower": "bracketing lower bound (1/t) sum 1/(1-cos phi_k)",
+    "upper": "square-shell upper bound 8 sum_l l/(1-exp(-4l^2 t/N))",
+}
 
-SUMS_COLUMNS = ("L", "N", "t", "S1", "S2", "S3", "lower", "upper")
+SEARCH_COLUMNS = {
+    **GRID_COLUMNS,
+    "alpha_exact": "smallest nonzero search eigenphase (numerical)",
+    "alpha_estimate": "closed-form eigenphase estimate a0/sqrt(S1/(2N)) (constant 1)",
+    "Q": "iterations floor(pi/(2 alpha_exact))",
+    "p_s": "success probability measured on the trajectory at Q",
+    "p_s_bound": "three-factor analytic success probability",
+    "Q_O": "oracle queries incl. amplification rounds",
+    "Q_G": "rotation-map queries, exactly t*Q_O",
+    **SUM_FIELDS,
+}
 
-SZEGEDY_COLUMNS = (
-    "N",
-    "k",
-    "chain",
-    "discriminant_error",
-    "eigenphase_error",
-    "query_cost",
-)
+TULSI_COLUMNS = {
+    **SEARCH_COLUMNS,
+    "delta": "ancilla rotation angle",
+    "tan2_delta": "tan^2(delta)",
+    "a_pi": "target overlap sin(delta) on the eigenphase-pi mode",
+    "alpha_delta": "smallest nonzero controlled-search eigenphase",
+    "Q_delta": "controlled iterations floor(pi/(2 alpha_delta))",
+}
 
-GAP_COLUMNS = ("g", "t", "g_t")
+SUMS_COLUMNS = {**GRID_COLUMNS, **SUM_FIELDS}
 
-SUM_FIELDS = ("S1", "S2", "S3", "lower", "upper")
+SZEGEDY_COLUMNS = {
+    "N": GRID_COLUMNS["N"],
+    "k": "Markov chain steps quantized per walk",
+    "chain": "chain label (generator:index)",
+    "discriminant_error": "max |A_k^T B_k - M^k|",
+    "eigenphase_error": "max deviation between nontrivial eigenphase multisets",
+    "query_cost": "state-preparation queries per walk step (4k per unit)",
+}
+
+GAP_COLUMNS = {
+    "g": "spectral gap of the base graph",
+    "t": GRID_COLUMNS["t"],
+    "g_t": "powered spectral gap 1-(1-g)^t",
+}
 
 
 def format_value(value: Any) -> str:

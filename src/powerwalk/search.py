@@ -47,7 +47,8 @@ def nearest_odd(x: float) -> int:
 
 @dataclass
 class SearchResult:
-    """Outcome of one search run: iterations, success probability, query costs.
+    """Analytic accounting of one search run: iterations, success probability
+    bound, amplification rounds and query costs.
 
     Q_G = t * Q_O is an exact integer identity: each walk step costs t calls
     to the rotation map.
@@ -58,7 +59,6 @@ class SearchResult:
     amplification_rounds: int
     Q_O: int
     Q_G: int
-    trajectory: np.ndarray | None = None
 
 
 @dataclass
@@ -66,14 +66,13 @@ class SpectralModel:
     """Eigenphases and target overlaps driving the reduced-space search.
 
     Translation invariance makes every overlap modulus equal: a_k = 1/sqrt(2N)
-    for k != 0 and a_0 = 1/sqrt(N), independent of the marked vertex, which
-    enters only as bookkeeping. ``delta`` is the ancilla angle of the
-    controlled search (0 for plain search).
+    for k != 0 and a_0 = 1/sqrt(N), whichever vertex is marked, so the model
+    names none. ``delta`` is the ancilla angle of the controlled search (0 for
+    plain search).
     """
 
     grid: TorusGrid
     t: int
-    marked: tuple[int, int]
     delta: float = 0.0
 
     @property
@@ -133,29 +132,25 @@ class SpectralModel:
         return np.append(target, math.sin(self.delta)) if self.delta > 0.0 else target
 
 
-def build_model(
-    grid: TorusGrid, t: int, marked: tuple[int, int] = (0, 0), delta: float = 0.0
-) -> SpectralModel:
+def build_model(grid: TorusGrid, t: int, delta: float = 0.0) -> SpectralModel:
     """Spectral search model for the t-step walk with one marked vertex.
 
     ``delta`` in [0, pi/2) is the ancilla angle of the controlled search.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"search requires odd t >= 1, got {t}")
-    if not grid.contains(marked):
-        raise ValueError(f"marked vertex {marked} outside grid")
     if not 0.0 <= delta < math.pi / 2.0:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
-    return SpectralModel(grid=grid, t=t, marked=marked, delta=delta)
+    return SpectralModel(grid=grid, t=t, delta=delta)
 
 
-def iterate_search(model: SpectralModel, Q: int) -> SearchResult:
+def iterate_search(model: SpectralModel, Q: int) -> np.ndarray:
     """Apply Q steps of oracle-then-walk to the uniform start, O(orbits) per step.
 
     The state holds the 0 mode, the +phi half of every orbit and the pi mode.
     The target is real and each -phi amplitude is the conjugate of its +phi
     partner, so the target overlap is real and the oracle changes only real
-    parts. The returned trajectory has Q+1 entries: the success probability
+    parts. Returns the trajectory, Q+1 entries: the success probability
     before any iteration and after each step.
     """
     if Q < 0:
@@ -179,14 +174,7 @@ def iterate_search(model: SpectralModel, Q: int) -> SearchResult:
         state *= rotation
         overlap = float(pair_target @ real)
         trajectory[step] = overlap**2
-    return SearchResult(
-        Q=Q,
-        p_s=float(trajectory[-1]),
-        amplification_rounds=0,
-        Q_O=Q,
-        Q_G=model.t * Q,
-        trajectory=trajectory,
-    )
+    return trajectory
 
 
 def alpha_estimate(model: SpectralModel) -> float:
@@ -288,7 +276,7 @@ def trajectory_alpha(model: SpectralModel) -> float:
     """
     period = math.pi / alpha_estimate(model)
     q_max = max(8, math.ceil(1.7 * period))
-    traj = iterate_search(model, q_max).trajectory
+    traj = iterate_search(model, q_max)
     first = int(np.argmax(traj[: max(3, math.ceil(0.75 * period))]))
     lo = first + max(2, math.floor(0.5 * period))
     hi = min(q_max + 1, first + math.ceil(1.5 * period))
@@ -356,14 +344,7 @@ def success_probability(
     p_s = min(1.0, math.cos(alpha) ** 2 * ws**2 * wt**2)
     rounds = math.ceil(1.0 / math.sqrt(p_s)) if p_s < amplification_threshold else 0
     Q_O = (rounds + 1) * Q
-    return SearchResult(
-        Q=Q,
-        p_s=p_s,
-        amplification_rounds=rounds,
-        Q_O=Q_O,
-        Q_G=model.t * Q_O,
-        trajectory=None,
-    )
+    return SearchResult(Q, p_s, rounds, Q_O, model.t * Q_O)
 
 
 def spectral_gap_power(g: float, t: int) -> float:

@@ -80,7 +80,11 @@ def random_symmetric_chain(
     """Random symmetric doubly stochastic chain by symmetric Sinkhorn scaling.
 
     Draws a strictly positive symmetric seed S and finds the diagonal d with
-    diag(d) S diag(d) row-stochastic via the fixed point d = 1/(S d).
+    diag(d) S diag(d) row-stochastic via the fixed point d = 1/(S d). The map
+    is homogeneous of degree -1, so its iterates settle into a 2-cycle
+    {c d*, d*/c} rather than onto d*. The iteration stops once the next
+    iterate is a constant multiple of d (to 1e-15 relative); the constant
+    drops out when the rows are normalized.
     """
     if n < 2:
         raise ValueError(f"chain needs n >= 2, got {n}")
@@ -89,10 +93,10 @@ def random_symmetric_chain(
     d = np.ones(n)
     for _ in range(iterations):
         d_new = 1.0 / (S @ d)
-        if np.max(np.abs(d_new - d)) < 1e-16:
-            d = d_new
-            break
+        ratio = d / d_new
         d = d_new
+        if np.ptp(ratio) <= 1e-15 * ratio.max():
+            break
     M = d[:, None] * S * d[None, :]
     M = 0.5 * (M + M.T)
     M /= M.sum(axis=1, keepdims=True)
@@ -165,10 +169,13 @@ def discriminant(walk: SzegedyWalk) -> np.ndarray:
 
 
 def walk_apply(walk: SzegedyWalk, state: np.ndarray) -> np.ndarray:
-    """Apply W_k = (2 B B^dagger - I)(2 A A^dagger - I) without forming it."""
+    """Apply W_k = (2 B B^dagger - I)(2 A A^dagger - I) without forming it, to
+    a state of shape (dim,) or to each column of a (dim, m) slab."""
     state = np.asarray(state)
-    if state.shape != (walk.dim,):
-        raise ValueError(f"state has shape {state.shape}, expected ({walk.dim},)")
+    if state.ndim not in (1, 2) or state.shape[0] != walk.dim:
+        raise ValueError(
+            f"state has shape {state.shape}, expected ({walk.dim},) or ({walk.dim}, m)"
+        )
     after_a = 2.0 * (walk.A @ (walk.A.T @ state)) - state
     return 2.0 * (walk.B @ (walk.B.T @ after_a)) - after_a
 
@@ -219,8 +226,7 @@ def nontrivial_eigenphases(walk: SzegedyWalk, tol: float = SUBSPACE_TOL) -> np.n
     basis = nontrivial_basis(walk, tol=tol)
     if basis.shape[1] == 0:
         return np.array([])
-    image = np.column_stack([walk_apply(walk, basis[:, j]) for j in range(basis.shape[1])])
-    restricted = basis.T @ image
+    restricted = basis.T @ walk_apply(walk, basis)
     return np.sort(np.angle(np.linalg.eigvals(restricted)))
 
 

@@ -63,7 +63,7 @@ def sweep_t1():
                 "model": model,
                 "alpha": alpha,
                 "result": res,
-                "p_traj": traj.p_s,
+                "p_traj": traj[-1],
             }
         )
     return out
@@ -87,7 +87,7 @@ def sweep_tlog():
                 "model": model,
                 "alpha": alpha,
                 "result": res,
-                "p_traj": traj.p_s,
+                "p_traj": traj[-1],
             }
         )
     return out
@@ -136,10 +136,10 @@ def test_criterion_03_reduced_engine_equivalence():
     marked = (3, 1)
     worst = 0.0
     for t in (1, 3):
-        model = build_model(grid, t, marked)
+        model = build_model(grid, t)
         alpha, _ = compute_alpha(model)
         Q = 3 * math.floor(math.pi / (2 * alpha))
-        reduced = iterate_search(model, Q).trajectory
+        reduced = iterate_search(model, Q)
         state = fullwalk.uniform_superposition(grid, t).astype(complex)
         target = fullwalk.coin_uniform_state(grid, t, marked)
         full = np.empty(Q + 1)
@@ -260,10 +260,10 @@ def test_criterion_08_controlled_search_recovery():
     band_a = max(q_norm) / min(q_norm)
 
     # (b) delta = 0 reproduces the plain engine exactly
-    model5 = build_model(TorusGrid(5), 1, (2, 2))
-    zero = build_model(TorusGrid(5), 1, (2, 2), delta=0.0)
-    plain = iterate_search(model5, 20).trajectory
-    controlled = iterate_search(zero, 20).trajectory
+    model5 = build_model(TorusGrid(5), 1)
+    zero = build_model(TorusGrid(5), 1, delta=0.0)
+    plain = iterate_search(model5, 20)
+    controlled = iterate_search(zero, 20)
     zero_ok = np.array_equal(plain, controlled)
     a_plain, _ = compute_alpha(model5)
     a_zero, _ = compute_alpha(zero)
@@ -280,11 +280,11 @@ def test_criterion_08_controlled_search_recovery():
             grid5, 1, (2, 2), delta, state
         )
         circuit_dev = max(circuit_dev, float(np.max(np.abs(step_dev))))
-    controlled = build_model(TorusGrid(5), 1, (2, 2), delta=delta)
+    controlled = build_model(TorusGrid(5), 1, delta=delta)
     traj_dev = float(
         np.max(
             np.abs(
-                iterate_search(controlled, 25).trajectory
+                iterate_search(controlled, 25)
                 - circuit_trajectory(TorusGrid(5), 1, (2, 2), delta, 25)
             )
         )

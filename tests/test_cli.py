@@ -22,7 +22,7 @@ def run_cli(argv, capsys):
 def test_config_round_trips_to_canonical_json():
     parser = cli.build_parser()
     args = parser.parse_args(
-        ["search", "--sizes", "5,9", "--t", "1,3", "--marked", "1,2"]
+        ["verify-spectrum", "--sizes", "5,9", "--t", "1,3", "--marked", "1,2"]
     )
     config = cli.config_from_args(args)
     text = config.canonical_json()
@@ -183,6 +183,8 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["szegedy", "--generator", "cycle", "--sizes", "5", "--chains", "7",
          "--k", "1"],
         ["szegedy", "--generator", "complete", "--seed", "3"],
+        # Fewer random chains than sizes would leave sizes unchecked.
+        ["szegedy", "--sizes", "2,3,4", "--chains", "2", "--k", "1"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
@@ -226,6 +228,15 @@ def test_search_command_columns(capsys):
     assert code == 0
     header = out.splitlines()[1].split(",")
     assert header == list(records.SEARCH_COLUMNS)
+
+
+def test_help_lists_record_columns(capsys):
+    for command, (columns, _) in cli.COMMANDS.items():
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        _, _, listed = capsys.readouterr().out.partition("\ncolumns:\n")
+        rows = [line.strip().split(None, 1) for line in listed.splitlines()]
+        assert rows == [[name, doc] for name, doc in columns.items()], command
 
 
 def test_tulsi_delta_zero_matches_search(capsys):
@@ -377,7 +388,7 @@ CONTRACT = {
     ),
     "search": (
         ["--sizes", "9,13", "--t", "1"],
-        ["--sizes", "9", "--marked", "99,99"],
+        ["--sizes", "9", "--t", "2"],
         "[17, 33, 65, 129, 257]",
         "[1]",
     ),
@@ -408,9 +419,9 @@ WALK = "--sizes --t --t-schedule --log-c"
 FLAGS = {
     "verify-spectrum": f"--seed --budget --tol-spectrum --tol-unitarity {WALK} "
     "--marked",
-    "search": f"--out --format {WALK} --marked --no-trajectory --rounding "
+    "search": f"--out --format {WALK} --no-trajectory --rounding "
     "--amplification-threshold",
-    "tulsi": f"--out --format {WALK} --marked --delta --delta-policy --rounding "
+    "tulsi": f"--out --format {WALK} --delta --delta-policy --rounding "
     "--amplification-threshold",
     "sums": f"--out --format --tol-identity {WALK}",
     "szegedy": "--out --format --seed --budget --tol-discriminant --tol-eigenphase "

@@ -67,9 +67,9 @@ def test_orbit_multiplicities_and_phases():
 
 def test_iterate_search_start_probability():
     model = build_model(TorusGrid(5), 1)
-    res = iterate_search(model, 0)
-    assert res.p_s == pytest.approx(1 / 25, abs=1e-15)
-    assert res.trajectory.shape == (1,)
+    traj = iterate_search(model, 0)
+    assert traj[-1] == pytest.approx(1 / 25, abs=1e-15)
+    assert traj.shape == (1,)
 
 
 def test_iterate_search_norm_preserved():
@@ -93,10 +93,10 @@ def test_reduced_matches_full_simulation():
         for t in (1, 3, 5):
             if grid.vertex_count * 4**t > 300_000:
                 continue
-            model = build_model(grid, t, m)
+            model = build_model(grid, t)
             alpha, _ = compute_alpha(model)
             Q = 3 * math.floor(math.pi / (2 * alpha))
-            reduced = iterate_search(model, Q).trajectory
+            reduced = iterate_search(model, Q)
             state = fullwalk.uniform_superposition(grid, t).astype(complex)
             target = fullwalk.coin_uniform_state(grid, t, m)
             full = [abs(np.dot(target, state)) ** 2]
@@ -281,7 +281,7 @@ def test_monotone_benefit_of_t():
         for t in range(1, top + 1, 2):
             model = build_model(grid, t)
             alpha, _ = compute_alpha(model)
-            p = iterate_search(model, math.floor(math.pi / (2 * alpha))).p_s
+            p = iterate_search(model, math.floor(math.pi / (2 * alpha)))[-1]
             if previous is not None:
                 assert p >= 0.9 * previous
             previous = p

@@ -78,6 +78,35 @@ def test_isometry_columns_unit_norm(n, k, seed):
     assert np.max(np.abs(walk.B.T @ walk.B - np.eye(n))) <= 1e-12
 
 
+class CountingMatrix(np.ndarray):
+    """An ndarray that counts the matrix products it is the left operand of."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+class CountingRng:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size).view(CountingMatrix)
+
+
+def test_random_chain_sinkhorn_stops_once_settled():
+    # d -> 1/(S d) settles into a 2-cycle {c d*, d*/c}, never onto d*, so a
+    # test on |d_new - d| alone runs every one of the 500 iterations.
+    rng = CountingRng(7)
+    for n in range(2, 9):
+        CountingMatrix.products = 0
+        chain = random_symmetric_chain(n, rng)
+        assert CountingMatrix.products < 100, n
+        assert np.max(np.abs(chain.matrix.sum(axis=1) - 1.0)) <= 1e-14
+
+
 def test_discriminant_is_chain_power():
     rng = np.random.default_rng(11)
     chain = random_symmetric_chain(4, rng)
@@ -102,10 +131,16 @@ def test_walk_unitary_on_random_states():
     rng = np.random.default_rng(5)
     chain = random_symmetric_chain(3, rng)
     walk = build_isometries(chain, 2)
+    states = []
     for _ in range(20):
         state = rng.normal(size=walk.dim) + 1j * rng.normal(size=walk.dim)
         state /= np.linalg.norm(state)
         assert abs(np.linalg.norm(walk_apply(walk, state)) - 1.0) <= 1e-12
+        states.append(state)
+    # A (dim, m) slab is walked column by column.
+    slab = np.column_stack(states)
+    by_column = np.column_stack([walk_apply(walk, state) for state in states])
+    assert np.max(np.abs(walk_apply(walk, slab) - by_column)) <= 1e-14
     W = walk_matrix(walk)
     assert np.max(np.abs(W @ W.T - np.eye(walk.dim))) <= 1e-12
 

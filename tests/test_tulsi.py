@@ -36,8 +36,8 @@ def test_delta_zero_reduces_to_plain_model():
     zero = build_model(TorusGrid(5), 1, delta=0.0)
     assert zero.reduced_dim == model.reduced_dim == 49  # no pi mode at delta=0
     # identical trajectories, exactly
-    plain = iterate_search(model, 25).trajectory
-    controlled = iterate_search(zero, 25).trajectory
+    plain = iterate_search(model, 25)
+    controlled = iterate_search(zero, 25)
     assert np.array_equal(plain, controlled)
     # identical alpha and overlaps
     a_plain, est_plain = compute_alpha(model)
@@ -110,7 +110,7 @@ def test_reduced_matches_circuit_trajectory():
         grid = TorusGrid(side)
         m = (2 % side, 4 % side)
         for delta in (0.3, 0.9):
-            reduced = iterate_search(build_model(grid, 1, m, delta), 40).trajectory
+            reduced = iterate_search(build_model(grid, 1, delta), 40)
             full = circuit_trajectory(grid, 1, m, delta, 40)
             assert np.max(np.abs(reduced - full)) <= 1e-9, (side, delta)
     # Up to the search's own Q, at sizes the scaling claims are made at.
@@ -118,9 +118,9 @@ def test_reduced_matches_circuit_trajectory():
         grid = TorusGrid(side)
         balanced = tune_delta(build_model(grid, t), "balanced")
         for delta in (0.0, balanced):
-            model = build_model(grid, t, (2, 4), delta)
+            model = build_model(grid, t, delta)
             Q = success_probability(model, compute_alpha(model)[0]).Q
-            reduced = iterate_search(model, Q).trajectory
+            reduced = iterate_search(model, Q)
             full = circuit_trajectory(grid, t, (2, 4), delta, Q)
             assert np.max(np.abs(reduced - full)) <= 1e-9, (side, t, delta)
 
