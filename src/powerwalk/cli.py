@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--amplification-threshold",
             type=float,
-            help="amplify when the analytic p_s falls below this",
+            help="amplify when the analytic p_s estimate falls below this "
+            "(a probability in [0, 1])",
         )
 
     p = sub.add_parser(
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-trajectory",
         dest="trajectory",
         action="store_false",
-        help="skip trajectory simulation (p_s column reports the bound)",
+        help="skip trajectory simulation (p_s column reports the estimate)",
     )
     accounting_flags(p)
     p.set_defaults(sizes=(17, 33, 65, 129, 257))
@@ -322,6 +323,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     A flag given to a run that would ignore it is refused."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
+    if not 0.0 <= values.get("amplification_threshold", 0.0) <= 1.0:
+        raise ValueError("--amplification-threshold must lie in [0, 1]")
     if "delta" in values and values.get("delta_policy") != "fixed":
         raise ValueError("--delta needs --delta-policy fixed")
     if "chain_csv" in values:
@@ -406,7 +409,7 @@ def _sum_fields(gs) -> dict:
 
 def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
     """One search row: the secular root, the analytic accounting at its Q, the
-    grid sums, and p_s, measured on the trajectory at Q or the analytic bound."""
+    grid sums, and p_s, measured on the trajectory at Q or the analytic estimate."""
     alpha_exact, alpha_est = compute_alpha(model)
     result = success_probability(
         model,
@@ -432,7 +435,7 @@ def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: b
 def run_search(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
     # Models are lazy: building them all first refuses an even t before any
-    # solve. Each is dropped once solved, which frees its cached phases.
+    # solve. Each is dropped once solved, which frees its cached weights.
     models = [build_model(grid, t) for grid, t in config.grid_instances()]
     while models:
         report.records.append(_search_record(config, models.pop(0), config.trajectory))
@@ -466,11 +469,9 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
         else:
             delta = tune_delta(base, config.delta_policy)
         models.append((base, build_model(grid, t, delta)))
-    while models:  # dropping each solved pair frees its cached phases and sums
+    while models:  # dropping each solved pair frees its cached weights and sums
         base, controlled = models.pop(0)
-        # Both depend on (L, t) only, so the pair shares one of each.
-        controlled.distinct_phases = base.distinct_phases
-        controlled.sums = base.sums
+        controlled.sums = base.sums  # (L, t) only, like the orbit measure both read
         delta = controlled.delta
         # The base columns describe plain search at the same (L, t); the
         # success and query columns come from the controlled run's own row,

@@ -38,7 +38,7 @@ SEARCH_COLUMNS = {
     "alpha_estimate": "closed-form eigenphase estimate a0/sqrt(S1/(2N)) (constant 1)",
     "Q": "iterations floor(pi/(2 alpha_exact))",
     "p_s": "success probability measured on the trajectory at Q",
-    "p_s_bound": "three-factor analytic success probability",
+    "p_s_bound": "three-factor success probability, Theta(1)-constant estimate",
     "Q_O": "oracle queries incl. amplification rounds",
     "Q_G": "rotation-map queries, exactly t*Q_O",
     **SUM_FIELDS,
@@ -56,7 +56,7 @@ TULSI_COLUMNS = {
 SUMS_COLUMNS = {**GRID_COLUMNS, **SUM_FIELDS}
 
 SZEGEDY_COLUMNS = {
-    "N": GRID_COLUMNS["N"],
+    "N": "Markov chain size (number of states)",
     "k": "Markov chain steps quantized per walk",
     "chain": "chain label (generator:index)",
     "discriminant_error": "max |A_k^T B_k - M^k|",

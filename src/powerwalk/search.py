@@ -19,9 +19,10 @@ them. The +phi and -phi halves of every pair stay complex conjugates, so the
 engine stores only the +phi half plus the real 0 and pi modes, and one search
 step costs O(number of orbits).
 
-As cos phi^(t)_k = cos^t phi_k and a_k^2 = 1/(2N), the closed-form alpha
-estimate and both overlap factors are read off the grid sums S1, S2 and S3
-(``SpectralModel.sums``); only the secular root sums over the orbit table.
+One (x, weight) measure per (L, t), ``sums.orbit_measure`` with x_k =
+cos phi^(t)_k = cos^t phi_k, feeds the secular root, the trajectory and the
+grid sums S1, S2 and S3; as a_k^2 = 1/(2N), the closed-form alpha estimate
+and both overlap factors are read off those sums (``SpectralModel.sums``).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .sums import GridSums, grid_sums
-from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines, mode_orbits
+from .sums import GridSums, grid_sums, orbit_measure
+from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
 
 
 def nearest_odd(x: float) -> int:
@@ -48,7 +49,7 @@ def nearest_odd(x: float) -> int:
 @dataclass
 class SearchResult:
     """Analytic accounting of one search run: iterations, success probability
-    bound, amplification rounds and query costs.
+    estimate, amplification rounds and query costs.
 
     Q_G = t * Q_O is an exact integer identity: each walk step costs t calls
     to the rotation map.
@@ -85,11 +86,11 @@ class SpectralModel:
 
     @cached_property
     def distinct_phases(self) -> tuple[np.ndarray, np.ndarray]:
-        """One (phase, weight) pair per symmetry orbit of the nonzero modes
-        (torus.mode_orbits). The weight is the orbit's total squared overlap
-        on the +phi side."""
-        cos_phi, count = mode_orbits(self.grid)
-        return np.arccos(np.clip(cos_phi**self.t, -1.0, 1.0)), count * self.ak**2
+        """One (cos phi^(t), weight) pair per symmetry orbit of the nonzero
+        modes: the shared x of sums.orbit_measure, and the orbit's total
+        squared overlap on the +phi side."""
+        x, count = orbit_measure(self.grid, self.t)
+        return x, count * self.ak**2
 
     @cached_property
     def sums(self) -> GridSums:
@@ -98,8 +99,8 @@ class SpectralModel:
 
     @property
     def phi1(self) -> float:
-        """Smallest walk eigenphase."""
-        return float(self.distinct_phases[0].min())
+        """Smallest walk eigenphase, arccos of the largest x."""
+        return math.acos(self.distinct_phases[0].max())
 
     # The per-mode views below serve the dense and full-space test oracles.
 
@@ -144,6 +145,11 @@ def build_model(grid: TorusGrid, t: int, delta: float = 0.0) -> SpectralModel:
     return SpectralModel(grid=grid, t=t, delta=delta)
 
 
+def phase_rotation(x: np.ndarray) -> np.ndarray:
+    """e^{i arccos x}; the factored sine keeps small phases at full precision."""
+    return x + 1j * np.sqrt((1.0 - x) * (1.0 + x))
+
+
 def iterate_search(model: SpectralModel, Q: int) -> np.ndarray:
     """Apply Q steps of oracle-then-walk to the uniform start, O(orbits) per step.
 
@@ -155,12 +161,12 @@ def iterate_search(model: SpectralModel, Q: int) -> np.ndarray:
     """
     if Q < 0:
         raise ValueError(f"iteration count must be >= 0, got {Q}")
-    phases, weights = model.distinct_phases
+    x, weights = model.distinct_phases
     c, s = math.cos(model.delta), math.sin(model.delta)
     target = np.concatenate([[model.a0 * c], np.sqrt(weights) * c, [s]])
     pair_target = target.copy()
     pair_target[1:-1] *= 2.0  # each +phi amplitude stands for its conjugate pair
-    rotation = np.concatenate([[1.0], np.exp(1j * phases), [-1.0]])
+    rotation = np.concatenate([[1.0], phase_rotation(x), [-1.0]])
     state = np.zeros(target.size, dtype=complex)
     state[0] = 1.0
     real = state.real
@@ -201,23 +207,22 @@ def compute_alpha(model: SpectralModel) -> tuple[float, float]:
     U_t restricted to the invariant subspace is a diagonal unitary times a
     rank-one reflection (Bunch, Nielsen & Sorensen 1978); its coupled
     eigenphases solve sum_j |T_j|^2 cot((alpha - theta_j)/2) = 0. Each +-phi
-    pair combines into 2 sin(alpha) / (cos phi - cos alpha) and the pi mode's
-    term is -tan(alpha/2). The function is strictly decreasing on (0, phi_1)
+    pair combines into 2 sin(alpha) / (x - cos alpha), x = cos phi, and the
+    pi mode's term is -tan(alpha/2). The function is strictly decreasing on (0, phi_1)
     with a sign change, so the principal eigenphase is that interval's
     unique root.
     """
     est = alpha_estimate(model)
-    phases, weights = model.distinct_phases
+    x, weights = model.distinct_phases
     c2 = math.cos(model.delta) ** 2
     weights = weights * c2
-    cos_ph = np.cos(phases)
     a02 = model.a0**2 * c2
     api2 = math.sin(model.delta) ** 2
     # One buffer for all brentq evaluations: fresh temporaries each page-fault.
-    terms = np.empty_like(cos_ph)
+    terms = np.empty_like(x)
 
     def f(alpha: float) -> float:
-        np.divide(weights, np.subtract(cos_ph, math.cos(alpha), out=terms), out=terms)
+        np.divide(weights, np.subtract(x, math.cos(alpha), out=terms), out=terms)
         return (
             a02 / math.tan(alpha / 2.0)
             + 2.0 * math.sin(alpha) * float(np.sum(terms))
@@ -226,7 +231,7 @@ def compute_alpha(model: SpectralModel) -> tuple[float, float]:
 
     # Bracket strictly below the smallest node of f, where f decreases from
     # +inf to -inf.
-    hi = phases.min() * (1.0 - 1e-9)
+    hi = model.phi1 * (1.0 - 1e-9)
     lo = min(est, hi) * 1e-2
     for _ in range(40):
         if f(lo) > 0.0:
@@ -253,36 +258,6 @@ def dense_alpha(model: SpectralModel, budget: int = DEFAULT_DENSE_BUDGET) -> flo
     angles = np.angle(np.linalg.eigvals(reduced_operator(model)))
     positive = angles[angles > 1e-12]
     return float(positive.min())
-
-
-def _refine_peak(traj: np.ndarray, q_star: int) -> float:
-    """Three-point parabolic refinement of a discrete argmax."""
-    if 0 < q_star < traj.size - 1:
-        y0, y1, y2 = traj[q_star - 1], traj[q_star], traj[q_star + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom < 0.0:
-            return q_star + 0.5 * (y0 - y2) / denom
-    return float(q_star)
-
-
-def trajectory_alpha(model: SpectralModel) -> float:
-    """Principal eigenphase from the success-probability oscillation period.
-
-    Scans the trajectory across two successive maxima of the sin^2-like
-    envelope (parabolic refinement of each argmax); their spacing is pi/alpha
-    exactly, so the constant peak shift from start-state leakage cancels.
-    An independent, coarse cross-check of the secular root; the ripple of
-    non-principal modes limits agreement to a few percent of Q.
-    """
-    period = math.pi / alpha_estimate(model)
-    q_max = max(8, math.ceil(1.7 * period))
-    traj = iterate_search(model, q_max)
-    first = int(np.argmax(traj[: max(3, math.ceil(0.75 * period))]))
-    lo = first + max(2, math.floor(0.5 * period))
-    hi = min(q_max + 1, first + math.ceil(1.5 * period))
-    second = lo + int(np.argmax(traj[lo:hi]))
-    spacing = _refine_peak(traj, second) - _refine_peak(traj, first)
-    return math.pi / spacing
 
 
 def overlap_ws(model: SpectralModel, alpha: float) -> float:
@@ -330,7 +305,8 @@ def success_probability(
     ``amplification_threshold``, ceil(1/sqrt(p_s)) amplification rounds are
     budgeted and Q_O = (rounds + 1) * Q; Q_G = t * Q_O always.
 
-    This is the analysis-side lower-bound estimate; a measured trajectory
+    This is the Theta(1)-constant estimate, not a bound: it can sit above the
+    measured p_s (0.304 against 0.132 at L=257, t=1). A measured trajectory
     value (iterate_search) is the authoritative number on any one instance.
     """
     if rounding == "floor":

@@ -11,14 +11,16 @@ S3 = 1 - N + 2*S1 exactly (cot^2 = cosec^2 - 1). S1 is bracketed below by
 (1/t) sum 1/(1 - cos phi_k) (telescoping the geometric factor) and above by
 the square-shell bound 8 sum_l l / (1 - exp(-4 l^2 t / N)).
 
-cos phi_k is constant on the symmetry orbits of the modes (torus.mode_orbits),
-so each sum runs over about N/8 orbit terms, each scaled by its mode count.
-The counts are powers of two, so every scaled term is exact, and compensated
-(exact) summation makes the result independent of the evaluation order.
+The sums read ``orbit_measure``, the one (x, weight) measure of (L, t) that
+the search engine reads too: x = cos^t phi on each symmetry orbit of the modes
+(torus.mode_orbits) and the orbit's mode count, about N/8 terms. The counts
+are powers of two, so every scaled term is exact, and compensated (exact)
+summation makes the result independent of the evaluation order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,19 +52,30 @@ class GridSums:
         return self.lower <= self.S1 <= self.upper
 
 
+@functools.lru_cache(maxsize=1)
+def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """x = cos^t phi and mode count per orbit, read-only. The cache keeps the
+    last (grid, t): one search or tulsi record reads no other."""
+    cos, count = mode_orbits(grid)
+    x = cos**t
+    x.flags.writeable = False
+    return x, count
+
+
 def grid_sums(grid: TorusGrid, t: int) -> GridSums:
     """Evaluate S1, S2, S3 and the S1 bracket by exact summation over orbits."""
     if t < 1:
         raise ValueError(f"power must be >= 1, got {t}")
+    if t % 2 == 0 and grid.side % 2 == 0:  # the (L/2, L/2) orbit has x = 1
+        raise ValueError(f"S1, S2 and S3 diverge at even t={t} on even L={grid.side}")
     N = grid.vertex_count
-    cos, count = mode_orbits(grid)
-    cos_t = cos**t
-    one_minus = 1.0 - cos_t
+    x, count = orbit_measure(grid, t)
+    one_minus = 1.0 - x
     # math.fsum reads a list of floats faster than an array
     S1 = math.fsum((count / one_minus).tolist())
     S2 = math.fsum((count / one_minus**2).tolist())
-    S3 = math.fsum((count * (1.0 + cos_t) / one_minus).tolist())
-    lower = math.fsum((count / (1.0 - cos)).tolist()) / t
+    S3 = math.fsum((count * (1.0 + x) / one_minus).tolist())
+    lower = math.fsum((count / (1.0 - mode_orbits(grid)[0])).tolist()) / t
 
     shells = np.arange(1, grid.side // 2 + 1)
     upper = 8.0 * math.fsum(shells / (1.0 - np.exp(-4.0 * shells**2 * t / N)))

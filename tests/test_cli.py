@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerwalk import cli, records, search
+from powerwalk import cli, records, search, sums
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -185,6 +185,16 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["szegedy", "--generator", "complete", "--seed", "3"],
         # Fewer random chains than sizes would leave sizes unchecked.
         ["szegedy", "--sizes", "2,3,4", "--chains", "2", "--k", "1"],
+        # Even t on an even side: the (L/2, L/2) orbit has cos^t phi = 1.
+        ["sums", "--sizes", "8", "--t", "2"],
+        ["sums", "--sizes", "2", "--t", "2"],
+        ["sums", "--sizes", "8", "--t", "4"],
+        # A threshold that is not a probability.
+        ["search", "--sizes", "9", "--t", "1", "--no-trajectory",
+         "--amplification-threshold", "nan"],
+        ["search", "--sizes", "9", "--t", "1", "--no-trajectory",
+         "--amplification-threshold", "5"],
+        ["tulsi", "--sizes", "9", "--amplification-threshold", "-0.1"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
@@ -206,7 +216,9 @@ def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
 )
 def test_grid_sums_once_per_instance(argv, capsys, monkeypatch):
     # The sum columns, the estimate and both overlap factors of a record (and,
-    # on tulsi, of its controlled run) all read one GridSums.
+    # on tulsi, of its controlled run) all read one GridSums, and the sums, the
+    # secular root and the trajectory of both models read one cos**t table.
+    sums.orbit_measure.cache_clear()
     calls = []
     grid_sums = search.grid_sums
 
@@ -221,6 +233,10 @@ def test_grid_sums_once_per_instance(argv, capsys, monkeypatch):
     rows = [line.split(",") for line in out.splitlines()[2:]]
     assert calls == [(int(row[0]), int(row[2])) for row in rows]
     assert len(calls) == len(set(calls)) == 6
+    # One cos**t pass per row, which each model of the row then reads.
+    models_per_row = 2 if argv[0] == "tulsi" else 1
+    info = sums.orbit_measure.cache_info()
+    assert (info.misses, info.hits) == (6, 6 * models_per_row)
 
 
 def test_search_command_columns(capsys):

@@ -38,6 +38,11 @@ def test_sums_positive_and_ordered():
 def test_rejects_bad_power():
     with pytest.raises(ValueError):
         grid_sums(TorusGrid(8), 0)
+    # Even t on an even side puts the (L/2, L/2) orbit at cos^t phi = 1.
+    for side, t in ((2, 2), (8, 2), (8, 4)):
+        with pytest.raises(ValueError, match="diverge"):
+            grid_sums(TorusGrid(side), t)
+    assert math.isfinite(grid_sums(TorusGrid(9), 2).S2)
 
 
 def test_band_at_log_schedule():
