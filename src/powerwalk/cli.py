@@ -41,7 +41,7 @@ from .search import (
     spectral_gap_power,
     success_probability,
 )
-from .sums import grid_sums
+from .sums import check_finite, grid_sums
 from .torus import DEFAULT_DENSE_BUDGET, TorusGrid
 from .tulsi import DELTA_POLICIES, tune_delta
 
@@ -507,7 +507,10 @@ def run_sums(config: ExperimentConfig) -> ScalingReport:
     tol = config.tolerances["identity"]
     bracketed = True
     identity_ok = True
-    for grid, t in config.grid_instances():
+    instances = config.grid_instances()
+    for grid, t in instances:  # refuse a divergent (L, t) before any work
+        check_finite(grid, t)
+    for grid, t in instances:
         gs = grid_sums(grid, t)
         bracketed = bracketed and gs.bracketed()
         identity_ok = identity_ok and gs.identity_residual() <= tol

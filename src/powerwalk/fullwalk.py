@@ -7,10 +7,12 @@ label states), the walk W_t = S_t C_t, and the marking oracle
 O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or a
 slab of states), and S_t, C_t, W_t also as dense matrices for small
 instances. W_t commutes with torus translations, so its eigendecomposition is
-taken one d^t x d^t momentum block at a time (``walk_spectrum``). It is the
-brute-force oracle that validates the spectral correspondence between W_t and
-the adjacency matrix, on every side and step count, and the reduced-space
-search engine built on it.
+taken one d^t x d^t momentum block at a time (``walk_spectrum``). Each block
+is a product of two reflections, the coin and a phased reversal of the path
+labels, and is diagonalised in closed form from that split, with no dense
+eigensolver. It is the brute-force oracle that validates the spectral
+correspondence between W_t and the adjacency matrix, on every side and step
+count, and the reduced-space search engine built on it.
 
 States are plain complex vectors indexed by vertex-major, then label sequence
 with g_1 as the most significant base-d digit.
@@ -22,7 +24,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .torus import (
     DEFAULT_DENSE_BUDGET,
@@ -116,12 +117,16 @@ def apply_shift(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     return state[_shift_permutation(grid, t)]
 
 
+def _reflect_blocks(blocks: np.ndarray) -> np.ndarray:
+    """2 mean - block along axis 1: the coin on (vertices, d^t, ...) blocks."""
+    return 2.0 * blocks.mean(axis=1, keepdims=True) - blocks
+
+
 def apply_coin(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     """Reflect each vertex block about its uniform label vector."""
     state = _check_state(grid, t, state)
     blocks = state.reshape((grid.vertex_count, DEGREE**t) + state.shape[1:])
-    mean = blocks.mean(axis=1, keepdims=True)
-    return (2.0 * mean - blocks).reshape(state.shape)
+    return _reflect_blocks(blocks).reshape(state.shape)
 
 
 def apply_walk(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
@@ -200,6 +205,67 @@ def projection_sum(grid: TorusGrid, t: int, state: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
+def _householder_complement(Q: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(Q) minus the unit vector Q a, for orthonormal
+    columns Q: the last columns of Q H, where the Householder reflection H
+    takes the coordinates a to a multiple of e_1 (one rank-one update)."""
+    v = a.copy()
+    v[0] += a[0] / abs(a[0]) if a[0] != 0 else 1.0
+    scale = 2.0 / float(np.sum(np.abs(v) ** 2))
+    return Q[:, 1:] - scale * (Q * v).sum(axis=1)[:, None] * np.conj(v[1:])
+
+
+def _reflection_split(
+    phase: np.ndarray, partner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvectors (columns) of B = M C, where
+    C = 2|u><u| - I is the coin (u uniform) and (M v)_g = phase_g v_r(g) is an
+    involution: r = ``partner`` pairs the labels, and phase_g phase_r(g) = 1.
+
+    M's +-1 eigenspaces E+- have the orthonormal bases (e_g +- conj(phase_g)
+    e_r(g))/sqrt(2), one per 2-cycle {g, r(g)}, and e_g for each fixed point
+    g of r, in the eigenspace of its phase. On E+- minus u+- = P+- u, C is -I,
+    so B = -M is -+1 there. On the plane of u+ and u-, with p = |u+| and
+    q = |u-|, B rotates by twice the angle atan2(q, p): (n+ +- i n-)/sqrt(2)
+    has eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. When u+ or u- is too short
+    for that pair to lie farther than REAL_EIGENVALUE_TOL from +-1, u is an
+    eigenvector of M itself and the plane collapses to that one vector.
+    """
+    d = phase.size
+    labels = np.arange(d)
+    lower = labels[labels < partner]  # one label per 2-cycle
+    fixed = labels[labels == partner]
+    j = np.arange(lower.size)
+    columns, values, plane, lengths = [], [], [], []
+    for sign in (1.0, -1.0):
+        ends = fixed[phase[fixed].real * sign > 0.0]
+        Q = np.zeros((d, lower.size + ends.size), dtype=complex)
+        Q[lower, j] = 2**-0.5
+        Q[partner[lower], j] = sign * 2**-0.5 * np.conj(phase[lower])
+        Q[ends, lower.size + np.arange(ends.size)] = 1.0
+        a = np.conj(Q).sum(axis=0) * d**-0.5  # coordinates of P u in Q
+        length = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+        lengths.append(length)
+        if 2.0 * length > REAL_EIGENVALUE_TOL:
+            a /= length
+            plane.append((Q * a).sum(axis=1))
+            Q = _householder_complement(Q, a)
+        columns.append(Q)
+        values.append(np.full(Q.shape[1], -sign, dtype=complex))
+    p, q = lengths
+    turn = (p + 1j * q) ** 2 / (p * p + q * q)
+    if len(plane) == 2:
+        n_plus, n_minus = plane
+        columns.append(
+            np.column_stack([n_plus + 1j * n_minus, n_plus - 1j * n_minus]) * 2**-0.5
+        )
+        values.append(np.array([turn, np.conj(turn)]))
+    else:
+        columns.append(plane[0][:, None])
+        values.append(np.array([turn]))
+    return np.concatenate(values), np.concatenate(columns, axis=1)
+
+
 @dataclass
 class WalkSpectrum:
     """Complete orthonormal eigendecomposition of W_t, one momentum block at a time.
@@ -207,27 +273,55 @@ class WalkSpectrum:
     W_t commutes with torus translations, so the plane waves
     |k> = N^{-1/2} sum_v e^{2 pi i k.v/L} |v> split it into N blocks of size
     d^t, one per momentum k = (k_x, k_y), numbered b = k_y L + k_x:
-    W_t (|k> (x) phi) = |k> (x) B_k phi. ``block_vectors[b]`` holds the
-    orthonormal eigenvectors of B_k as columns (from its complex Schur form,
-    so degenerate clusters are orthonormal too); eigenvector b d^t + j of W_t
-    is |k> (x) block_vectors[b][:, j]. ``eigenvalues``, ``kinds`` ('plus_one',
-    'minus_one' or 'complex') and ``projection_sums`` list the eigenvectors in
-    that order. ``slab(b)`` assembles one block's eigenvectors in the full
-    space; ``vectors`` assembles all dim^2 entries, for small instances only.
+    W_t (|k> (x) phi) = |k> (x) B_k phi. Each block is the product of two
+    reflections, B_k = M_k C (``walk_spectrum``), and ``block(b)`` builds its
+    orthonormal eigenvectors as columns from that split on demand; eigenvector
+    b d^t + j of W_t is |k> (x) block(b)[1][:, j]. ``eigenvalues``, ``kinds``
+    ('plus_one', 'minus_one' or 'complex') and ``projection_sums`` list the
+    eigenvectors in that order. ``slab(b)`` assembles one block's
+    eigenvectors in the full space; ``vectors`` assembles all dim^2 entries,
+    for small instances only.
     """
 
     grid: TorusGrid
     t: int
-    eigenvalues: np.ndarray
-    block_vectors: np.ndarray
-    kinds: list[str]
+    partner_label: np.ndarray  # r(g), vertex 0's block of the shift
+    partner_offset: np.ndarray  # (2, d^t): s(g) = (x, y) of the partner vertex
+    eigenvalues: np.ndarray = field(init=False)
+    kinds: list[str] = field(init=False)
     projection_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
-        # projection sum over the N vertices is |sum(phi)|^2 / d^t.
-        sums = self.block_vectors.sum(axis=1)
-        self.projection_sums = (np.abs(sums) ** 2).ravel() / DEGREE**self.t
+        N, d_t = self.grid.vertex_count, DEGREE**self.t
+        eigenvalues = np.empty((N, d_t), dtype=complex)
+        sums = np.empty((N, d_t))
+        for b in range(N):
+            eigenvalues[b], vecs = self.block(b)
+            # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
+            # projection sum over the N vertices is |sum(phi)|^2 / d^t.
+            sums[b] = np.abs(vecs.sum(axis=0)) ** 2 / d_t
+        self.eigenvalues = eigenvalues = eigenvalues.ravel()
+        self.projection_sums = sums.ravel()
+        self.kinds = np.where(
+            np.abs(eigenvalues - 1.0) <= REAL_EIGENVALUE_TOL,
+            "plus_one",
+            np.where(
+                np.abs(eigenvalues + 1.0) <= REAL_EIGENVALUE_TOL, "minus_one", "complex"
+            ),
+        ).tolist()
+
+    def block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors as columns) of momentum block b."""
+        L = self.grid.side
+        kx, ky = b % L, b // L
+        turns = (kx * self.partner_offset[0] + ky * self.partner_offset[1]) % L
+        # M_k^2 = I needs phase_g phase_r(g) = 1: k.(s(g) + s(r(g))) = 0 mod L
+        if ((turns + turns[self.partner_label]) % L).any():
+            raise RuntimeError(
+                f"momentum block {(kx, ky)}: the partner phases do not square "
+                "to the identity, so the block is not a product of reflections"
+            )
+        return _reflection_split(np.exp(2j * np.pi * turns / L), self.partner_label)
 
     def plane_wave(self, b: int) -> np.ndarray:
         """<v|k> for every vertex v, for the momentum of block b."""
@@ -236,12 +330,11 @@ class WalkSpectrum:
         y, x = np.divmod(np.arange(self.grid.vertex_count), L)
         return np.exp(2j * np.pi * ((kx * x + ky * y) % L) / L) / L
 
-    def slab(self, b: int) -> np.ndarray:
-        """The (dim, d^t) full-space eigenvectors of block b, as columns."""
-        wave = self.plane_wave(b)
-        return (wave[:, None, None] * self.block_vectors[b]).reshape(
-            -1, self.block_vectors.shape[2]
-        )
+    def slab(self, b: int, columns=slice(None)) -> np.ndarray:
+        """The (dim, d^t) full-space eigenvectors of block b, as columns, or
+        only the selected ``columns``."""
+        vecs = self.block(b)[1][:, columns]
+        return (self.plane_wave(b)[:, None, None] * vecs).reshape(-1, vecs.shape[1])
 
     @functools.cached_property
     def vectors(self) -> np.ndarray:
@@ -266,43 +359,26 @@ def walk_spectrum(
     The shift sends |v, g> to |v + s(g), r(g)>, where the partner offset s(g)
     and label r(g) do not depend on v; they are read off the first d^t
     entries of the shift permutation. Block k is therefore
-    B_k = diag(e^{2 pi i k.s(g)/L}) C[r, :], with C the d^t x d^t coin
-    2J/d^t - I. Each block is unitary, hence normal: its complex Schur form
-    is diagonal and the Schur basis is an orthonormal eigenbasis.
-    ``budget`` caps the full dimension N d^t.
+    B_k = M_k C: the coin C = 2|u><u| - I (u the uniform label vector) after
+    the phased path reversal (M_k v)_g = e^{2 pi i k.s(g)/L} v_r(g). The
+    shift is an involution, so r(r(g)) = g and s(r(g)) = -s(g) mod L, and
+    M_k^2 = I: both checks raise RuntimeError on failure. B_k is then
+    diagonalised exactly from the two reflections (``_reflection_split``):
+    a rotation by 2 arccos|P+ u| on the plane of u and M_k u, and -+1 on the
+    rest of M_k's +-1 eigenspaces. ``budget`` caps the full dimension N d^t.
     """
     dim = full_dim(grid, t)
     if dim > budget:
         raise ValueError(
             f"eigendecomposition of dimension {dim} exceeds budget {budget}"
         )
-    L, N, d_t = grid.side, grid.vertex_count, DEGREE**t
+    L, d_t = grid.side, DEGREE**t
     partner_vertex, partner_label = np.divmod(_shift_permutation(grid, t)[:d_t], d_t)
-    coin_rows = (2.0 / d_t - np.eye(d_t))[partner_label, :]
-    sx, sy = partner_vertex % L, partner_vertex // L
-    eigenvalues = np.empty((N, d_t), dtype=complex)
-    block_vectors = np.empty((N, d_t, d_t), dtype=complex)
-    for b in range(N):
-        kx, ky = b % L, b // L
-        phase = np.exp(2j * np.pi * ((kx * sx + ky * sy) % L) / L)
-        T, Z = scipy.linalg.schur(phase[:, None] * coin_rows, output="complex")
-        off = float(np.abs(np.triu(T, 1)).max(initial=0.0))
-        if off > 1e-7:
-            raise RuntimeError(
-                f"Schur form of momentum block {(kx, ky)} is not numerically "
-                f"diagonal; max off-diagonal {off:.3e}"
-            )
-        eigenvalues[b] = np.diag(T)
-        block_vectors[b] = Z
-    eigenvalues = eigenvalues.ravel()
-    kinds = np.where(
-        np.abs(eigenvalues - 1.0) <= REAL_EIGENVALUE_TOL,
-        "plus_one",
-        np.where(
-            np.abs(eigenvalues + 1.0) <= REAL_EIGENVALUE_TOL, "minus_one", "complex"
-        ),
-    ).tolist()
-    return WalkSpectrum(grid, t, eigenvalues, block_vectors, kinds)
+    if not np.array_equal(partner_label[partner_label], np.arange(d_t)):
+        raise RuntimeError("the shift's partner labels are not an involution")
+    return WalkSpectrum(
+        grid, t, partner_label, np.stack([partner_vertex % L, partner_vertex // L])
+    )
 
 
 def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
@@ -345,6 +421,24 @@ def _path_component_dev(grid: TorusGrid, t: int, vectors, eigenvalues, i, j) -> 
     return float(max(np.abs(plus).max(), np.abs(minus).max()))
 
 
+def _translation_dev(grid: TorusGrid, t: int) -> float:
+    """Largest |W T X - T W X| of the matrix-free walk over the two generator
+    translations T of the torus, on a fixed random 2-column probe X: zero
+    exactly when W_t commutes with translations (with probability one)."""
+    rng = np.random.default_rng(0)
+    shape = (full_dim(grid, t), 2)
+    probe = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    walked = apply_walk(grid, t, probe)
+    layout = (grid.side, grid.side, DEGREE**t, 2)  # y, x, labels, columns
+    dev = 0.0
+    for axis in (0, 1):
+        moved_probe = np.roll(probe.reshape(layout), 1, axis=axis).reshape(shape)
+        moved_walk = np.roll(walked.reshape(layout), 1, axis=axis).reshape(shape)
+        defect = apply_walk(grid, t, moved_probe) - moved_walk
+        dev = max(dev, float(np.abs(defect).max()))
+    return dev
+
+
 @dataclass
 class CorrespondenceReport:
     """Numerical verdicts for the walk/adjacency spectral correspondence."""
@@ -383,9 +477,12 @@ def correspondence_report(
     """Run every full-space spectral check on one (grid, t) instance.
 
     Verifies, against the block eigendecomposition of W_t:
-      - every eigenpair is one of the actual operator: the matrix-free W_t
-        applied to each block's full-space eigenvectors gives
-        max |W Phi - lambda Phi| (the eigenpair residual),
+      - every eigenpair is one of the actual operator (the eigenpair
+        residual): the matrix-free W_t commutes with both generator
+        translations on a random probe, so each full-space eigenvector Phi,
+        a plane wave, has |W Phi - lambda Phi| equal at every vertex, and
+        W Phi is compared with lambda Phi on vertex 0's rows; the residual is
+        the larger of the commutation defect and that row deviation,
       - the non-real eigenphase multiset equals {+-arccos(cos^t phi_k)},
       - the count of non-real eigenvectors is 2 #{k : |cos phi_k| < 1}, so the
         invariant subspace (the uniform state plus every non-real eigenvector)
@@ -399,10 +496,10 @@ def correspondence_report(
         [cos^t phi_k = +1] and [cos^t phi_k = -1] (the real weight),
       - the path-basis component formulas.
 
-    These hold on every side and step count. The residual and the component
-    formulas read the eigenvectors one (dim, d^t) block slab at a time, and
-    every other check reads the block data; no dim x dim or dim x N array is
-    formed.
+    These hold on every side and step count. The residual reads one d^t x d^t
+    block of eigenvectors at a time, the component formulas each block's
+    (dim, 2) slab of non-real eigenvectors, and every other check the block
+    data; no dim x dim or dim x N array is formed.
     """
     spec = walk_spectrum(grid, t, budget=budget)
     N, d_t = grid.vertex_count, DEGREE**t
@@ -449,21 +546,27 @@ def correspondence_report(
         weight = np.where(kinds == kind, sums, 0.0).sum(axis=1)
         real_dev = max(real_dev, float(np.max(np.abs(weight - (ends == end)))))
 
-    residual = 0.0
+    # Once the walk commutes with translations, it maps each plane wave
+    # |k> (x) phi to one of the same k, so |W Phi - lambda Phi| is equal at
+    # every vertex. Vertex 0's rows of W Phi are C Phi read at the shift
+    # partners of its labels: the coin of phi at each source vertex.
+    residual = _translation_dev(grid, t)
+    source_vertex, source_label = np.divmod(_shift_permutation(grid, t)[:d_t], d_t)
     component_dev = 0.0
     pairs = _path_pairs(grid, t)
     for b in range(N):
         block = slice(b * d_t, (b + 1) * d_t)
-        slab = spec.slab(b)
         values = spec.eigenvalues[block]
-        residual = max(
-            residual, float(np.abs(apply_walk(grid, t, slab) - slab * values).max())
-        )
+        vecs = spec.block(b)[1]
+        wave = spec.plane_wave(b)
+        coined = _reflect_blocks(vecs[None])[0]
+        walked = wave[source_vertex, None] * coined[source_label]
+        residual = max(residual, float(np.abs(walked - wave[0] * vecs * values).max()))
         cols = nonreal_mask[block]
         if cols.any():
             component_dev = max(
                 component_dev,
-                _path_component_dev(grid, t, slab[:, cols], values[cols], *pairs),
+                _path_component_dev(grid, t, spec.slab(b, cols), values[cols], *pairs),
             )
 
     return CorrespondenceReport(

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .sums import GridSums, grid_sums, orbit_measure
 from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
@@ -202,44 +201,56 @@ def alpha_estimate(model: SpectralModel) -> float:
 
 def compute_alpha(model: SpectralModel) -> tuple[float, float]:
     """(alpha_exact, alpha_estimate): the exact smallest nonzero eigenphase of
-    U_t, and the closed form, which places its bracket and tolerance.
+    U_t, and the closed form, which starts the root search.
 
     U_t restricted to the invariant subspace is a diagonal unitary times a
     rank-one reflection (Bunch, Nielsen & Sorensen 1978); its coupled
     eigenphases solve sum_j |T_j|^2 cot((alpha - theta_j)/2) = 0. Each +-phi
     pair combines into 2 sin(alpha) / (x - cos alpha), x = cos phi, and the
-    pi mode's term is -tan(alpha/2). The function is strictly decreasing on (0, phi_1)
-    with a sign change, so the principal eigenphase is that interval's
-    unique root.
+    pi mode's term is -tan(alpha/2):
+
+        f(alpha) = a0^2(delta) cot(alpha/2) - sin^2(delta) tan(alpha/2)
+                   + 2 cos^2(delta) sin(alpha) sum w / (x - cos alpha)
+
+    f falls strictly from +inf to -inf on (0, phi_1), so the principal
+    eigenphase is that interval's unique root. Newton steps from the estimate
+    find it, each one pass over the orbits that also yields f' from
+    sum w / (x - cos alpha)^2; a step that would leave the bracket of known
+    signs bisects it instead.
     """
     est = alpha_estimate(model)
     x, weights = model.distinct_phases
     c2 = math.cos(model.delta) ** 2
-    weights = weights * c2
     a02 = model.a0**2 * c2
     api2 = math.sin(model.delta) ** 2
-    # One buffer for all brentq evaluations: fresh temporaries each page-fault.
+    # Two buffers for every evaluation: fresh temporaries each page-fault.
+    gaps = np.empty_like(x)
     terms = np.empty_like(x)
-
-    def f(alpha: float) -> float:
-        np.divide(weights, np.subtract(x, math.cos(alpha), out=terms), out=terms)
-        return (
-            a02 / math.tan(alpha / 2.0)
-            + 2.0 * math.sin(alpha) * float(np.sum(terms))
-            - api2 * math.tan(alpha / 2.0)
-        )
-
-    # Bracket strictly below the smallest node of f, where f decreases from
-    # +inf to -inf.
-    hi = model.phi1 * (1.0 - 1e-9)
-    lo = min(est, hi) * 1e-2
-    for _ in range(40):
-        if f(lo) > 0.0:
-            break
-        lo *= 1e-2
-    else:
-        raise RuntimeError("failed to bracket the principal eigenphase")
-    return float(brentq(f, lo, hi, xtol=est * 1e-13, rtol=1e-14)), est
+    lo, hi = 0.0, model.phi1
+    alpha = min(est, 0.5 * hi)  # the estimate, kept inside the bracket
+    for _ in range(100):
+        cos, sin = math.cos(alpha), math.sin(alpha)
+        half_tan = math.tan(alpha / 2.0)
+        np.subtract(x, cos, out=gaps)
+        np.divide(weights, gaps, out=terms)
+        S = float(np.sum(terms))
+        S2 = float(np.sum(np.divide(terms, gaps, out=terms)))
+        f = a02 / half_tan + 2.0 * c2 * sin * S - api2 * half_tan
+        # cot(a/2)' = -cot(a/2)/sin(a) and tan(a/2)' = tan(a/2)/sin(a)
+        df = 2.0 * c2 * (cos * S - sin * sin * S2) - (
+            a02 / half_tan + api2 * half_tan
+        ) / sin
+        step = -f / df
+        if f > 0.0:
+            lo = alpha
+        elif f < 0.0:
+            hi = alpha
+        if abs(step) <= 1e-14 * alpha:  # quadratic: alpha + step is then exact
+            return alpha + step, est
+        alpha += step
+        if not lo < alpha < hi:
+            alpha = 0.5 * (lo + hi)
+    raise RuntimeError("principal eigenphase root did not converge")
 
 
 def reduced_operator(model: SpectralModel) -> np.ndarray:

@@ -62,12 +62,17 @@ def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     return x, count
 
 
-def grid_sums(grid: TorusGrid, t: int) -> GridSums:
-    """Evaluate S1, S2, S3 and the S1 bracket by exact summation over orbits."""
+def check_finite(grid: TorusGrid, t: int) -> None:
+    """Raise ValueError unless the sums of (L, t) are finite."""
     if t < 1:
         raise ValueError(f"power must be >= 1, got {t}")
     if t % 2 == 0 and grid.side % 2 == 0:  # the (L/2, L/2) orbit has x = 1
         raise ValueError(f"S1, S2 and S3 diverge at even t={t} on even L={grid.side}")
+
+
+def grid_sums(grid: TorusGrid, t: int) -> GridSums:
+    """Evaluate S1, S2, S3 and the S1 bracket by exact summation over orbits."""
+    check_finite(grid, t)
     N = grid.vertex_count
     x, count = orbit_measure(grid, t)
     one_minus = 1.0 - x

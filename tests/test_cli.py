@@ -189,6 +189,8 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["sums", "--sizes", "8", "--t", "2"],
         ["sums", "--sizes", "2", "--t", "2"],
         ["sums", "--sizes", "8", "--t", "4"],
+        # ... refused before the odd side ahead of it is summed.
+        ["sums", "--sizes", "9,8", "--t", "2"],
         # A threshold that is not a probability.
         ["search", "--sizes", "9", "--t", "1", "--no-trajectory",
          "--amplification-threshold", "nan"],
@@ -200,6 +202,10 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "iterate_search", lambda model, Q: calls.append(model))
+    grid_sums = cli.grid_sums
+    monkeypatch.setattr(
+        cli, "grid_sums", lambda grid, t: calls.append((grid, t)) or grid_sums(grid, t)
+    )
     code, out, err = run_cli(argv, capsys)
     assert (code, out, calls) == (2, "", [])
     [line] = err.splitlines()
@@ -483,3 +489,36 @@ def test_command_contract(command, capsys):
         .replace("T_VALUES", t_values)
     )
     assert config.canonical_json() == expected
+
+
+SCIPY_FREE = """
+import contextlib, io, json, sys
+from powerwalk import cli
+
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test oracle only: importing the CLI loads none of it, and one
+    # small run of every subcommand succeeds where importing it would fail.
+    argvs = [[name, *CONTRACT[name][0]] for name in sorted(cli.COMMANDS)]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"loaded": [], "codes": [0] * len(argvs)}

@@ -181,7 +181,7 @@ def test_projection_sums():
     assert np.max(np.abs(spec.projection_sums[mask] - 0.5)) <= 1e-9
     psi = uniform_superposition(grid, 1)
     assert projection_sum(grid, 1, psi) == pytest.approx(1.0, abs=1e-12)
-    # The Schur basis is arbitrary inside the degenerate +-1 eigenspaces, so
+    # The block basis is arbitrary inside the degenerate +-1 eigenspaces, so
     # test the basis-free totals: the +1 eigenspace meets span{psi_u} exactly
     # in the uniform state (total weight 1), the -1 eigenspace not at all.
     plus = sum(
@@ -282,19 +282,63 @@ def test_block_spectrum_matches_dense_schur():
                 assert total == pytest.approx(sums[kinds == kind].sum(), abs=1e-9)
 
 
+# Largest dimension at which the eigenbasis is checked against the dense W_t.
+DENSE_CHECK_DIM = 1600
+
+
 def test_block_vectors_are_an_orthonormal_eigenbasis():
-    grid = TorusGrid(4)
-    spec = walk_spectrum(grid, 2)
-    V = spec.vectors
-    assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[0]))) <= 1e-12
-    assert np.max(np.abs(walk_matrix(grid, 2) @ V - V * spec.eigenvalues)) <= 1e-12
-    assert np.array_equal(V[:, 16:32], spec.slab(1))
+    # Blocks of different momenta are orthogonal plane waves, so the basis is
+    # orthonormal when every block's is. At (9, 5) the blocks are 1024 x 1024:
+    # the k = 0 block (u is a +1 eigenvector of M_k), and two generic ones.
+    cases = [(side, t) for side in range(2, 10) for t in (1, 2, 3)] + [(9, 5)]
+    for side, t in cases:
+        grid = TorusGrid(side)
+        spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+        d_t = 4**t
+        blocks = (0, 1, 40) if t == 5 else range(grid.vertex_count)
+        for b in blocks:
+            values, vecs = spec.block(b)
+            assert np.array_equal(values, spec.eigenvalues[b * d_t : (b + 1) * d_t])
+            gram = vecs.conj().T @ vecs
+            assert np.max(np.abs(gram - np.eye(d_t))) <= 1e-12, (side, t, b)
+        if full_dim(grid, t) <= DENSE_CHECK_DIM:
+            V = spec.vectors
+            residual = walk_matrix(grid, t) @ V - V * spec.eigenvalues
+            assert np.max(np.abs(residual)) <= 1e-12, (side, t)
+    spec = walk_spectrum(TorusGrid(4), 2)
+    assert np.array_equal(spec.vectors[:, 16:32], spec.slab(1))
+
+
+def test_walk_spectrum_refuses_a_shift_that_is_not_two_reflections(monkeypatch):
+    build = fullwalk._shift_permutation
+
+    def rotated_labels(grid, t):
+        # Cycle three partners of vertex 0: r(r(g)) = g fails.
+        perm = build(grid, t).copy()
+        perm[[0, 1, 2]] = perm[[1, 2, 0]]
+        return perm
+
+    def moved_partner(grid, t):
+        # Move the partner of label 0 one vertex along x: r stays an
+        # involution, but s(r(g)) = -s(g) fails and with it M_k^2 = I.
+        perm = build(grid, t).copy()
+        vertex, label = divmod(int(perm[0]), 4**t)
+        y, x = divmod(vertex, grid.side)
+        perm[0] = (y * grid.side + (x + 1) % grid.side) * 4**t + label
+        return perm
+
+    for corrupted, match in ((rotated_labels, "involution"), (moved_partner, "square")):
+        monkeypatch.setattr(fullwalk, "_shift_permutation", corrupted)
+        for t in (1, 2, 3):
+            with pytest.raises(RuntimeError, match=match):
+                walk_spectrum(TorusGrid(5), t)
 
 
 def test_correspondence_report_beyond_dense_sizes():
-    # dim 5184 and 7744: past the dense route, one 64x64 block per momentum.
-    for side in (9, 11):
-        rep = correspondence_report(TorusGrid(side), 3, budget=10_000)
+    # dim 5184, 7744 and 14400: past the dense route, one 64x64 block per
+    # momentum.
+    for side in (9, 11, 15):
+        rep = correspondence_report(TorusGrid(side), 3, budget=15_000)
         assert rep.passed(1e-9), rep
         assert rep.invariant_dim == 2 * side * side - 1
         assert rep.eigenpair_residual <= 1e-12

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from powerwalk import fullwalk
 from powerwalk.search import (
@@ -19,6 +20,7 @@ from powerwalk.search import (
 )
 from powerwalk.sums import GridSums
 from powerwalk.torus import TorusGrid
+from powerwalk.tulsi import DELTA_POLICIES, tune_delta
 
 
 def test_nearest_odd():
@@ -146,6 +148,51 @@ def test_alpha_methods_agree():
             dense = dense_alpha(model)
             secular = compute_alpha(model)[0]
             assert secular == pytest.approx(dense, abs=1e-10)
+
+
+def brentq_alpha(model):
+    """The secular root by scipy's brentq, the oracle for compute_alpha: on
+    (lo, phi1 (1 - 1e-9)), lo moved down until f(lo) > 0, to xtol est 1e-13
+    and rtol 1e-14."""
+    est = alpha_estimate(model)
+    x, weights = model.distinct_phases
+    c2 = math.cos(model.delta) ** 2
+    weights = weights * c2
+    a02 = model.a0**2 * c2
+    api2 = math.sin(model.delta) ** 2
+
+    def f(alpha):
+        terms = weights / (x - math.cos(alpha))
+        return (
+            a02 / math.tan(alpha / 2.0)
+            + 2.0 * math.sin(alpha) * float(np.sum(terms))
+            - api2 * math.tan(alpha / 2.0)
+        )
+
+    hi = model.phi1 * (1.0 - 1e-9)
+    lo = min(est, hi) * 1e-2
+    while f(lo) <= 0.0:
+        lo *= 1e-2
+    return brentq(f, lo, hi, xtol=est * 1e-13, rtol=1e-14)
+
+
+def test_alpha_matches_brentq_on_the_sweep():
+    # Plain search (--delta-policy fixed at its default delta 0) and every
+    # tuned policy, at t = 1 and t = nearest-odd(ln N).
+    for side in (17, 33, 65, 129, 257):
+        grid = TorusGrid(side)
+        for t in sorted({1, nearest_odd(math.log(grid.vertex_count))}):
+            base = build_model(grid, t)
+            models = [base]
+            for policy in DELTA_POLICIES:
+                if policy == "original-tulsi" and t != 1:
+                    continue  # tune_delta refuses it
+                models.append(build_model(grid, t, tune_delta(base, policy)))
+            for model in models:
+                exact = compute_alpha(model)[0]
+                assert exact == pytest.approx(brentq_alpha(model), rel=1e-13, abs=0.0), (
+                    side, t, model.delta
+                )
 
 
 def _refine_peak(traj, q_star):
