@@ -330,10 +330,9 @@ class WalkSpectrum:
         y, x = np.divmod(np.arange(self.grid.vertex_count), L)
         return np.exp(2j * np.pi * ((kx * x + ky * y) % L) / L) / L
 
-    def slab(self, b: int, columns=slice(None)) -> np.ndarray:
-        """The (dim, d^t) full-space eigenvectors of block b, as columns, or
-        only the selected ``columns``."""
-        vecs = self.block(b)[1][:, columns]
+    def slab(self, b: int) -> np.ndarray:
+        """The (dim, d^t) full-space eigenvectors of block b, as columns."""
+        vecs = self.block(b)[1]
         return (self.plane_wave(b)[:, None, None] * vecs).reshape(-1, vecs.shape[1])
 
     @functools.cached_property
@@ -564,9 +563,10 @@ def correspondence_report(
         residual = max(residual, float(np.abs(walked - wave[0] * vecs * values).max()))
         cols = nonreal_mask[block]
         if cols.any():
+            slab = (wave[:, None, None] * vecs[:, cols]).reshape(-1, int(cols.sum()))
             component_dev = max(
                 component_dev,
-                _path_component_dev(grid, t, spec.slab(b, cols), values[cols], *pairs),
+                _path_component_dev(grid, t, slab, values[cols], *pairs),
             )
 
     return CorrespondenceReport(

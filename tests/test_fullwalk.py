@@ -287,9 +287,10 @@ DENSE_CHECK_DIM = 1600
 
 
 def test_block_vectors_are_an_orthonormal_eigenbasis():
-    # Blocks of different momenta are orthogonal plane waves, so the basis is
-    # orthonormal when every block's is. At (9, 5) the blocks are 1024 x 1024:
-    # the k = 0 block (u is a +1 eigenvector of M_k), and two generic ones.
+    # Every block's basis is checked on its own; where the dense W_t fits, the
+    # full-space basis, plane waves included, is checked as well. At (9, 5)
+    # the blocks are 1024 x 1024: the k = 0 block (u is a +1 eigenvector of
+    # M_k), and two generic ones.
     cases = [(side, t) for side in range(2, 10) for t in (1, 2, 3)] + [(9, 5)]
     for side, t in cases:
         grid = TorusGrid(side)
@@ -303,6 +304,8 @@ def test_block_vectors_are_an_orthonormal_eigenbasis():
             assert np.max(np.abs(gram - np.eye(d_t))) <= 1e-12, (side, t, b)
         if full_dim(grid, t) <= DENSE_CHECK_DIM:
             V = spec.vectors
+            gram = V.conj().T @ V
+            assert np.max(np.abs(gram - np.eye(V.shape[0]))) <= 1e-12, (side, t)
             residual = walk_matrix(grid, t) @ V - V * spec.eigenvalues
             assert np.max(np.abs(residual)) <= 1e-12, (side, t)
     spec = walk_spectrum(TorusGrid(4), 2)
