@@ -37,7 +37,6 @@ from .search import (
     nearest_odd,
     overlap_ws,
     overlap_wt,
-    spectral_gap_power,
     success_probability,
 )
 from .sums import GridSums, grid_sums
@@ -53,6 +52,7 @@ from .szegedy import (
     nontrivial_eigenphases,
     query_cost,
     random_symmetric_chain,
+    spectral_gap,
     walk_apply,
 )
 

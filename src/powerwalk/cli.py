@@ -5,8 +5,7 @@ Subcommands:
   search           reduced-engine size sweeps with query accounting
   tulsi            controlled-search sweeps over the delta schedule
   sums             grid eigenphase sums and their bracketing bounds
-  szegedy          Markov-chain quantization checks
-  gap              spectral-gap powering table
+  szegedy          Markov-chain quantization and gap-powering checks
 
 Every subcommand is one entry of ``COMMANDS``: its record columns and a run
 function that fills a ScalingReport; it accepts only the flags that run reads.
@@ -38,7 +37,6 @@ from .search import (
     compute_alpha,
     iterate_search,
     nearest_odd,
-    spectral_gap_power,
     success_probability,
 )
 from .sums import check_finite, grid_sums
@@ -65,7 +63,6 @@ class ExperimentConfig:
     log_c: float = 1.0
     delta_policy: str = "original-tulsi"  # fixed | optimal-qo | balanced | original-tulsi
     delta: float = 0.0
-    marked: tuple[int, int] = (0, 0)
     out: str | None = None
     format: str = "csv"
     seed: int = 0
@@ -74,7 +71,6 @@ class ExperimentConfig:
     k_values: tuple[int, ...] = (1, 2, 3)
     generator: str = "random"
     chain_csv: str | None = None
-    g_values: tuple[float, ...] = (0.5, 0.1, 0.01)
     trajectory: bool = True
     rounding: str = "floor"
     amplification_threshold: float = 0.25
@@ -100,12 +96,9 @@ class ExperimentConfig:
         raise ValueError(f"unknown t schedule {self.t_schedule!r}")
 
     def grid_instances(self) -> list[tuple[TorusGrid, int]]:
-        """Every (grid, t) of the sweep, in order. The marked vertex and every
-        step count are checked first, so a bad one is refused before any work."""
+        """Every (grid, t) of the sweep, in order. Every step count is checked
+        first, so a bad one is refused before any work."""
         grids = [TorusGrid(side) for side in self.sizes]
-        for grid in grids:
-            if not grid.contains(self.marked):
-                raise ValueError(f"marked vertex {self.marked} outside grid")
         instances = [(grid, t) for grid in grids for t in self.schedule_for(grid.side)]
         if not instances:
             raise ValueError("--sizes and --t leave no (L, t) instance to run")
@@ -129,20 +122,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-
-
-def _vertex(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"marked vertex must be 'x,y', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         "before any check runs",
     )
     walk_flags(p)
-    p.add_argument("--marked", type=_vertex, help="'x,y'")
-    p.set_defaults(sizes=(5,), t_values=(1, 3))
+    p.set_defaults(sizes=(5,))  # t_values: config_from_args
 
     p = sub.add_parser(
         "search",
@@ -273,15 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
         "szegedy",
         help="Markov-chain quantization checks",
         description="Builds multi-step quantized walks for symmetric chains, "
-        "checking the discriminant power law and the nontrivial-subspace "
-        "eigenphase correspondence with the powered chain's walk.",
+        "checking the discriminant power law, the nontrivial-subspace "
+        "eigenphase correspondence with the powered chain's walk, and gap "
+        "powering: the gap of a symmetric matrix is 1 minus its second-largest "
+        "|eigenvalue| (counted with multiplicity; 0 for a bipartite or "
+        "disconnected chain), measured on M and on M^k.",
     )
     output_flags(p)
     dense_flags(
         p,
-        ("discriminant", "eigenphase"),
+        ("discriminant",),
         "largest Szegedy walk dimension N^(k+1) to build densely; "
         "larger (chain, k) pairs are skipped",
+    )
+    p.add_argument(
+        "--tol-eigenphase",
+        type=float,
+        help="tolerance for the eigenphase and gap_k = 1-(1-gap)^k checks "
+        f"(default {DEFAULT_TOLERANCES['eigenphase']:g})",
     )
     p.add_argument("--sizes", type=_int_list, help="chain sizes N")
     p.add_argument(
@@ -290,22 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, help="number of random chains")
     p.add_argument("--generator", choices=("random", *NAMED_CHAINS))
     p.add_argument("--chain-csv", help="load one chain from an NxN CSV grid")
-
-    p = sub.add_parser(
-        "gap",
-        help="spectral-gap powering table",
-        description="g_t = 1 - (1-g)^t at t = ceil(1/g) (or --t).",
-    )
-    output_flags(p)
-    p.add_argument("--g", dest="g_values", metavar="G", type=_float_list)
-    p.add_argument(
-        "--t",
-        dest="t_values",
-        metavar="T",
-        type=_int_list,
-        help="overrides t = ceil(1/g)",
-    )
-    p.set_defaults(t_values=())
 
     # --help of each subcommand that writes records lists their columns.
     for name, (columns, _) in COMMANDS.items():
@@ -327,6 +298,11 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ValueError("--amplification-threshold must lie in [0, 1]")
     if "delta" in values and values.get("delta_policy") != "fixed":
         raise ValueError("--delta needs --delta-policy fixed")
+    schedule = values.get("t_schedule", "fixed")
+    if "log_c" in values and schedule == "fixed":
+        raise ValueError("--log-c needs --t-schedule log-n or sweep")
+    if "t_values" in values and schedule != "fixed":
+        raise ValueError("--t needs --t-schedule fixed")
     if "chain_csv" in values:
         ignored = [k for k in ("sizes", "generator", "chains", "seed") if k in values]
         if ignored:
@@ -336,16 +312,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError("--chains and --seed are read only by --generator random")
     if values["command"] == "szegedy" and "chain_csv" not in values:
         values.setdefault("sizes", (2, 3, 4))  # the generated chains' sizes
+    if values["command"] == "verify-spectrum":
+        # Not a parser default, which would read as --t given off the fixed schedule.
+        values.setdefault("t_values", (1, 3))
     values["tolerances"] = {
         name: getattr(args, f"tol_{name}", tol) for name, tol in DEFAULT_TOLERANCES.items()
     }
     return ExperimentConfig(**values)
 
 
-def _unitarity_deviation(
-    grid: TorusGrid, t: int, marked: tuple[int, int], seed: int, trials: int = 8
-) -> float:
-    """Largest norm / involution defect of S_t, C_t, W_t, O_t on random states."""
+def _unitarity_deviation(grid: TorusGrid, t: int, seed: int, trials: int = 8) -> float:
+    """Largest norm / involution defect of S_t, C_t, W_t, O_t on random states.
+    The oracle marks (1, 1), a vertex of every grid: the overlap law of the
+    correspondence report already shows that the vertex does not matter."""
+    marked = (1, 1)
     rng = np.random.default_rng(seed)
     dim = fullwalk.full_dim(grid, t)
     worst = 0.0
@@ -380,7 +360,7 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
             )
     all_ok = True
     for grid, t in instances:
-        unitarity_dev = _unitarity_deviation(grid, t, config.marked, config.seed)
+        unitarity_dev = _unitarity_deviation(grid, t, config.seed)
         report = fullwalk.correspondence_report(grid, t, budget=config.budget)
         ok = report.passed(tol) and unitarity_dev <= unitarity_tol
         all_ok = all_ok and ok
@@ -586,6 +566,8 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
                 "discriminant_error": disc_err,
                 "eigenphase_error": eig_err,
                 "query_cost": szegedy.query_cost(walk),
+                "gap": szegedy.spectral_gap(chain.matrix),
+                "gap_k": szegedy.spectral_gap(powered),
             }
         )
     report.checks[f"discriminant error <= {disc_tol:g}"] = disc_ok
@@ -593,29 +575,10 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
     report.checks["query_cost = 4k"] = all(
         r["query_cost"] == 4 * r["k"] for r in report.records
     )
-    return report
-
-
-def run_gap(config: ExperimentConfig) -> ScalingReport:
-    report = ScalingReport()
-    target = 1.0 - math.exp(-1.0) - 0.05
-    if not config.g_values:
-        raise ValueError("--g must name at least one spectral gap")
-    if len(config.t_values) > len(config.g_values):
-        raise ValueError(
-            f"--t has {len(config.t_values)} entries but --g only "
-            f"{len(config.g_values)}"
-        )
-    for g in config.g_values:
-        if not 0.0 < g <= 1.0:
-            raise ValueError(f"spectral gap must lie in (0, 1], got {g}")
-    check = "g_t >= 1 - 1/e - 0.05 at t = ceil(1/g)"
-    for i, g in enumerate(config.g_values):
-        t = config.t_values[i] if i < len(config.t_values) else math.ceil(1.0 / g)
-        g_t = spectral_gap_power(g, t)
-        if t == math.ceil(1.0 / g):  # rows that --t moved off ceil(1/g) are not checked
-            report.checks[check] = report.checks.get(check, True) and g_t >= target
-        report.records.append({"g": g, "t": t, "g_t": g_t})
+    report.checks[f"gap_k = 1-(1-gap)^k within {eig_tol:g}"] = all(
+        abs(r["gap_k"] - (1.0 - (1.0 - r["gap"]) ** r["k"])) <= eig_tol
+        for r in report.records
+    )
     return report
 
 
@@ -628,7 +591,6 @@ COMMANDS = {
     "tulsi": (records.TULSI_COLUMNS, run_tulsi),
     "sums": (records.SUMS_COLUMNS, run_sums),
     "szegedy": (records.SZEGEDY_COLUMNS, run_szegedy),
-    "gap": (records.GAP_COLUMNS, run_gap),
 }
 
 

@@ -389,34 +389,22 @@ def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
     return np.sort(np.concatenate([phases, -phases]))
 
 
-def _path_pairs(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices (i, S_t i) of every length-t path, one per pair with
-    i < S_t i. The shift permutation is the powered rotation map on indices;
-    for even t its fixed points (paths that double back) are skipped."""
-    perm = _shift_permutation(grid, t)
-    lower = np.flatnonzero(np.arange(perm.size) < perm)
-    return lower, perm[lower]
-
-
-def _path_component_dev(grid: TorusGrid, t: int, vectors, eigenvalues, i, j) -> float:
-    """Largest deviation of the measured <Phi|p+->, over the paths between
-    basis states i and j = S_t i (index arrays), from the closed forms driven
-    by the vertex overlaps a_u of each eigenvector Phi in the columns of
-    ``vectors``, with non-real eigenvalue e^{i phi}:
+def _path_component_dev(t: int, phi_i, phi_j, a_u, a_v, eigenvalues) -> float:
+    """Largest deviation of the measured <Phi|p+->, over paths between basis
+    states i and j = S_t i (one row each), from the closed forms driven by the
+    vertex overlaps a_u and a_v of i's and j's vertices, for eigenvectors Phi
+    (one column each) with non-real eigenvalue e^{i phi}; ``phi_i`` and
+    ``phi_j`` hold the entries Phi_i and Phi_j:
 
         <Phi|p+> = sqrt(2/d^t) (a_u + a_v) / (1 + e^{-i phi})
         <Phi|p-> = sqrt(2/d^t) (a_u - a_v) / (1 - e^{-i phi})
 
     where |p+-> = (|i> +- |j>)/sqrt(2) are the +-1 eigenvectors of the shift.
     """
-    d_t = DEGREE**t
-    a = vertex_overlaps(grid, t, vectors)
-    a_u, a_v = a[i // d_t], a[j // d_t]
-    cvec = np.conj(vectors)
-    scale = (2.0 / d_t) ** 0.5
+    scale = (2.0 / DEGREE**t) ** 0.5
     conj_ev = np.conj(eigenvalues)
-    plus = (cvec[i] + cvec[j]) * 2**-0.5 - scale * (a_u + a_v) / (1.0 + conj_ev)
-    minus = (cvec[i] - cvec[j]) * 2**-0.5 - scale * (a_u - a_v) / (1.0 - conj_ev)
+    plus = np.conj(phi_i + phi_j) * 2**-0.5 - scale * (a_u + a_v) / (1.0 + conj_ev)
+    minus = np.conj(phi_i - phi_j) * 2**-0.5 - scale * (a_u - a_v) / (1.0 - conj_ev)
     return float(max(np.abs(plus).max(), np.abs(minus).max()))
 
 
@@ -493,12 +481,13 @@ def correspondence_report(
         a +-1 eigenvector when cos^t phi_k = +-1 and otherwise splits between
         two non-real ones: its weight on the +1 and -1 eigenvectors is
         [cos^t phi_k = +1] and [cos^t phi_k = -1] (the real weight),
-      - the path-basis component formulas.
+      - the path-basis component formulas, on the paths that start at vertex
+        0: a path's deviation has the same modulus at every vertex, since
+        translating it multiplies both ends of a plane wave by one phase.
 
-    These hold on every side and step count. The residual reads one d^t x d^t
-    block of eigenvectors at a time, the component formulas each block's
-    (dim, 2) slab of non-real eigenvectors, and every other check the block
-    data; no dim x dim or dim x N array is formed.
+    These hold on every side and step count. The residual and the component
+    formulas read one d^t x d^t block of eigenvectors at a time, and every
+    other check the block data; no dim x dim or dim x N array is formed.
     """
     spec = walk_spectrum(grid, t, budget=budget)
     N, d_t = grid.vertex_count, DEGREE**t
@@ -548,11 +537,14 @@ def correspondence_report(
     # Once the walk commutes with translations, it maps each plane wave
     # |k> (x) phi to one of the same k, so |W Phi - lambda Phi| is equal at
     # every vertex. Vertex 0's rows of W Phi are C Phi read at the shift
-    # partners of its labels: the coin of phi at each source vertex.
+    # partners of its labels: the coin of phi at each source vertex. The same
+    # partners end the paths from vertex 0; a path that ends where it starts
+    # (even t) is its own partner and has no p- component, so it is skipped.
     residual = _translation_dev(grid, t)
-    source_vertex, source_label = np.divmod(_shift_permutation(grid, t)[:d_t], d_t)
+    source = _shift_permutation(grid, t)[:d_t]
+    source_vertex, source_label = np.divmod(source, d_t)
+    paths = np.flatnonzero(source != np.arange(d_t))
     component_dev = 0.0
-    pairs = _path_pairs(grid, t)
     for b in range(N):
         block = slice(b * d_t, (b + 1) * d_t)
         values = spec.eigenvalues[block]
@@ -563,11 +555,16 @@ def correspondence_report(
         residual = max(residual, float(np.abs(walked - wave[0] * vecs * values).max()))
         cols = nonreal_mask[block]
         if cols.any():
-            slab = (wave[:, None, None] * vecs[:, cols]).reshape(-1, int(cols.sum()))
-            component_dev = max(
-                component_dev,
-                _path_component_dev(grid, t, slab, values[cols], *pairs),
+            # Phi = |k> (x) phi at |0, g> and at its partner |s(g), r(g)>, and
+            # the vertex overlaps a_u = conj(<u|k>) conj(sum(phi)) / 2^t there.
+            phi = vecs[:, cols]
+            near, far = wave[0], wave[source_vertex[paths], None]
+            overlap = np.conj(phi.sum(axis=0)) * d_t**-0.5
+            dev = _path_component_dev(
+                t, near * phi[paths], far * phi[source_label[paths]],
+                np.conj(near) * overlap, np.conj(far) * overlap, values[cols],
             )
+            component_dev = max(component_dev, dev)
 
     return CorrespondenceReport(
         grid=grid,

@@ -62,12 +62,8 @@ SZEGEDY_COLUMNS = {
     "discriminant_error": "max |A_k^T B_k - M^k|",
     "eigenphase_error": "max deviation between nontrivial eigenphase multisets",
     "query_cost": "state-preparation queries per walk step (4k per unit)",
-}
-
-GAP_COLUMNS = {
-    "g": "spectral gap of the base graph",
-    "t": GRID_COLUMNS["t"],
-    "g_t": "powered spectral gap 1-(1-g)^t",
+    "gap": "spectral gap of M: 1 - second-largest |eigenvalue|",
+    "gap_k": "spectral gap of M^k, measured on M^k",
 }
 
 

@@ -332,12 +332,3 @@ def success_probability(
     rounds = math.ceil(1.0 / math.sqrt(p_s)) if p_s < amplification_threshold else 0
     Q_O = (rounds + 1) * Q
     return SearchResult(Q, p_s, rounds, Q_O, model.t * Q_O)
-
-
-def spectral_gap_power(g: float, t: int) -> float:
-    """Spectral gap of the t-th graph power: g_t = 1 - (1 - g)^t."""
-    if not 0.0 < g <= 1.0:
-        raise ValueError(f"spectral gap must lie in (0, 1], got {g}")
-    if t < 1:
-        raise ValueError(f"power must be >= 1, got {t}")
-    return 1.0 - (1.0 - g) ** t

@@ -6,7 +6,8 @@ reflections about the ranges of the isometries A (amplitudes sqrt(M_ij) on
 with path-product amplitudes sqrt(M_{i j_1} ... M_{j_{k-1} j_k}); its
 discriminant A_k^dagger B_k equals M^k, so the multi-step walk acts like the
 walk of the powered chain on its nontrivial subspace while costing only 4kQ
-state-preparation queries per step.
+state-preparation queries per step. Its spectral form is gap powering: the
+gap of M^k is 1 - (1 - g)^k, with g the gap of M (``spectral_gap``).
 
 Registers are serialized leftmost-most-significant.
 """
@@ -107,6 +108,13 @@ def random_symmetric_chain(
 def load_chain_csv(path) -> MarkovChain:
     """Read an N x N numeric grid as a transition matrix."""
     return MarkovChain(np.loadtxt(path, delimiter=",", ndmin=2))
+
+
+def spectral_gap(matrix: np.ndarray) -> float:
+    """1 - the second-largest |eigenvalue| of a symmetric matrix, counted with
+    multiplicity: 0 for a bipartite or disconnected chain, 1 for one state."""
+    moduli = np.sort(np.abs(np.linalg.eigvalsh(matrix)))
+    return 1.0 - float(moduli[-2]) if moduli.size > 1 else 1.0
 
 
 def register_reversal(n: int, k: int) -> np.ndarray:

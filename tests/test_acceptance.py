@@ -18,7 +18,6 @@ from powerwalk.search import (
     compute_alpha,
     iterate_search,
     nearest_odd,
-    spectral_gap_power,
     success_probability,
 )
 from powerwalk.sums import grid_sums
@@ -357,17 +356,31 @@ def test_criterion_09_markov_quantization():
 
 
 def test_criterion_10_spectral_gap_powering():
+    # The gap of M^k, measured on M^k itself, against 1-(1-g)^k from the gap
+    # of M: on the random chains of criterion 9, and on lazy cycles at
+    # k = ceil(1/g), where the powered gap also clears 1 - 1/e - 0.05.
+    rng = np.random.default_rng(2024)
+    chains = [szegedy.random_symmetric_chain((2, 3, 4)[i % 3], rng) for i in range(20)]
+    cases = [(chain, k) for chain in chains for k in (1, 2, 3)]
+    for n in (5, 7, 9):
+        chain = szegedy.lazy_chain(szegedy.cycle_chain(n))
+        cases.append((chain, math.ceil(1.0 / szegedy.spectral_gap(chain.matrix))))
+    worst = 0.0
+    powered = []
+    for chain, k in cases:
+        g = szegedy.spectral_gap(chain.matrix)
+        g_k = szegedy.spectral_gap(np.linalg.matrix_power(chain.matrix, k))
+        worst = max(worst, abs(g_k - (1.0 - (1.0 - g) ** k)))
+        powered.append(g_k)
+    lazy = [(chain.size, k, g_k) for (chain, k), g_k in zip(cases[-3:], powered[-3:])]
     floor = 1.0 - math.exp(-1.0) - 0.05
-    values = {}
-    ok = True
-    for g in (0.5, 0.1, 0.01):
-        t = math.ceil(1.0 / g)
-        values[g] = spectral_gap_power(g, t)
-        ok = ok and values[g] >= floor
+    ok = worst <= 1e-9 and min(g_k for _, _, g_k in lazy) >= floor
     report(
         10,
-        "g_t = 1-(1-g)^t >= 1 - 1/e - 0.05 at t = ceil(1/g) "
-        "for g in {0.5, 0.1, 0.01}",
+        "measured gap of M^k = 1-(1-g)^k (1e-9) for the 20 random chains of "
+        "criterion 9, k in {1,2,3}, and the lazy cycles n in {5,7,9} at "
+        "k = ceil(1/g), whose measured g_k >= 1 - 1/e - 0.05",
         ok,
-        ", ".join(f"g={g}: {v:.3f}" for g, v in values.items()),
+        f"dev {worst:.2e}, "
+        + ", ".join(f"n={n} k={k}: g_k={g_k:.3f}" for n, k, g_k in lazy),
     )

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerwalk import cli, records, search, sums
+from powerwalk import cli, records, search, sums, szegedy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,12 +23,12 @@ def run_cli(argv, capsys):
 def test_config_round_trips_to_canonical_json():
     parser = cli.build_parser()
     args = parser.parse_args(
-        ["verify-spectrum", "--sizes", "5,9", "--t", "1,3", "--marked", "1,2"]
+        ["verify-spectrum", "--sizes", "5,9", "--t", "1,3", "--seed", "4"]
     )
     config = cli.config_from_args(args)
     text = config.canonical_json()
     data = json.loads(text)
-    assert (data["sizes"], data["t_values"], data["marked"]) == ([5, 9], [1, 3], [1, 2])
+    assert (data["sizes"], data["t_values"], data["seed"]) == ([5, 9], [1, 3], 4)
     # Every field is in the JSON: the config it builds writes the same JSON.
     assert cli.ExperimentConfig(**data).canonical_json() == text
 
@@ -68,11 +69,11 @@ def test_scaling_report_slope_gate():
 
 
 def test_csv_header_and_columns(capsys):
-    code, out, err = run_cli(["gap"], capsys)
+    code, out, err = run_cli(["sums", "--sizes", "8,16,32"], capsys)
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "# powerwalk v1"
-    assert lines[1] == "g,t,g_t"
+    assert lines[1] == "L,N,t,S1,S2,S3,lower,upper"
     assert len(lines) == 5
 
 
@@ -96,8 +97,8 @@ def test_json_output_nests_sums(capsys):
 
 
 def test_out_file(tmp_path, capsys):
-    path = tmp_path / "gap.csv"
-    code, out, _ = run_cli(["gap", "--out", str(path)], capsys)
+    path = tmp_path / "sums.csv"
+    code, out, _ = run_cli(["sums", "--sizes", "8", "--out", str(path)], capsys)
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("# powerwalk v1\n")
@@ -171,12 +172,10 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["tulsi", "--sizes", ""],
         ["sums", "--sizes", ""],
         ["verify-spectrum", "--sizes", ""],
-        ["gap", "--g", ""],
         ["szegedy", "--chains", "0"],
         ["szegedy", "--generator", "cycle", "--sizes", "2"],
         ["szegedy", "--sizes", "9", "--k", "4"],  # every pair over budget
         ["tulsi", "--sizes", "9", "--delta", "0.3"],  # --delta needs fixed
-        ["gap", "--g", "0.5", "--t", "1,2,3"],  # more step counts than gaps
         ["szegedy", "--generator", "cycle", "--sizes", "2,5", "--k", "1"],
         ["szegedy", "--generator", "lazy-cycle", "--sizes", "2,5", "--k", "1"],
         # Only the random generator reads --chains and --seed.
@@ -197,6 +196,10 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["search", "--sizes", "9", "--t", "1", "--no-trajectory",
          "--amplification-threshold", "5"],
         ["tulsi", "--sizes", "9", "--amplification-threshold", "-0.1"],
+        # A sweep flag that the step-count schedule would ignore.
+        ["search", "--sizes", "9", "--t", "1", "--log-c", "2"],
+        ["search", "--sizes", "9", "--log-c", "-1"],
+        ["search", "--sizes", "9", "--t", "3", "--t-schedule", "log-n"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
@@ -297,19 +300,6 @@ def test_sums_command_exit_and_band(capsys):
     assert "check lower <= S1 <= upper: pass" in err
 
 
-def test_gap_with_explicit_t(capsys):
-    code, out, err = run_cli(["gap", "--g", "0.5", "--t", "3"], capsys)
-    assert code == 0
-    row = out.splitlines()[2].split(",")
-    assert float(row[2]) == pytest.approx(1 - 0.5**3)
-    assert err == ""  # no row sits at t = ceil(1/g), so nothing is checked
-    # g_t = 0.5 at t = 1 is below the target, but t = 1 is not ceil(1/0.5).
-    code, out, err = run_cli(["gap", "--g", "0.5,0.1", "--t", "1"], capsys)
-    assert code == 0
-    assert out.splitlines()[2:] == ["0.5,1,0.5", "0.1,10,0.6513215599"]
-    assert err == "check g_t >= 1 - 1/e - 0.05 at t = ceil(1/g): pass\n"
-
-
 def test_szegedy_generator_cycle(capsys):
     code, out, err = run_cli(
         ["szegedy", "--generator", "cycle", "--sizes", "3,4", "--k", "1,2"], capsys
@@ -317,6 +307,39 @@ def test_szegedy_generator_cycle(capsys):
     assert code == 0
     assert "check" in err
     assert len(out.splitlines()) == 2 + 4
+
+
+def test_gap_powering_checked_on_every_generator(capsys):
+    # The verify-dense argv of the benchmark, then each named generator.
+    argvs = [["--sizes", "2,3,4,5,6,7,8", "--k", "1,2,3", "--chains", "40", "--seed", "1"]]
+    argvs += [["--generator", name, "--sizes", "3,4,5"] for name in cli.NAMED_CHAINS]
+    for argv in argvs:
+        code, out, err = run_cli(["szegedy", *argv], capsys)
+        assert code == 0, argv
+        assert out.splitlines()[1].endswith(",query_cost,gap,gap_k")
+        assert "check gap_k = 1-(1-gap)^k within 1e-09: pass\n" in err
+
+
+def test_gap_powering_check_can_fail(capsys, monkeypatch):
+    # The gap of M^2 shifted by 1e-6 breaks the k = 2 row; k = 1 reads M only.
+    base = szegedy.cycle_chain(5).matrix
+    gap = szegedy.spectral_gap
+    monkeypatch.setattr(
+        szegedy,
+        "spectral_gap",
+        lambda m: gap(m) + (0.0 if np.array_equal(m, base) else 1e-6),
+    )
+    code, out, err = run_cli(
+        ["szegedy", "--generator", "cycle", "--sizes", "5", "--k", "1,2"], capsys
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "check gap_k = 1-(1-gap)^k within 1e-09: FAIL"
+    assert err.count(": pass\n") == 3
+    (g1, g1_k), (g2, g2_k) = [
+        [float(v) for v in row.split(",")[-2:]] for row in out.splitlines()[2:]
+    ]
+    assert g1 == g1_k == g2 == pytest.approx(1 - math.cos(math.pi / 5), abs=1e-15)
+    assert g2_k - (1 - (1 - g2) ** 2) == pytest.approx(1e-6, abs=1e-12)
 
 
 def test_szegedy_chain_csv(tmp_path, capsys):
@@ -390,8 +413,8 @@ DEFAULT_CONFIG_JSON = (
     '{"amplification_threshold": 0.25, "budget": 4096, "chain_csv": null, '
     '"chains": 20, "command": "COMMAND", "delta": 0.0, '
     '"delta_policy": "original-tulsi", "format": "csv", '
-    '"g_values": [0.5, 0.1, 0.01], "generator": "random", "k_values": [1, 2, 3], '
-    '"log_c": 1.0, "marked": [0, 0], "out": null, "rounding": "floor", "seed": 0, '
+    '"generator": "random", "k_values": [1, 2, 3], '
+    '"log_c": 1.0, "out": null, "rounding": "floor", "seed": 0, '
     '"sizes": SIZES, "t_schedule": "fixed", "t_values": T_VALUES, '
     '"tolerances": {"discriminant": 1e-10, "eigenphase": 1e-09, '
     '"identity": 1e-09, "spectrum": 1e-09, "unitarity": 1e-12}, '
@@ -403,7 +426,7 @@ DEFAULT_CONFIG_JSON = (
 # before the first one runs.
 CONTRACT = {
     "verify-spectrum": (
-        ["--sizes", "3", "--t", "1", "--marked", "1,2"],
+        ["--sizes", "3", "--t", "1", "--seed", "2"],
         ["--sizes", "5,3", "--t", "1,5"],
         "[5]",
         "[1, 3]",
@@ -432,15 +455,13 @@ CONTRACT = {
         "[2, 3, 4]",
         "[1]",
     ),
-    "gap": (["--g", "0.5,0.1"], ["--g", "0.5,0"], "[]", "[]"),
 }
 
 
 # Each subcommand accepts exactly the flags its run reads.
 WALK = "--sizes --t --t-schedule --log-c"
 FLAGS = {
-    "verify-spectrum": f"--seed --budget --tol-spectrum --tol-unitarity {WALK} "
-    "--marked",
+    "verify-spectrum": f"--seed --budget --tol-spectrum --tol-unitarity {WALK}",
     "search": f"--out --format {WALK} --no-trajectory --rounding "
     "--amplification-threshold",
     "tulsi": f"--out --format {WALK} --delta --delta-policy --rounding "
@@ -448,7 +469,6 @@ FLAGS = {
     "sums": f"--out --format --tol-identity {WALK}",
     "szegedy": "--out --format --seed --budget --tol-discriminant --tol-eigenphase "
     "--sizes --k --chains --generator --chain-csv",
-    "gap": "--out --format --g --t",
 }
 
 

@@ -380,16 +380,70 @@ def test_correspondence_report_catches_a_wrong_shift(monkeypatch):
 def test_correspondence_report_catches_wrong_path_components(monkeypatch):
     # Vertex overlaps off by one part in 10^6 drive only the path-component
     # formulas: the eigenpairs stay exact and the component check must fail.
-    overlaps = fullwalk.vertex_overlaps
+    component_dev = fullwalk._path_component_dev
     monkeypatch.setattr(
         fullwalk,
-        "vertex_overlaps",
-        lambda grid, t, state: overlaps(grid, t, state) * (1 + 1e-6),
+        "_path_component_dev",
+        lambda t, phi_i, phi_j, a_u, a_v, ev: component_dev(
+            t, phi_i, phi_j, a_u * (1 + 1e-6), a_v * (1 + 1e-6), ev
+        ),
     )
     rep = correspondence_report(TorusGrid(5), 3)
     assert not rep.passed(1e-9)
     assert rep.component_dev > 1e-9
     assert rep.eigenpair_residual <= 1e-12
+
+
+def all_paths_component_dev(grid, t):
+    """The path-component deviation read on every path of the full space,
+    from each block's (dim, 2) slab of non-real eigenvectors: the oracle for
+    the report, which reads the paths that start at vertex 0 only."""
+    spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+    d_t = 4**t
+    perm = fullwalk.shift_permutation(grid, t)
+    i = np.flatnonzero(np.arange(perm.size) < perm)  # one index per path pair
+    j = perm[i]
+    nonreal = spec.nonreal_mask().reshape(grid.vertex_count, d_t)
+    dev = 0.0
+    for b, cols in enumerate(nonreal):
+        if not cols.any():
+            continue
+        vecs = spec.block(b)[1][:, cols]
+        slab = (spec.plane_wave(b)[:, None, None] * vecs).reshape(-1, vecs.shape[1])
+        conj_ev = np.conj(spec.eigenvalues[b * d_t : (b + 1) * d_t][cols])
+        a = vertex_overlaps(grid, t, slab)
+        a_u, a_v = a[i // d_t], a[j // d_t]
+        cvec = np.conj(slab)
+        scale = (2.0 / d_t) ** 0.5
+        plus = (cvec[i] + cvec[j]) * 2**-0.5 - scale * (a_u + a_v) / (1.0 + conj_ev)
+        minus = (cvec[i] - cvec[j]) * 2**-0.5 - scale * (a_u - a_v) / (1.0 - conj_ev)
+        dev = max(dev, np.abs(plus).max(), np.abs(minus).max())
+    return dev
+
+
+def test_component_check_reads_vertex_zero_paths_only(monkeypatch):
+    # A path's deviation has the same modulus at every vertex, so the paths
+    # from vertex 0 give the all-paths maximum. Exact eigenvectors leave both
+    # at rounding level. Row g of every block's eigenvectors scaled by
+    # 1 + eps w_g, with w_g a fixed random weight per path label, lifts both
+    # to about 1e-7 at eps = 1e-6, differently on each path from one vertex,
+    # so every one of them must be read for the maxima to agree.
+    split = fullwalk._reflection_split
+    cases = [(side, t, eps) for side in range(2, 8) for t in (1, 2, 3)
+             for eps in (0.0, 1e-6)]
+    for side, t, eps in cases + [(9, 5, 1e-6)]:
+
+        def perturbed(phase, partner, eps=eps):
+            values, vecs = split(phase, partner)
+            w = np.random.default_rng(phase.size).uniform(size=phase.size)
+            return values, vecs * (1 + eps * w[:, None])
+
+        monkeypatch.setattr(fullwalk, "_reflection_split", perturbed)
+        grid = TorusGrid(side)
+        rep = correspondence_report(grid, t, budget=full_dim(grid, t))
+        oracle = all_paths_component_dev(grid, t)
+        assert abs(rep.component_dev - oracle) <= 1e-13, (side, t, eps)
+        assert (oracle > 1e-9) == (eps > 0.0), (side, t, eps)
 
 
 @settings(max_examples=20, deadline=None)

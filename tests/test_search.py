@@ -15,10 +15,9 @@ from powerwalk.search import (
     overlap_ws,
     overlap_wt,
     phase_rotation,
-    spectral_gap_power,
     success_probability,
 )
-from powerwalk.sums import GridSums
+from powerwalk.sums import GridSums, orbit_measure
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import DELTA_POLICIES, tune_delta
 
@@ -195,6 +194,42 @@ def test_alpha_matches_brentq_on_the_sweep():
                 )
 
 
+def mpmath_alpha(model, mpmath):
+    """The secular root at 40 digits by mpmath.findroot, the high-precision
+    oracle for compute_alpha: the orbit measure's x and exact weights
+    count/(2N), on the bracket (alpha_estimate/100, phi1 (1 - 1e-9))."""
+    x, count = orbit_measure(model.grid, model.t)
+    n = model.grid.vertex_count
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        ws = [mpmath.mpf(int(c)) / (2 * n) for c in count]
+        delta = mpmath.mpf(model.delta)
+        c2, api2 = mpmath.cos(delta) ** 2, mpmath.sin(delta) ** 2
+
+        def f(alpha):
+            cos = mpmath.cos(alpha)
+            total = mpmath.fsum(w / (xv - cos) for xv, w in zip(xs, ws))
+            half_tan = mpmath.tan(alpha / 2)
+            return c2 / n / half_tan - api2 * half_tan + 2 * c2 * mpmath.sin(alpha) * total
+
+        lo = mpmath.mpf(alpha_estimate(model)) / 100
+        hi = mpmath.acos(max(xs)) * (1 - mpmath.mpf("1e-9"))
+        return float(mpmath.findroot(f, (lo, hi), solver="anderson"))
+
+
+def test_alpha_matches_mpmath_root():
+    mpmath = pytest.importorskip("mpmath")
+    for side in (17, 65, 257):
+        grid = TorusGrid(side)
+        for t in sorted({1, nearest_odd(math.log(grid.vertex_count))}):
+            base = build_model(grid, t)
+            for model in (base, build_model(grid, t, tune_delta(base, "balanced"))):
+                exact = compute_alpha(model)[0]
+                assert exact == pytest.approx(
+                    mpmath_alpha(model, mpmath), rel=1e-14, abs=0.0
+                ), (side, t, model.delta)
+
+
 def _refine_peak(traj, q_star):
     """Three-point parabolic refinement of a discrete argmax."""
     if 0 < q_star < traj.size - 1:
@@ -369,13 +404,3 @@ def test_monotone_benefit_of_t():
                 assert p >= 0.9 * previous
             previous = p
 
-
-def test_spectral_gap_power():
-    assert spectral_gap_power(1.0, 7) == 1.0
-    assert spectral_gap_power(0.37, 1) == pytest.approx(0.37)
-    g_t = spectral_gap_power(0.01, 100)
-    assert g_t == pytest.approx(1 - math.exp(-1.0), rel=0.05)
-    with pytest.raises(ValueError):
-        spectral_gap_power(0.0, 3)
-    with pytest.raises(ValueError):
-        spectral_gap_power(0.5, 0)

@@ -19,6 +19,7 @@ from powerwalk.szegedy import (
     query_cost,
     random_symmetric_chain,
     register_reversal,
+    spectral_gap,
     walk_apply,
     walk_matrix,
 )
@@ -220,6 +221,23 @@ def test_generators():
     assert lazy.matrix[0, 0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         cycle_chain(2)
+
+
+def test_spectral_gap_closed_forms():
+    for n in (2, 3, 4, 7):  # eigenvalues 1 and -1/(n-1), n-1 times
+        assert spectral_gap(complete_chain(n).matrix) == pytest.approx(
+            1 - 1 / (n - 1), abs=1e-14
+        )
+    assert spectral_gap(cycle_chain(5).matrix) == pytest.approx(
+        1 - math.cos(math.pi / 5), abs=1e-14
+    )
+    assert spectral_gap(lazy_chain(cycle_chain(5)).matrix) == pytest.approx(
+        (1 - math.cos(2 * math.pi / 5)) / 2, abs=1e-14
+    )
+    # Bipartite: the eigenvalue -1 leaves no gap. Disconnected: a second 1.
+    assert spectral_gap(cycle_chain(6).matrix) == pytest.approx(0.0, abs=1e-14)
+    assert spectral_gap(np.eye(3)) == 0.0
+    assert spectral_gap(np.eye(1)) == 1.0  # one state: no second eigenvalue
 
 
 def test_csv_round_trip(tmp_path):
