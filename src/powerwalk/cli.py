@@ -72,8 +72,6 @@ class ExperimentConfig:
     generator: str = "random"
     chain_csv: str | None = None
     trajectory: bool = True
-    rounding: str = "floor"
-    amplification_threshold: float = 0.25
     tolerances: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_TOLERANCES)
     )
@@ -177,15 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--log-c", type=float, help="c in t = nearest-odd(c ln N)")
 
-    def accounting_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rounding", choices=("floor", "nearest"))
-        p.add_argument(
-            "--amplification-threshold",
-            type=float,
-            help="amplify when the analytic p_s estimate falls below this "
-            "(a probability in [0, 1])",
-        )
-
     p = sub.add_parser(
         "verify-spectrum",
         help="full-space spectral correspondence checks",
@@ -219,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="skip trajectory simulation (p_s column reports the estimate)",
     )
-    accounting_flags(p)
     p.set_defaults(sizes=(17, 33, 65, 129, 257))
 
     p = sub.add_parser(
@@ -233,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     walk_flags(p)
     p.add_argument("--delta", type=float, help="needs --delta-policy fixed")
     p.add_argument("--delta-policy", choices=("fixed",) + DELTA_POLICIES)
-    accounting_flags(p)
     p.set_defaults(sizes=(17, 33, 65, 129, 257))
 
     p = sub.add_parser(
@@ -294,8 +281,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     A flag given to a run that would ignore it is refused."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
-    if not 0.0 <= values.get("amplification_threshold", 0.0) <= 1.0:
-        raise ValueError("--amplification-threshold must lie in [0, 1]")
     if "delta" in values and values.get("delta_policy") != "fixed":
         raise ValueError("--delta needs --delta-policy fixed")
     schedule = values.get("t_schedule", "fixed")
@@ -391,12 +376,7 @@ def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: b
     """One search row: the secular root, the analytic accounting at its Q, the
     grid sums, and p_s, measured on the trajectory at Q or the analytic estimate."""
     alpha_exact, alpha_est = compute_alpha(model)
-    result = success_probability(
-        model,
-        alpha_exact,
-        rounding=config.rounding,
-        amplification_threshold=config.amplification_threshold,
-    )
+    result = success_probability(model, alpha_exact)
     return {
         "L": model.grid.side,
         "N": model.grid.vertex_count,
@@ -425,7 +405,7 @@ def run_search(config: ExperimentConfig) -> ScalingReport:
         r["lower"] <= r["S1"] <= r["upper"] for r in recs
     )
     one_t_per_size = len({r["L"] for r in recs}) == len(recs)
-    if one_t_per_size and len(recs) >= report.min_sizes_for_slope:
+    if one_t_per_size and len(recs) >= records.MIN_SIZES_FOR_SLOPE:
         ns = [r["N"] for r in recs]
         report.fit_slope(
             "Q_O/lnN vs N", ns, [r["Q_O"] / math.log(r["N"]) for r in recs]

@@ -4,15 +4,17 @@ The walk on the t-th graph power lives in the N*d^t dimensional space spanned
 by |vertex, g_1..g_t>. This module builds the shift S_t (permutation by the
 powered rotation map), the coin C_t (reflection about the per-vertex uniform
 label states), the walk W_t = S_t C_t, and the marking oracle
-O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or a
-slab of states), and S_t, C_t, W_t also as dense matrices for small
+O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or on
+several as columns), and S_t, C_t, W_t also as dense matrices for small
 instances. W_t commutes with torus translations, so its eigendecomposition is
-taken one d^t x d^t momentum block at a time (``walk_spectrum``). Each block
-is a product of two reflections, the coin and a phased reversal of the path
-labels, and is diagonalised in closed form from that split, with no dense
-eigensolver. It is the brute-force oracle that validates the spectral
-correspondence between W_t and the adjacency matrix, on every side and step
-count, and the reduced-space search engine built on it.
+taken one d^t x d^t momentum block at a time (``walk_spectrum``, a factory
+that builds a block when asked). Each block is a product of two reflections,
+the coin and a phased reversal of the path labels, and is diagonalised in
+closed form from that split, with no dense eigensolver.
+``correspondence_report`` builds every block once and runs all its checks on
+it: the brute-force oracle that validates the spectral correspondence between
+W_t and the adjacency matrix, on every side and step count, and the
+reduced-space search engine built on it.
 
 States are plain complex vectors indexed by vertex-major, then label sequence
 with g_1 as the most significant base-d digit.
@@ -21,7 +23,7 @@ with g_1 as the most significant base-d digit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -275,52 +277,21 @@ class WalkSpectrum:
     d^t, one per momentum k = (k_x, k_y), numbered b = k_y L + k_x:
     W_t (|k> (x) phi) = |k> (x) B_k phi. Each block is the product of two
     reflections, B_k = M_k C (``walk_spectrum``), and ``block(b)`` builds its
-    orthonormal eigenvectors as columns from that split on demand; eigenvector
-    b d^t + j of W_t is |k> (x) block(b)[1][:, j]. ``eigenvalues``, ``kinds``
-    ('plus_one', 'minus_one' or 'complex') and ``projection_sums`` list the
-    eigenvectors in that order. ``slab(b)`` assembles one block's
-    eigenvectors in the full space; ``vectors`` assembles all dim^2 entries,
-    for small instances only.
+    eigenvalues and orthonormal eigenvectors (columns) from that split anew on
+    each call; eigenvector b d^t + j of W_t is
+    ``plane_wave(b)`` (x) ``block(b)[1][:, j]``.
     """
 
     grid: TorusGrid
     t: int
     partner_label: np.ndarray  # r(g), vertex 0's block of the shift
     partner_offset: np.ndarray  # (2, d^t): s(g) = (x, y) of the partner vertex
-    eigenvalues: np.ndarray = field(init=False)
-    kinds: list[str] = field(init=False)
-    projection_sums: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        N, d_t = self.grid.vertex_count, DEGREE**self.t
-        eigenvalues = np.empty((N, d_t), dtype=complex)
-        sums = np.empty((N, d_t))
-        for b in range(N):
-            eigenvalues[b], vecs = self.block(b)
-            # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
-            # projection sum over the N vertices is |sum(phi)|^2 / d^t.
-            sums[b] = np.abs(vecs.sum(axis=0)) ** 2 / d_t
-        self.eigenvalues = eigenvalues = eigenvalues.ravel()
-        self.projection_sums = sums.ravel()
-        self.kinds = np.where(
-            np.abs(eigenvalues - 1.0) <= REAL_EIGENVALUE_TOL,
-            "plus_one",
-            np.where(
-                np.abs(eigenvalues + 1.0) <= REAL_EIGENVALUE_TOL, "minus_one", "complex"
-            ),
-        ).tolist()
 
     def block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors as columns) of momentum block b."""
         L = self.grid.side
         kx, ky = b % L, b // L
         turns = (kx * self.partner_offset[0] + ky * self.partner_offset[1]) % L
-        # M_k^2 = I needs phase_g phase_r(g) = 1: k.(s(g) + s(r(g))) = 0 mod L
-        if ((turns + turns[self.partner_label]) % L).any():
-            raise RuntimeError(
-                f"momentum block {(kx, ky)}: the partner phases do not square "
-                "to the identity, so the block is not a product of reflections"
-            )
         return _reflection_split(np.exp(2j * np.pi * turns / L), self.partner_label)
 
     def plane_wave(self, b: int) -> np.ndarray:
@@ -330,38 +301,21 @@ class WalkSpectrum:
         y, x = np.divmod(np.arange(self.grid.vertex_count), L)
         return np.exp(2j * np.pi * ((kx * x + ky * y) % L) / L) / L
 
-    def slab(self, b: int) -> np.ndarray:
-        """The (dim, d^t) full-space eigenvectors of block b, as columns."""
-        vecs = self.block(b)[1]
-        return (self.plane_wave(b)[:, None, None] * vecs).reshape(-1, vecs.shape[1])
-
-    @functools.cached_property
-    def vectors(self) -> np.ndarray:
-        """Every eigenvector as a dim x dim matrix of columns."""
-        return np.concatenate(
-            [self.slab(b) for b in range(self.grid.vertex_count)], axis=1
-        )
-
-    @property
-    def signed_phases(self) -> np.ndarray:
-        return np.angle(self.eigenvalues)
-
-    def nonreal_mask(self) -> np.ndarray:
-        return np.array(self.kinds) == "complex"
-
 
 def walk_spectrum(
     grid: TorusGrid, t: int, budget: int = DEFAULT_DENSE_BUDGET
 ) -> WalkSpectrum:
-    """Eigendecomposition of W_t from its N momentum blocks of size d^t.
+    """The eigendecomposition of W_t as a factory of its N momentum blocks of
+    size d^t (``WalkSpectrum.block``).
 
     The shift sends |v, g> to |v + s(g), r(g)>, where the partner offset s(g)
     and label r(g) do not depend on v; they are read off the first d^t
     entries of the shift permutation. Block k is therefore
     B_k = M_k C: the coin C = 2|u><u| - I (u the uniform label vector) after
     the phased path reversal (M_k v)_g = e^{2 pi i k.s(g)/L} v_r(g). The
-    shift is an involution, so r(r(g)) = g and s(r(g)) = -s(g) mod L, and
-    M_k^2 = I: both checks raise RuntimeError on failure. B_k is then
+    shift is an involution, so r(r(g)) = g and s(r(g)) = -s(g) mod L, which
+    makes M_k^2 = I for every k: both checks raise RuntimeError on failure,
+    before any block is built. B_k is then
     diagonalised exactly from the two reflections (``_reflection_split``):
     a rotation by 2 arccos|P+ u| on the plane of u and M_k u, and -+1 on the
     rest of M_k's +-1 eigenspaces. ``budget`` caps the full dimension N d^t.
@@ -375,9 +329,14 @@ def walk_spectrum(
     partner_vertex, partner_label = np.divmod(_shift_permutation(grid, t)[:d_t], d_t)
     if not np.array_equal(partner_label[partner_label], np.arange(d_t)):
         raise RuntimeError("the shift's partner labels are not an involution")
-    return WalkSpectrum(
-        grid, t, partner_label, np.stack([partner_vertex % L, partner_vertex // L])
-    )
+    offset = np.stack([partner_vertex % L, partner_vertex // L])
+    # M_k^2 = I needs phase_g phase_r(g) = 1: k.(s(g) + s(r(g))) = 0 mod L
+    if ((offset + offset[:, partner_label]) % L).any():
+        raise RuntimeError(
+            "the shift's partner offsets do not cancel, so the momentum blocks "
+            "do not square to the identity and are not products of reflections"
+        )
+    return WalkSpectrum(grid, t, partner_label, offset)
 
 
 def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
@@ -485,54 +444,18 @@ def correspondence_report(
         0: a path's deviation has the same modulus at every vertex, since
         translating it multiplies both ends of a plane wave by one phase.
 
-    These hold on every side and step count. The residual and the component
-    formulas read one d^t x d^t block of eigenvectors at a time, and every
-    other check the block data; no dim x dim or dim x N array is formed.
+    These hold on every side and step count. Each d^t x d^t block is built
+    once: the residual and the component formulas read its eigenvectors, and
+    its eigenvalues, their +-1 masks and its projection sums fill row b of the
+    (N, d^t) arrays that every other check reads. No dim x dim or dim x N
+    array is formed.
     """
     spec = walk_spectrum(grid, t, budget=budget)
     N, d_t = grid.vertex_count, DEGREE**t
-    nonreal_mask = spec.nonreal_mask()
-    idx = np.flatnonzero(nonreal_mask)
-    idx = idx[np.argsort(spec.signed_phases[idx])]
-
-    measured = spec.signed_phases[idx]
-    expected = expected_nonreal_phases(grid, t)
-    if measured.size == expected.size:
-        phase_dev = (
-            float(np.max(np.abs(measured - expected))) if measured.size else 0.0
-        )
-    else:
-        phase_dev = float("inf")
-
-    nonreal = int(idx.size)
-    cos = mode_cosines(grid)
-    interior = np.abs(cos) < 1.0 - 1e-12
-    expected_nonreal = 2 * int(np.count_nonzero(interior))
-
-    proj = spec.projection_sums[nonreal_mask]
-    proj_dev = float(np.max(np.abs(proj - 0.5))) if proj.size else 0.0
-
-    # A block eigenvector's vertex overlaps are a plane wave times
-    # conj(sum(phi))/2^t, so |<psi_m|Phi>|^2 = p/N at every vertex m, where p
-    # is its projection sum. The overlap law per cluster of equal non-real
-    # eigenvalues (basis-free) is then sum(p)/N = multiplicity/(2N).
-    overlap_dev = 0.0
-    if idx.size:
-        starts = np.flatnonzero(np.diff(measured, prepend=-np.inf) > 1e-8)
-        weight = np.add.reduceat(spec.projection_sums[idx], starts) / N
-        target = np.diff(starts, append=idx.size) / (2.0 * N)
-        overlap_dev = float(np.max(np.abs(weight - target)))
-
-    # The projection sum of a block eigenvector is its weight in the block's
-    # vertex-uniform vector; block b has the cos phi_k of mode b. ``ends``
-    # holds cos^t phi_k = +-1 where |cos phi_k| = 1, and 0 elsewhere.
-    kinds = np.array(spec.kinds).reshape(N, d_t)
-    sums = spec.projection_sums.reshape(N, d_t)
-    ends = np.where(interior, 0.0, np.rint(cos) ** t)
-    real_dev = 0.0
-    for kind, end in (("plus_one", 1.0), ("minus_one", -1.0)):
-        weight = np.where(kinds == kind, sums, 0.0).sum(axis=1)
-        real_dev = max(real_dev, float(np.max(np.abs(weight - (ends == end)))))
+    eigenvalues = np.empty((N, d_t), dtype=complex)
+    sums = np.empty((N, d_t))
+    plus = np.empty((N, d_t), dtype=bool)
+    minus = np.empty((N, d_t), dtype=bool)
 
     # Once the walk commutes with translations, it maps each plane wave
     # |k> (x) phi to one of the same k, so |W Phi - lambda Phi| is equal at
@@ -546,14 +469,18 @@ def correspondence_report(
     paths = np.flatnonzero(source != np.arange(d_t))
     component_dev = 0.0
     for b in range(N):
-        block = slice(b * d_t, (b + 1) * d_t)
-        values = spec.eigenvalues[block]
-        vecs = spec.block(b)[1]
+        values, vecs = spec.block(b)
+        eigenvalues[b] = values
+        # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
+        # projection sum over the N vertices is |sum(phi)|^2 / d^t.
+        sums[b] = np.abs(vecs.sum(axis=0)) ** 2 / d_t
         wave = spec.plane_wave(b)
         coined = _reflect_blocks(vecs[None])[0]
         walked = wave[source_vertex, None] * coined[source_label]
         residual = max(residual, float(np.abs(walked - wave[0] * vecs * values).max()))
-        cols = nonreal_mask[block]
+        plus[b] = np.abs(values - 1.0) <= REAL_EIGENVALUE_TOL
+        minus[b] = np.abs(values + 1.0) <= REAL_EIGENVALUE_TOL
+        cols = ~(plus[b] | minus[b])
         if cols.any():
             # Phi = |k> (x) phi at |0, g> and at its partner |s(g), r(g)>, and
             # the vertex overlaps a_u = conj(<u|k>) conj(sum(phi)) / 2^t there.
@@ -566,13 +493,52 @@ def correspondence_report(
             )
             component_dev = max(component_dev, dev)
 
+    nonreal = ~(plus | minus)
+    phases = np.angle(eigenvalues[nonreal])
+    order = np.argsort(phases)
+    measured = phases[order]
+    expected = expected_nonreal_phases(grid, t)
+    if measured.size == expected.size:
+        phase_dev = (
+            float(np.max(np.abs(measured - expected))) if measured.size else 0.0
+        )
+    else:
+        phase_dev = float("inf")
+
+    cos = mode_cosines(grid)
+    interior = np.abs(cos) < 1.0 - 1e-12
+    expected_nonreal = 2 * int(np.count_nonzero(interior))
+
+    proj = sums[nonreal]
+    proj_dev = float(np.max(np.abs(proj - 0.5))) if proj.size else 0.0
+
+    # A block eigenvector's vertex overlaps are a plane wave times
+    # conj(sum(phi))/2^t, so |<psi_m|Phi>|^2 = p/N at every vertex m, where p
+    # is its projection sum. The overlap law per cluster of equal non-real
+    # eigenvalues (basis-free) is then sum(p)/N = multiplicity/(2N).
+    overlap_dev = 0.0
+    if measured.size:
+        starts = np.flatnonzero(np.diff(measured, prepend=-np.inf) > 1e-8)
+        weight = np.add.reduceat(proj[order], starts) / N
+        target = np.diff(starts, append=measured.size) / (2.0 * N)
+        overlap_dev = float(np.max(np.abs(weight - target)))
+
+    # The projection sum of a block eigenvector is its weight in the block's
+    # vertex-uniform vector; block b has the cos phi_k of mode b. ``ends``
+    # holds cos^t phi_k = +-1 where |cos phi_k| = 1, and 0 elsewhere.
+    ends = np.where(interior, 0.0, np.rint(cos) ** t)
+    real_dev = 0.0
+    for mask, end in ((plus, 1.0), (minus, -1.0)):
+        weight = np.where(mask, sums, 0.0).sum(axis=1)
+        real_dev = max(real_dev, float(np.max(np.abs(weight - (ends == end)))))
+
     return CorrespondenceReport(
         grid=grid,
         t=t,
         phase_multiset_dev=phase_dev,
-        nonreal_count=nonreal,
+        nonreal_count=measured.size,
         expected_nonreal_count=expected_nonreal,
-        invariant_dim=1 + nonreal,
+        invariant_dim=1 + measured.size,
         expected_invariant_dim=1 + expected_nonreal,
         projection_sum_dev=proj_dev,
         overlap_law_dev=overlap_dev,

@@ -15,6 +15,9 @@ from typing import Any, Sequence
 
 CSV_VERSION_HEADER = "# powerwalk v1"
 
+# A size sweep fits a scaling slope only from this many sizes on.
+MIN_SIZES_FOR_SLOPE = 4
+
 # Each subcommand's record columns: name -> description, in output order.
 # The shared pieces below are written once; --help lists each mapping.
 GRID_COLUMNS = {
@@ -124,8 +127,7 @@ def band(values: Sequence[float]) -> dict[str, float]:
 class ScalingReport:
     """Per-size records plus fitted slope and band statistics.
 
-    A slope is only fitted when at least ``min_sizes_for_slope`` sizes are
-    present; the residual is reported, never silently asserted.
+    A fitted slope carries its residual: reported, never silently asserted.
     """
 
     records: list[dict] = field(default_factory=list)
@@ -133,11 +135,8 @@ class ScalingReport:
     bands: dict[str, dict[str, float]] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
 
-    min_sizes_for_slope: int = 4
-
     def fit_slope(self, name: str, xs: Sequence[float], ys: Sequence[float]) -> None:
-        if len(xs) >= self.min_sizes_for_slope:
-            self.slopes[name] = fit_loglog_slope(xs, ys)
+        self.slopes[name] = fit_loglog_slope(xs, ys)
 
     def add_band(self, name: str, values: Sequence[float]) -> None:
         self.bands[name] = band(values)

@@ -37,6 +37,9 @@ import numpy as np
 from .sums import GridSums, grid_sums, orbit_measure
 from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
 
+# Amplification rounds are budgeted when the p_s estimate falls below this.
+AMPLIFICATION_THRESHOLD = 0.25
+
 
 def nearest_odd(x: float) -> int:
     """Nearest odd integer to x (at least 1; ties go down)."""
@@ -303,32 +306,22 @@ def overlap_wt(model: SpectralModel) -> float:
     return min(1.0, total**-0.5) if total > 0.0 else 1.0
 
 
-def success_probability(
-    model: SpectralModel,
-    alpha: float,
-    rounding: str = "floor",
-    amplification_threshold: float = 0.25,
-) -> SearchResult:
+def success_probability(model: SpectralModel, alpha: float) -> SearchResult:
     """Analytic success probability and query accounting at Q = floor(pi/2a).
 
     ``alpha`` is the model's principal eigenphase (compute_alpha). p_s is the
     three-factor product cos^2(alpha) * ws^2 * wt^2. When it falls below
-    ``amplification_threshold``, ceil(1/sqrt(p_s)) amplification rounds are
+    AMPLIFICATION_THRESHOLD, ceil(1/sqrt(p_s)) amplification rounds are
     budgeted and Q_O = (rounds + 1) * Q; Q_G = t * Q_O always.
 
     This is the Theta(1)-constant estimate, not a bound: it can sit above the
     measured p_s (0.304 against 0.132 at L=257, t=1). A measured trajectory
     value (iterate_search) is the authoritative number on any one instance.
     """
-    if rounding == "floor":
-        Q = math.floor(math.pi / (2.0 * alpha))
-    elif rounding == "nearest":
-        Q = round(math.pi / (2.0 * alpha))
-    else:
-        raise ValueError(f"unknown rounding {rounding!r}")
+    Q = math.floor(math.pi / (2.0 * alpha))
     ws = overlap_ws(model, alpha)
     wt = overlap_wt(model)
     p_s = min(1.0, math.cos(alpha) ** 2 * ws**2 * wt**2)
-    rounds = math.ceil(1.0 / math.sqrt(p_s)) if p_s < amplification_threshold else 0
+    rounds = math.ceil(1.0 / math.sqrt(p_s)) if p_s < AMPLIFICATION_THRESHOLD else 0
     Q_O = (rounds + 1) * Q
     return SearchResult(Q, p_s, rounds, Q_O, model.t * Q_O)

@@ -60,10 +60,16 @@ def test_band_statistics():
     assert stats == {"min": 1.0, "max": 3.0, "ratio": 3.0}
 
 
-def test_scaling_report_slope_gate():
+def test_search_slope_needs_four_sizes(capsys):
+    # search fits its Q_O/lnN slope only from MIN_SIZES_FOR_SLOPE sizes on.
+    assert records.MIN_SIZES_FOR_SLOPE == 4
+    for sizes, fitted in (("9,13,17", False), ("9,13,17,21", True)):
+        code, _, err = run_cli(
+            ["search", "--sizes", sizes, "--t", "1", "--no-trajectory"], capsys
+        )
+        assert code == 0
+        assert ("slope Q_O/lnN vs N: " in err) == fitted, sizes
     rep = records.ScalingReport()
-    rep.fit_slope("x", [1, 2, 3], [1, 2, 3])
-    assert "x" not in rep.slopes  # fewer than 4 sizes
     rep.fit_slope("x", [1, 2, 4, 8], [1, 2, 4, 8])
     assert rep.slopes["x"][0] == pytest.approx(1.0)
 
@@ -190,12 +196,6 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["sums", "--sizes", "8", "--t", "4"],
         # ... refused before the odd side ahead of it is summed.
         ["sums", "--sizes", "9,8", "--t", "2"],
-        # A threshold that is not a probability.
-        ["search", "--sizes", "9", "--t", "1", "--no-trajectory",
-         "--amplification-threshold", "nan"],
-        ["search", "--sizes", "9", "--t", "1", "--no-trajectory",
-         "--amplification-threshold", "5"],
-        ["tulsi", "--sizes", "9", "--amplification-threshold", "-0.1"],
         # A sweep flag that the step-count schedule would ignore.
         ["search", "--sizes", "9", "--t", "1", "--log-c", "2"],
         ["search", "--sizes", "9", "--log-c", "-1"],
@@ -370,6 +370,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--format", "yaml"])
     assert exc.value.code == 2
+    # Retired flags are unknown: Q is always floor(pi/(2 alpha)), and the
+    # amplification threshold is search.AMPLIFICATION_THRESHOLD.
+    retired = (("--rounding", "floor"), ("--amplification-threshold", "0.25"))
+    for command in ("search", "tulsi"):
+        for flag, value in retired:
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--sizes", "9", flag, value])
+            assert exc.value.code == 2, (command, flag)
 
 
 TRACED_TULSI = """
@@ -410,11 +418,11 @@ def test_benchmark_tracer_wraps_engine():
 # The canonical config JSON of each subcommand's default argv, as pinned below:
 # only the command, sizes and t_values differ between subcommands.
 DEFAULT_CONFIG_JSON = (
-    '{"amplification_threshold": 0.25, "budget": 4096, "chain_csv": null, '
+    '{"budget": 4096, "chain_csv": null, '
     '"chains": 20, "command": "COMMAND", "delta": 0.0, '
     '"delta_policy": "original-tulsi", "format": "csv", '
     '"generator": "random", "k_values": [1, 2, 3], '
-    '"log_c": 1.0, "out": null, "rounding": "floor", "seed": 0, '
+    '"log_c": 1.0, "out": null, "seed": 0, '
     '"sizes": SIZES, "t_schedule": "fixed", "t_values": T_VALUES, '
     '"tolerances": {"discriminant": 1e-10, "eigenphase": 1e-09, '
     '"identity": 1e-09, "spectrum": 1e-09, "unitarity": 1e-12}, '
@@ -462,10 +470,8 @@ CONTRACT = {
 WALK = "--sizes --t --t-schedule --log-c"
 FLAGS = {
     "verify-spectrum": f"--seed --budget --tol-spectrum --tol-unitarity {WALK}",
-    "search": f"--out --format {WALK} --no-trajectory --rounding "
-    "--amplification-threshold",
-    "tulsi": f"--out --format {WALK} --delta --delta-policy --rounding "
-    "--amplification-threshold",
+    "search": f"--out --format {WALK} --no-trajectory",
+    "tulsi": f"--out --format {WALK} --delta --delta-policy",
     "sums": f"--out --format --tol-identity {WALK}",
     "szegedy": "--out --format --seed --budget --tol-discriminant --tol-eigenphase "
     "--sizes --k --chains --generator --chain-csv",

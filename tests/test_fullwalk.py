@@ -153,6 +153,41 @@ def test_uniform_state_is_walk_fixed_point():
     assert np.allclose(apply_walk(grid, 1, psi), psi)
 
 
+class Gathered:
+    """What the tests read of a WalkSpectrum, built from its block factory.
+
+    ``eigenvalues`` and ``projection_sums`` (|sum(phi)|^2 / d^t) list W_t's
+    eigenvectors in block order: eigenvector b d^t + j is
+    |k> (x) block(b)[1][:, j]. ``masks`` holds one boolean mask per kind:
+    'plus_one' and 'minus_one' (within REAL_EIGENVALUE_TOL of +1 or -1) and
+    'complex' (neither). ``slab(b, cols)`` assembles the chosen eigenvectors
+    of block b in the full space, and ``vectors()`` all of them as a
+    dim x dim matrix of columns, for small instances only.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        values, sums = [], []
+        for b in range(spec.grid.vertex_count):
+            vals, vecs = spec.block(b)
+            values.append(vals)
+            sums.append(np.abs(vecs.sum(axis=0)) ** 2 / 4**spec.t)
+        self.eigenvalues = np.concatenate(values)
+        self.projection_sums = np.concatenate(sums)
+        plus = np.abs(self.eigenvalues - 1.0) <= REAL_EIGENVALUE_TOL
+        minus = np.abs(self.eigenvalues + 1.0) <= REAL_EIGENVALUE_TOL
+        self.masks = {"plus_one": plus, "minus_one": minus, "complex": ~(plus | minus)}
+
+    def slab(self, b, cols=slice(None)):
+        vecs = self.spec.block(b)[1][:, cols]
+        wave = self.spec.plane_wave(b)
+        return (wave[:, None, None] * vecs).reshape(-1, vecs.shape[1])
+
+    def vectors(self):
+        blocks = range(self.spec.grid.vertex_count)
+        return np.concatenate([self.slab(b) for b in blocks], axis=1)
+
+
 def test_spectrum_budget():
     with pytest.raises(ValueError, match="budget"):
         walk_spectrum(TorusGrid(3), 5)
@@ -160,36 +195,32 @@ def test_spectrum_budget():
 
 def test_spectrum_phases_match_prediction_L5_t1():
     grid = TorusGrid(5)
-    spec = walk_spectrum(grid, 1)
-    measured = np.sort(spec.signed_phases[spec.nonreal_mask()])
+    spec = Gathered(walk_spectrum(grid, 1))
+    measured = np.sort(np.angle(spec.eigenvalues[spec.masks["complex"]]))
     assert measured.size == 48
     assert np.max(np.abs(measured - expected_nonreal_phases(grid, 1))) <= 1e-9
 
 
 def test_cube_relation_L5_t3():
     grid = TorusGrid(5)
-    spec = walk_spectrum(grid, 3)
-    cos_measured = np.sort(np.cos(spec.signed_phases[spec.nonreal_mask()]))
+    spec = Gathered(walk_spectrum(grid, 3))
+    cos_measured = np.sort(np.cos(np.angle(spec.eigenvalues[spec.masks["complex"]])))
     cos_expected = np.sort(np.cos(expected_nonreal_phases(grid, 3)))
     assert np.max(np.abs(cos_measured - cos_expected)) <= 1e-9
 
 
 def test_projection_sums():
     grid = TorusGrid(5)
-    spec = walk_spectrum(grid, 1)
-    mask = spec.nonreal_mask()
+    spec = Gathered(walk_spectrum(grid, 1))
+    mask = spec.masks["complex"]
     assert np.max(np.abs(spec.projection_sums[mask] - 0.5)) <= 1e-9
     psi = uniform_superposition(grid, 1)
     assert projection_sum(grid, 1, psi) == pytest.approx(1.0, abs=1e-12)
     # The block basis is arbitrary inside the degenerate +-1 eigenspaces, so
     # test the basis-free totals: the +1 eigenspace meets span{psi_u} exactly
     # in the uniform state (total weight 1), the -1 eigenspace not at all.
-    plus = sum(
-        spec.projection_sums[i] for i, k in enumerate(spec.kinds) if k == "plus_one"
-    )
-    minus = sum(
-        spec.projection_sums[i] for i, k in enumerate(spec.kinds) if k == "minus_one"
-    )
+    plus = spec.projection_sums[spec.masks["plus_one"]].sum()
+    minus = spec.projection_sums[spec.masks["minus_one"]].sum()
     assert plus == pytest.approx(1.0, abs=1e-9)
     assert minus == pytest.approx(0.0, abs=1e-9)
 
@@ -217,7 +248,7 @@ def test_even_step_count_allowed_in_spectrum_paths():
     for i in fixed:
         g1, g2 = index_port(grid, 2, i).labels
         assert g2 == REVERSE[g1]
-    spec = walk_spectrum(grid, 2)
+    spec = Gathered(walk_spectrum(grid, 2))
     assert np.max(np.abs(np.abs(spec.eigenvalues) - 1.0)) <= 1e-12
 
 
@@ -263,7 +294,7 @@ def test_block_spectrum_matches_dense_schur():
         grid = TorusGrid(side)
         for t in (1, 2, 3):
             values, kinds, sums = _dense_spectrum(grid, t)
-            spec = walk_spectrum(grid, t)
+            spec = Gathered(walk_spectrum(grid, t))
             # Measure phases from the middle of the widest gap of the dense
             # spectrum, so no eigenvalue sits near the branch cut.
             phases = np.sort(np.angle(values))
@@ -273,12 +304,11 @@ def test_block_spectrum_matches_dense_schur():
                 _circle_multiset(spec.eigenvalues, cut) - _circle_multiset(values, cut)
             )
             assert dev.max() <= 1e-12, (side, t)
-            block_kinds = np.array(spec.kinds)
-            for kind in ("plus_one", "minus_one", "complex"):
-                assert np.count_nonzero(block_kinds == kind) == np.count_nonzero(
+            for kind, mask in spec.masks.items():
+                assert np.count_nonzero(mask) == np.count_nonzero(
                     kinds == kind
                 ), (side, t, kind)
-                total = spec.projection_sums[block_kinds == kind].sum()
+                total = spec.projection_sums[mask].sum()
                 assert total == pytest.approx(sums[kinds == kind].sum(), abs=1e-9)
 
 
@@ -295,21 +325,24 @@ def test_block_vectors_are_an_orthonormal_eigenbasis():
     for side, t in cases:
         grid = TorusGrid(side)
         spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+        gathered = Gathered(spec)
         d_t = 4**t
         blocks = (0, 1, 40) if t == 5 else range(grid.vertex_count)
         for b in blocks:
             values, vecs = spec.block(b)
-            assert np.array_equal(values, spec.eigenvalues[b * d_t : (b + 1) * d_t])
+            assert np.array_equal(values, gathered.eigenvalues[b * d_t : (b + 1) * d_t])
             gram = vecs.conj().T @ vecs
             assert np.max(np.abs(gram - np.eye(d_t))) <= 1e-12, (side, t, b)
         if full_dim(grid, t) <= DENSE_CHECK_DIM:
-            V = spec.vectors
+            V = gathered.vectors()
             gram = V.conj().T @ V
             assert np.max(np.abs(gram - np.eye(V.shape[0]))) <= 1e-12, (side, t)
-            residual = walk_matrix(grid, t) @ V - V * spec.eigenvalues
+            residual = walk_matrix(grid, t) @ V - V * gathered.eigenvalues
             assert np.max(np.abs(residual)) <= 1e-12, (side, t)
+    # Columns 16..31 are block 1 of TorusGrid(4), t=2: |k> (x) phi.
     spec = walk_spectrum(TorusGrid(4), 2)
-    assert np.array_equal(spec.vectors[:, 16:32], spec.slab(1))
+    wave_times_block = np.kron(spec.plane_wave(1)[:, None], spec.block(1)[1])
+    assert np.array_equal(Gathered(spec).vectors()[:, 16:32], wave_times_block)
 
 
 def test_walk_spectrum_refuses_a_shift_that_is_not_two_reflections(monkeypatch):
@@ -394,22 +427,39 @@ def test_correspondence_report_catches_wrong_path_components(monkeypatch):
     assert rep.eigenpair_residual <= 1e-12
 
 
+def test_correspondence_report_builds_each_block_once(monkeypatch):
+    # One decomposition per momentum block: N calls of the reflection split,
+    # each of one d^t block, on odd and even sides and odd and even t.
+    split = fullwalk._reflection_split
+    sizes = []
+
+    def counting(phase, partner):
+        sizes.append(phase.size)
+        return split(phase, partner)
+
+    monkeypatch.setattr(fullwalk, "_reflection_split", counting)
+    for side in (2, 3, 4, 5, 6, 7):
+        for t in (1, 2, 3):
+            sizes.clear()
+            assert correspondence_report(TorusGrid(side), t).passed(1e-9)
+            assert sizes == [4**t] * side**2, (side, t, len(sizes))
+
+
 def all_paths_component_dev(grid, t):
     """The path-component deviation read on every path of the full space,
     from each block's (dim, 2) slab of non-real eigenvectors: the oracle for
     the report, which reads the paths that start at vertex 0 only."""
-    spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+    spec = Gathered(walk_spectrum(grid, t, budget=full_dim(grid, t)))
     d_t = 4**t
     perm = fullwalk.shift_permutation(grid, t)
     i = np.flatnonzero(np.arange(perm.size) < perm)  # one index per path pair
     j = perm[i]
-    nonreal = spec.nonreal_mask().reshape(grid.vertex_count, d_t)
+    nonreal = spec.masks["complex"].reshape(grid.vertex_count, d_t)
     dev = 0.0
     for b, cols in enumerate(nonreal):
         if not cols.any():
             continue
-        vecs = spec.block(b)[1][:, cols]
-        slab = (spec.plane_wave(b)[:, None, None] * vecs).reshape(-1, vecs.shape[1])
+        slab = spec.slab(b, cols)
         conj_ev = np.conj(spec.eigenvalues[b * d_t : (b + 1) * d_t][cols])
         a = vertex_overlaps(grid, t, slab)
         a_u, a_v = a[i // d_t], a[j // d_t]

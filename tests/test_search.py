@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from powerwalk import fullwalk
 from powerwalk.search import (
+    AMPLIFICATION_THRESHOLD,
     alpha_estimate,
     build_model,
     compute_alpha,
@@ -354,19 +355,14 @@ def test_success_probability_counters():
     assert 0.0 <= res.p_s <= 1.0
 
 
-def test_success_probability_rounding_flag():
-    model = build_model(TorusGrid(17), 1)
-    alpha, _ = compute_alpha(model)
-    floor_res = success_probability(model, alpha, rounding="floor")
-    nearest_res = success_probability(model, alpha, rounding="nearest")
-    assert floor_res.Q == math.floor(math.pi / (2 * alpha))
-    assert nearest_res.Q == round(math.pi / (2 * alpha))
-
-
 def test_amplification_rounds_when_probability_small():
-    model = build_model(TorusGrid(17), 1)
-    res = success_probability(model, compute_alpha(model)[0], amplification_threshold=1.1)
-    assert res.amplification_rounds == math.ceil(1.0 / math.sqrt(res.p_s))
+    # L=1001, t=1: the estimate (0.2415) falls below the threshold.
+    model = build_model(TorusGrid(1001), 1)
+    alpha = compute_alpha(model)[0]
+    res = success_probability(model, alpha)
+    assert res.Q == math.floor(math.pi / (2 * alpha))
+    assert res.p_s < AMPLIFICATION_THRESHOLD
+    assert res.amplification_rounds == math.ceil(1.0 / math.sqrt(res.p_s)) == 3
     assert res.Q_O == (res.amplification_rounds + 1) * res.Q
 
 
