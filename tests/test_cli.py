@@ -200,6 +200,10 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["search", "--sizes", "9", "--t", "1", "--log-c", "2"],
         ["search", "--sizes", "9", "--log-c", "-1"],
         ["search", "--sizes", "9", "--t", "3", "--t-schedule", "log-n"],
+        # ... on every subcommand that walks the torus.
+        ["tulsi", "--sizes", "9", "--log-c", "2"],
+        ["sums", "--sizes", "9", "--t", "3", "--t-schedule", "sweep"],
+        ["verify-spectrum", "--sizes", "3", "--t", "1", "--log-c", "2"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
