@@ -37,6 +37,7 @@ from .search import (
     nearest_odd,
     overlap_ws,
     overlap_wt,
+    search_trajectory,
     success_probability,
 )
 from .sums import GridSums, grid_sums

@@ -32,11 +32,13 @@ import numpy as np
 from . import fullwalk, records, szegedy
 from .records import ScalingReport
 from .search import (
+    MOMENT_TOL,
     SpectralModel,
     build_model,
     compute_alpha,
-    iterate_search,
     nearest_odd,
+    return_moments,
+    search_trajectory,
     success_probability,
 )
 from .sums import check_finite, grid_sums
@@ -374,22 +376,35 @@ def _sum_fields(gs) -> dict:
 
 def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
     """One search row: the secular root, the analytic accounting at its Q, the
-    grid sums, and p_s, measured on the trajectory at Q or the analytic estimate."""
+    grid sums, and p_s, measured on the trajectory at Q or the analytic estimate.
+    A trajectory row also carries h0_dev = |h(0) - 1| of its return moments,
+    which no column prints."""
     alpha_exact, alpha_est = compute_alpha(model)
     result = success_probability(model, alpha_exact)
-    return {
+    rec = {
         "L": model.grid.side,
         "N": model.grid.vertex_count,
         "t": model.t,
         "alpha_exact": alpha_exact,
         "alpha_estimate": alpha_est,
         "Q": result.Q,
-        "p_s": float(iterate_search(model, result.Q)[-1]) if trajectory else result.p_s,
+        "p_s": result.p_s,
         "p_s_bound": result.p_s,
         "Q_O": result.Q_O,
         "Q_G": result.Q_G,
         **_sum_fields(model.sums),
     }
+    if trajectory:
+        moments = return_moments(model, result.Q)
+        rec["p_s"] = float(search_trajectory(model, result.Q, moments)[-1])
+        rec["h0_dev"] = abs(float(moments[0]) - 1.0)
+    return rec
+
+
+def _moment_check(report: ScalingReport) -> None:
+    report.checks[f"trajectory moment h(0) = 1 within {MOMENT_TOL:g}"] = all(
+        r["h0_dev"] <= MOMENT_TOL for r in report.records
+    )
 
 
 def run_search(config: ExperimentConfig) -> ScalingReport:
@@ -404,6 +419,8 @@ def run_search(config: ExperimentConfig) -> ScalingReport:
     report.checks["lower <= S1 <= upper"] = all(
         r["lower"] <= r["S1"] <= r["upper"] for r in recs
     )
+    if config.trajectory:
+        _moment_check(report)
     one_t_per_size = len({r["L"] for r in recs}) == len(recs)
     if one_t_per_size and len(recs) >= records.MIN_SIZES_FOR_SLOPE:
         ns = [r["N"] for r in recs]
@@ -439,7 +456,7 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
         rec = _search_record(config, base, trajectory=False)
         ctl = _search_record(config, controlled, trajectory=True)
         rec.update(
-            {name: ctl[name] for name in ("p_s", "p_s_bound", "Q_O", "Q_G")},
+            {name: ctl[name] for name in ("p_s", "p_s_bound", "Q_O", "Q_G", "h0_dev")},
             delta=delta,
             tan2_delta=math.tan(delta) ** 2,
             a_pi=math.sin(delta),
@@ -449,6 +466,7 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
         report.records.append(rec)
     recs = report.records
     report.checks["Q_G = t*Q_O"] = all(r["Q_G"] == r["t"] * r["Q_O"] for r in recs)
+    _moment_check(report)
     one_t_per_size = len({r["L"] for r in recs}) == len(recs)
     if one_t_per_size and len(recs) >= 2:
         report.add_band(

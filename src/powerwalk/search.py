@@ -23,6 +23,13 @@ One (x, weight) measure per (L, t), ``sums.orbit_measure`` with x_k =
 cos phi^(t)_k = cos^t phi_k, feeds the secular root, the trajectory and the
 grid sums S1, S2 and S3; as a_k^2 = 1/(2N), the closed-form alpha estimate
 and both overlap factors are read off those sums (``SpectralModel.sums``).
+
+The trajectory a record reports comes from ``search_trajectory``, the one
+production route: the target overlaps obey a Volterra recurrence whose kernel
+is the return moments h(m) = <T|D^m|T>, a type-1 non-uniform FFT of the orbit
+measure (``return_moments``). A record then costs O(orbits * kernel width +
+Q^2) instead of the O(Q * orbits) of stepping the state. ``iterate_search``,
+which steps the state itself, stays as the route's test oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +46,14 @@ from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
 
 # Amplification rounds are budgeted when the p_s estimate falls below this.
 AMPLIFICATION_THRESHOLD = 0.25
+
+# Half-width in grid points of return_moments' Gaussian spreading kernel. At
+# 2x oversampling the kernel's cut-off tail is exp(-3 pi width / 4), 5e-15 at
+# 14, which bounds the moments' absolute error as sum |coefficient| <= 1.
+SPREAD_HALF_WIDTH = 14
+
+# |h(0) - 1| above this fails a trajectory row's moment check.
+MOMENT_TOL = 1e-12
 
 
 def nearest_odd(x: float) -> int:
@@ -185,6 +200,87 @@ def iterate_search(model: SpectralModel, Q: int) -> np.ndarray:
     return trajectory
 
 
+def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
+    """h(m) = <T|D^m|T> for m = 0..Q: the return amplitudes of the target
+    under the walk, D the diagonal phase multiply. h(0) = 1.
+
+        h(m) = a0^2 cos^2(delta) + sin^2(delta) (-1)^m
+               + sum_orbits 2 cos^2(delta) w cos(m theta),  theta = arccos x
+
+    The orbit sum is a type-1 non-uniform FFT (Greengard & Lee 2004): each
+    coefficient is spread onto a 2x oversampled grid of 4(Q+1) points with a
+    Gaussian whose values at the 2*SPREAD_HALF_WIDTH nearest points factor as
+    E1 * E2^l * E3(l), so only E1 and E2 cost an exp per orbit. One inverse
+    FFT of the grid and a division by the Gaussian's Fourier coefficients
+    leave the sum at every m, in O(orbits * width + Q log Q).
+    """
+    if Q < 0:
+        raise ValueError(f"iteration count must be >= 0, got {Q}")
+    from numpy import fft  # not loaded by importing numpy; only this route reads it
+
+    x, weights = model.distinct_phases
+    c2, s2 = math.cos(model.delta) ** 2, math.sin(model.delta) ** 2
+    width = SPREAD_HALF_WIDTH
+    modes = 2 * (Q + 1)  # the NUFFT's mode range [-(Q+1), Q+1)
+    size = 2 * modes
+    spacing = 2.0 * math.pi / size
+    tau = math.pi * width / (modes * modes * 3.0)  # pi w / (M^2 R (R - 1/2)), R = 2
+    # atan2 keeps small phases at full precision, where arccos(x) would not.
+    theta = np.arctan2(np.sqrt((1.0 - x) * (1.0 + x)), x)
+    cell = np.floor(theta / spacing)
+    gap = theta - cell * spacing  # in [0, spacing): offset from the grid point below
+    cell = cell.astype(np.intp)
+    e2 = np.exp(gap * (spacing / (2.0 * tau)))
+    # E1 * E2^l at the first offset l = 1 - width, then one product per offset
+    value = (2.0 * c2) * weights * np.exp(
+        gap * (gap / (-4.0 * tau) + (1 - width) * spacing / (2.0 * tau))
+    )
+    # Point cell + l of the grid is entry cell + l + width - 1 of ``spread``,
+    # so every offset bins the same cells and shifts the histogram.
+    cells = size // 2 + 2  # theta <= pi, so cell <= size/2
+    spread = np.zeros(cells + 2 * width)
+    for shift, offset in enumerate(range(1 - width, width + 1)):
+        e3 = math.exp(-((offset * spacing) ** 2) / (4.0 * tau))
+        spread[shift : shift + cells] += e3 * np.bincount(cell, value, cells)
+        value *= e2
+    wrapped = (np.arange(spread.size) - (width - 1)) % size
+    grid = np.bincount(wrapped, spread, size)
+    m = np.arange(Q + 1)
+    h = fft.ifft(grid)[: Q + 1].real * (math.sqrt(math.pi / tau) * np.exp(m * m * tau))
+    h += model.a0**2 * c2
+    h[0::2] += s2
+    h[1::2] -= s2
+    return h
+
+
+def search_trajectory(
+    model: SpectralModel, Q: int, moments: np.ndarray | None = None
+) -> np.ndarray:
+    """The trajectory of iterate_search, Q+1 success probabilities, from the
+    return moments h(0..Q) (computed when not given) in O(Q^2).
+
+    Unrolling psi_q = D R psi_{q-1}, R = I - 2|T><T| and psi_0 the uniform
+    0 mode, gives the target overlaps as a Volterra recurrence,
+
+        ov_q = a0 cos(delta) - 2 sum_{p<q} h(q - p) ov_p,
+
+    one dot product per step, and p_s(q) = ov_q^2. h(0) does not enter it,
+    so |h(0) - 1| is an independent reading of the moments' accuracy.
+    iterate_search stays as the oracle that steps the state itself.
+    """
+    if moments is None:
+        moments = return_moments(model, Q)
+    elif Q < 0 or moments.size != Q + 1:
+        raise ValueError(f"need the Q+1 moments h(0..{Q}), got {moments.size}")
+    start = model.a0 * math.cos(model.delta)
+    back = -2.0 * moments[:0:-1]  # -2 h(Q), ..., -2 h(1)
+    overlap = np.empty(Q + 1)
+    overlap[0] = start
+    for q in range(1, Q + 1):
+        overlap[q] = start + back[Q - q :] @ overlap[:q]
+    return overlap * overlap
+
+
 def alpha_estimate(model: SpectralModel) -> float:
     """Closed-form estimate of the principal eigenphase (Theta constant 1):
 
@@ -316,7 +412,7 @@ def success_probability(model: SpectralModel, alpha: float) -> SearchResult:
 
     This is the Theta(1)-constant estimate, not a bound: it can sit above the
     measured p_s (0.304 against 0.132 at L=257, t=1). A measured trajectory
-    value (iterate_search) is the authoritative number on any one instance.
+    value (search_trajectory) is the authoritative number on any one instance.
     """
     Q = math.floor(math.pi / (2.0 * alpha))
     ws = overlap_ws(model, alpha)

@@ -62,6 +62,14 @@ def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     return x, count
 
 
+@functools.lru_cache(maxsize=8)
+def _telescoped_sum(grid: TorusGrid) -> float:
+    """sum 1/(1 - cos phi_k) over the nonzero modes: t times the lower bound
+    of S1 at every t, so a sweep sums it once per side (cached as mode_orbits)."""
+    cos, count = mode_orbits(grid)
+    return math.fsum((count / (1.0 - cos)).tolist())
+
+
 def check_finite(grid: TorusGrid, t: int) -> None:
     """Raise ValueError unless the sums of (L, t) are finite."""
     if t < 1:
@@ -80,7 +88,7 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
     S1 = math.fsum((count / one_minus).tolist())
     S2 = math.fsum((count / one_minus**2).tolist())
     S3 = math.fsum((count * (1.0 + x) / one_minus).tolist())
-    lower = math.fsum((count / (1.0 - mode_orbits(grid)[0])).tolist()) / t
+    lower = _telescoped_sum(grid) / t
 
     shells = np.arange(1, grid.side // 2 + 1)
     upper = 8.0 * math.fsum(shells / (1.0 - np.exp(-4.0 * shells**2 * t / N)))

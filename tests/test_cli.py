@@ -133,19 +133,51 @@ def test_verify_spectrum_beyond_dense_sizes(capsys):
 
 def test_tulsi_refuses_policy_mismatch_before_any_trajectory(capsys, monkeypatch):
     calls = []
-    iterate = cli.iterate_search
+    trajectory = cli.search_trajectory
 
-    def counting(model, Q):
+    def counting(model, Q, *moments):
         calls.append((model.grid.side, model.t))
-        return iterate(model, Q)
+        return trajectory(model, Q, *moments)
 
-    monkeypatch.setattr(cli, "iterate_search", counting)
+    monkeypatch.setattr(cli, "search_trajectory", counting)
     code, out, err = run_cli(["tulsi", "--sizes", "9", "--t", "1,3"], capsys)
     assert (code, out) == (2, "")
     assert err == "error: original-tulsi requires t=1, got t=3\n"
     assert calls == []
     assert run_cli(["tulsi", "--sizes", "9", "--t", "1"], capsys)[0] == 0
     assert calls == [(9, 1)]
+
+
+MOMENT_CHECK = "check trajectory moment h(0) = 1 within 1e-12: "
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--sizes", "9,13", "--t-schedule", "sweep"],
+        ["tulsi", "--sizes", "9,13", "--t-schedule", "sweep",
+         "--delta-policy", "balanced"],
+    ],
+)
+def test_trajectory_moment_check_can_fail(argv, capsys, monkeypatch):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert MOMENT_CHECK + "pass" in err.splitlines()
+    moments = cli.return_moments
+
+    def off(model, Q):
+        h = moments(model, Q)
+        h[0] = 1.0 + 1e-9
+        return h
+
+    monkeypatch.setattr(cli, "return_moments", off)
+    code, bad_out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert MOMENT_CHECK + "FAIL" in err.splitlines()
+    assert bad_out == out  # h(0) does not enter the recurrence
+    # A run without a trajectory reads no moments and states no such check.
+    code, _, err = run_cli(["search", "--sizes", "9", "--no-trajectory"], capsys)
+    assert code == 0 and "trajectory moment" not in err
 
 
 def test_verify_spectrum_every_side_and_step_count(capsys):
@@ -208,7 +240,9 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "iterate_search", lambda model, Q: calls.append(model))
+    monkeypatch.setattr(
+        cli, "search_trajectory", lambda model, Q, *moments: calls.append(model)
+    )
     grid_sums = cli.grid_sums
     monkeypatch.setattr(
         cli, "grid_sums", lambda grid, t: calls.append((grid, t)) or grid_sums(grid, t)
@@ -399,8 +433,8 @@ print(json.dumps({"code": code, "functions": sorted(trace.aggregate()["functions
 
 def test_benchmark_tracer_wraps_engine():
     # perfbench/tracer.py wraps module attributes process-wide, so it runs in
-    # its own interpreter. It re-binds SpectralModel.distinct_phases and reads
-    # Q and model.grid.vertex_count from the arguments of iterate_search.
+    # its own interpreter. It re-binds SpectralModel.distinct_phases, and the
+    # trajectory route's self time lands in the search module's default bucket.
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -414,7 +448,7 @@ def test_benchmark_tracer_wraps_engine():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0
-    assert "search.iterate_search" in result["functions"]
+    assert "search.search_trajectory" in result["functions"]
     assert "search.SpectralModel.distinct_phases" in result["functions"]
     assert "sums.grid_sums" in result["functions"]
 
@@ -525,7 +559,9 @@ SCIPY_FREE = """
 import contextlib, io, json, sys
 from powerwalk import cli
 
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(
+    m for m in sys.modules if m in ("scipy", "numpy.fft") or m.startswith("scipy.")
+)
 sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
 codes = []
 for argv in json.loads(sys.argv[1]):
@@ -538,6 +574,8 @@ print(json.dumps({"loaded": loaded, "codes": codes}))
 def test_cli_runs_without_scipy():
     # scipy is a test oracle only: importing the CLI loads none of it, and one
     # small run of every subcommand succeeds where importing it would fail.
+    # numpy.fft, which only the trajectory's return moments read, is not
+    # loaded by the import either.
     argvs = [[name, *CONTRACT[name][0]] for name in sorted(cli.COMMANDS)]
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parent.parent)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from powerwalk.search import (
     overlap_ws,
     overlap_wt,
     phase_rotation,
+    return_moments,
+    search_trajectory,
     success_probability,
 )
 from powerwalk.sums import GridSums, orbit_measure
@@ -115,6 +118,55 @@ def test_reduced_matches_full_simulation():
             assert np.max(np.abs(reduced - np.array(full))) <= 1e-9, (side, t)
 
 
+def test_search_trajectory_matches_iterate_search_on_the_sweep():
+    for model in sweep_models():
+        Q = math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
+        route = search_trajectory(model, Q)
+        assert route.shape == (Q + 1,)
+        assert np.max(np.abs(route - iterate_search(model, Q))) <= 1e-10, (
+            model.grid.side, model.t, model.delta
+        )
+
+
+def test_search_trajectory_matches_iterate_search_at_513():
+    model = build_model(TorusGrid(513), 1)
+    Q = math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
+    assert Q == 1165
+    assert np.max(np.abs(search_trajectory(model, Q) - iterate_search(model, Q))) <= 1e-10
+
+
+def test_return_moments_match_direct_sum():
+    # h(m) = sum_j T_j^2 e^{i m theta_j} over the 0 mode, both halves of every
+    # orbit and the pi mode, with theta the angle of the engine's rotation.
+    for side, t in itertools.product((9, 17, 33), (1, 3)):
+        base = build_model(TorusGrid(side), t)
+        for delta in (0.0, tune_delta(base, "balanced")):
+            model = build_model(base.grid, t, delta)
+            Q = 3 * math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
+            x, weights = model.distinct_phases
+            theta = np.angle(phase_rotation(x))
+            c2, s2 = math.cos(delta) ** 2, math.sin(delta) ** 2
+            m = np.arange(Q + 1)
+            direct = (
+                model.a0**2 * c2
+                + s2 * (-1.0) ** m
+                + np.cos(np.outer(m, theta)) @ (2.0 * c2 * weights)
+            )
+            h = return_moments(model, Q)
+            assert np.max(np.abs(h - direct)) <= 1e-13, (side, t, delta)
+            assert abs(h[0] - 1.0) <= 1e-13
+
+
+def test_search_trajectory_edge_counts():
+    for model in (build_model(TorusGrid(9), 1), build_model(TorusGrid(9), 1, 0.6)):
+        start = (model.a0 * math.cos(model.delta)) ** 2
+        assert search_trajectory(model, 0).tolist() == [start]
+        with pytest.raises(ValueError):
+            search_trajectory(model, -1)
+        with pytest.raises(ValueError):
+            return_moments(model, -1)
+
+
 def toy_model(phases, weights, side):
     """Hand-built model on the side x side torus, so a_0 = 1/side: one orbit
     per phase, each of target overlap ``weights``. The orbits enter through
@@ -176,23 +228,28 @@ def brentq_alpha(model):
     return brentq(f, lo, hi, xtol=est * 1e-13, rtol=1e-14)
 
 
-def test_alpha_matches_brentq_on_the_sweep():
-    # Plain search (--delta-policy fixed at its default delta 0) and every
-    # tuned policy, at t = 1 and t = nearest-odd(ln N).
+def sweep_models():
+    """Plain search and every tuned delta policy on the odd sweep L = 17..257,
+    at t = 1 and t = nearest-odd(ln N)."""
     for side in (17, 33, 65, 129, 257):
         grid = TorusGrid(side)
         for t in sorted({1, nearest_odd(math.log(grid.vertex_count))}):
             base = build_model(grid, t)
-            models = [base]
+            yield base
             for policy in DELTA_POLICIES:
                 if policy == "original-tulsi" and t != 1:
                     continue  # tune_delta refuses it
-                models.append(build_model(grid, t, tune_delta(base, policy)))
-            for model in models:
-                exact = compute_alpha(model)[0]
-                assert exact == pytest.approx(brentq_alpha(model), rel=1e-13, abs=0.0), (
-                    side, t, model.delta
-                )
+                yield build_model(grid, t, tune_delta(base, policy))
+
+
+def test_alpha_matches_brentq_on_the_sweep():
+    # Plain search (--delta-policy fixed at its default delta 0) and every
+    # tuned policy, at t = 1 and t = nearest-odd(ln N).
+    for model in sweep_models():
+        exact = compute_alpha(model)[0]
+        assert exact == pytest.approx(brentq_alpha(model), rel=1e-13, abs=0.0), (
+            model.grid.side, model.t, model.delta
+        )
 
 
 def mpmath_alpha(model, mpmath):

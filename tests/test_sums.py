@@ -29,6 +29,15 @@ def test_bracketing_small():
             assert gs.lower <= gs.S1 <= gs.upper, (side, t)
 
 
+def test_lower_bound_is_the_t1_sum_over_t():
+    # The telescoped sum is t-free: at t = 1 it is S1 itself, term for term,
+    # and every t divides that one exact sum.
+    for side in (2, 5, 16, 33):
+        S1 = grid_sums(TorusGrid(side), 1).S1
+        for t in (1, 3, 5, 7):
+            assert grid_sums(TorusGrid(side), t).lower == S1 / t, (side, t)
+
+
 def test_sums_positive_and_ordered():
     gs = grid_sums(TorusGrid(16), 3)
     assert 0 < gs.S1 < gs.S2  # every term of S2 dominates its S1 term here
