@@ -25,11 +25,12 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fullwalk, records, szegedy
+from .fullwalk import SPECTRUM_TOL, UNITARITY_TOL
 from .records import ScalingReport
 from .search import (
     MOMENT_TOL,
@@ -41,18 +42,10 @@ from .search import (
     search_trajectory,
     success_probability,
 )
-from .sums import check_finite, grid_sums
+from .sums import IDENTITY_TOL, check_finite, grid_sums
+from .szegedy import DISCRIMINANT_TOL, EIGENPHASE_TOL
 from .torus import DEFAULT_DENSE_BUDGET, TorusGrid
 from .tulsi import DELTA_POLICIES, tune_delta
-
-DEFAULT_TOLERANCES = {
-    "spectrum": 1e-9,
-    "identity": 1e-9,
-    "discriminant": 1e-10,
-    "eigenphase": 1e-9,
-    "unitarity": 1e-12,
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -74,9 +67,6 @@ class ExperimentConfig:
     generator: str = "random"
     chain_csv: str | None = None
     trajectory: bool = True
-    tolerances: dict[str, float] = field(
-        default_factory=lambda: dict(DEFAULT_TOLERANCES)
-    )
 
     def canonical_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
@@ -145,20 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"))
 
-    def tolerance_flags(p: argparse.ArgumentParser, *names: str) -> None:
-        for name in names:
-            p.add_argument(
-                f"--tol-{name}",
-                type=float,
-                help=f"tolerance for {name} checks "
-                f"(default {DEFAULT_TOLERANCES[name]:g})",
-            )
-
-    def dense_flags(p: argparse.ArgumentParser, tolerances, budget_help: str) -> None:
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--budget", type=int, help=budget_help)
-        tolerance_flags(p, *tolerances)
-
     def walk_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--sizes", type=_int_list, help="comma-separated grid sides"
@@ -186,10 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
         "subspace dimension, projection sums, overlap law, path components. "
         "Verdicts go to stderr, one line per instance; no records are written.",
     )
-    dense_flags(
-        p,
-        ("spectrum", "unitarity"),
-        "largest full-walk dimension N*4^t to check (it is decomposed in N "
+    p.add_argument(
+        "--budget",
+        type=int,
+        help="largest full-walk dimension N*4^t to check (it is decomposed in N "
         "blocks of size 4^t); a larger instance is refused with exit 2 "
         "before any check runs",
     )
@@ -232,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and the S3 = 1 - N + 2 S1 identity.",
     )
     output_flags(p)
-    tolerance_flags(p, "identity")
     walk_flags(p)
     p.set_defaults(sizes=(8, 16, 32, 64, 128, 256, 512))
 
@@ -247,17 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
         "disconnected chain), measured on M and on M^k.",
     )
     output_flags(p)
-    dense_flags(
-        p,
-        ("discriminant",),
-        "largest Szegedy walk dimension N^(k+1) to build densely; "
-        "larger (chain, k) pairs are skipped",
-    )
+    p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument(
-        "--tol-eigenphase",
-        type=float,
-        help="tolerance for the eigenphase and gap_k = 1-(1-gap)^k checks "
-        f"(default {DEFAULT_TOLERANCES['eigenphase']:g})",
+        "--budget",
+        type=int,
+        help="largest Szegedy walk dimension N^(k+1) to build densely; "
+        "larger (chain, k) pairs are skipped",
     )
     p.add_argument("--sizes", type=_int_list, help="chain sizes N")
     p.add_argument(
@@ -279,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The parsed flags that name config fields, plus the --tol-* tolerances.
-    A flag given to a run that would ignore it is refused."""
+    """The parsed flags that name config fields. A flag given to a run that
+    would ignore it is refused."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     values = {k: v for k, v in vars(args).items() if k in fields}
     if "delta" in values and values.get("delta_policy") != "fixed":
@@ -302,41 +272,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if values["command"] == "verify-spectrum":
         # Not a parser default, which would read as --t given off the fixed schedule.
         values.setdefault("t_values", (1, 3))
-    values["tolerances"] = {
-        name: getattr(args, f"tol_{name}", tol) for name, tol in DEFAULT_TOLERANCES.items()
-    }
     return ExperimentConfig(**values)
 
 
-def _unitarity_deviation(grid: TorusGrid, t: int, seed: int, trials: int = 8) -> float:
-    """Largest norm / involution defect of S_t, C_t, W_t, O_t on random states.
-    The oracle marks (1, 1), a vertex of every grid: the overlap law of the
-    correspondence report already shows that the vertex does not matter."""
-    marked = (1, 1)
-    rng = np.random.default_rng(seed)
-    dim = fullwalk.full_dim(grid, t)
-    worst = 0.0
-    for _ in range(trials):
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state /= np.linalg.norm(state)
-        walked = fullwalk.apply_walk(grid, t, state)
-        oracled = fullwalk.apply_oracle(grid, t, marked, state)
-        twice = (
-            fullwalk.apply_shift(grid, t, fullwalk.apply_shift(grid, t, state)),
-            fullwalk.apply_coin(grid, t, fullwalk.apply_coin(grid, t, state)),
-            fullwalk.apply_oracle(grid, t, marked, oracled),
-        )
-        worst = max(
-            worst,
-            *(abs(np.linalg.norm(v) - 1.0) for v in (walked, oracled)),
-            *(float(np.max(np.abs(v - state))) for v in twice),
-        )
-    return worst
-
-
 def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
-    tol = config.tolerances["spectrum"]
-    unitarity_tol = config.tolerances["unitarity"]
     instances = config.grid_instances()
     for grid, t in instances:
         dim = fullwalk.full_dim(grid, t)
@@ -347,9 +286,8 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
             )
     all_ok = True
     for grid, t in instances:
-        unitarity_dev = _unitarity_deviation(grid, t, config.seed)
         report = fullwalk.correspondence_report(grid, t, budget=config.budget)
-        ok = report.passed(tol) and unitarity_dev <= unitarity_tol
+        ok = report.passed()
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
         print(
@@ -360,12 +298,12 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
             f"overlap dev {report.overlap_law_dev:.2e}, "
             f"component dev {report.component_dev:.2e}, "
             f"eigenpair residual {report.eigenpair_residual:.2e}, "
-            f"unitarity dev {unitarity_dev:.2e})",
+            f"unitarity dev {report.unitarity_dev:.2e})",
             file=sys.stderr,
         )
     verdict = ScalingReport()
     verdict.checks[
-        f"spectrum dev <= {tol:g} and unitarity dev <= {unitarity_tol:g}"
+        f"spectrum dev <= {SPECTRUM_TOL:g} and unitarity dev <= {UNITARITY_TOL:g}"
     ] = all_ok
     return verdict
 
@@ -482,7 +420,6 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
 
 def run_sums(config: ExperimentConfig) -> ScalingReport:
     report = ScalingReport()
-    tol = config.tolerances["identity"]
     bracketed = True
     identity_ok = True
     instances = config.grid_instances()
@@ -491,7 +428,7 @@ def run_sums(config: ExperimentConfig) -> ScalingReport:
     for grid, t in instances:
         gs = grid_sums(grid, t)
         bracketed = bracketed and gs.bracketed()
-        identity_ok = identity_ok and gs.identity_residual() <= tol
+        identity_ok = identity_ok and gs.identity_residual() <= IDENTITY_TOL
         report.records.append(
             {"L": grid.side, "N": gs.vertex_count, "t": t, **_sum_fields(gs)}
         )
@@ -525,13 +462,14 @@ def _szegedy_chains(config: ExperimentConfig) -> list[tuple[str, szegedy.MarkovC
 
 
 def run_szegedy(config: ExperimentConfig) -> ScalingReport:
+    for k in config.k_values:  # refused before any chain is built
+        if k < 1:
+            raise ValueError(f"step count k must be >= 1, got {k}")
     pairs = [(label, chain, k) for label, chain in _szegedy_chains(config)
              for k in config.k_values]
     if all(chain.size ** (k + 1) > config.budget for _, chain, k in pairs):
         raise ValueError(f"no (chain, k) pair to check within budget {config.budget}")
     report = ScalingReport()
-    disc_tol = config.tolerances["discriminant"]
-    eig_tol = config.tolerances["eigenphase"]
     disc_ok = True
     eig_ok = True
     for label, chain, k in pairs:
@@ -554,8 +492,8 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
             eig_err = float(np.max(np.abs(multi - single))) if multi.size else 0.0
         else:
             eig_err = math.inf
-        disc_ok = disc_ok and disc_err <= disc_tol
-        eig_ok = eig_ok and eig_err <= eig_tol
+        disc_ok = disc_ok and disc_err <= DISCRIMINANT_TOL
+        eig_ok = eig_ok and eig_err <= EIGENPHASE_TOL
         report.records.append(
             {
                 "N": chain.size,
@@ -568,13 +506,13 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
                 "gap_k": szegedy.spectral_gap(powered),
             }
         )
-    report.checks[f"discriminant error <= {disc_tol:g}"] = disc_ok
-    report.checks[f"eigenphase error <= {eig_tol:g}"] = eig_ok
+    report.checks[f"discriminant error <= {DISCRIMINANT_TOL:g}"] = disc_ok
+    report.checks[f"eigenphase error <= {EIGENPHASE_TOL:g}"] = eig_ok
     report.checks["query_cost = 4k"] = all(
         r["query_cost"] == 4 * r["k"] for r in report.records
     )
-    report.checks[f"gap_k = 1-(1-gap)^k within {eig_tol:g}"] = all(
-        abs(r["gap_k"] - (1.0 - (1.0 - r["gap"]) ** r["k"])) <= eig_tol
+    report.checks[f"gap_k = 1-(1-gap)^k within {EIGENPHASE_TOL:g}"] = all(
+        abs(r["gap_k"] - (1.0 - (1.0 - r["gap"]) ** r["k"])) <= EIGENPHASE_TOL
         for r in report.records
     )
     return report

@@ -39,6 +39,16 @@ from .torus import (
 
 # Eigenvalues within this distance of +-1 are classified as the +-1 subspace.
 REAL_EIGENVALUE_TOL = 1e-8
+# Largest deviation that CorrespondenceReport.passed accepts in each spectral
+# check: phase multiset, projection sums, overlap law, real weight, eigenpair
+# residual and path components.
+SPECTRUM_TOL = 1e-9
+# Largest norm or involution defect of the operators on the random probe that
+# CorrespondenceReport.passed accepts.
+UNITARITY_TOL = 1e-12
+# Random unit columns of the probe that the translation and unitarity checks
+# act on.
+PROBE_COLUMNS = 8
 
 
 def full_dim(grid: TorusGrid, t: int) -> int:
@@ -367,22 +377,46 @@ def _path_component_dev(t: int, phi_i, phi_j, a_u, a_v, eigenvalues) -> float:
     return float(max(np.abs(plus).max(), np.abs(minus).max()))
 
 
-def _translation_dev(grid: TorusGrid, t: int) -> float:
-    """Largest |W T X - T W X| of the matrix-free walk over the two generator
-    translations T of the torus, on a fixed random 2-column probe X: zero
-    exactly when W_t commutes with translations (with probability one)."""
+def _probe_devs(grid: TorusGrid, t: int) -> tuple[float, float]:
+    """(translation dev, unitarity dev) of the matrix-free operators on one
+    fixed random (dim, PROBE_COLUMNS) slab X of unit complex columns.
+
+    The translation dev is the largest |W T X - T W X| over the two generator
+    translations T of the torus: zero exactly when W_t commutes with
+    translations (with probability one). The unitarity dev is the largest
+    norm defect of W_t and O_t and involution defect of S_t, C_t and O_t. The
+    oracle marks (1, 1), a vertex of every grid: the overlap law already
+    shows that the vertex does not matter.
+    """
+
+    def column_norms(v: np.ndarray) -> np.ndarray:
+        # Each column as one contiguous row, which numpy sums pairwise: the
+        # error stays near 1e-16 where a sum down axis 0 grows with dim.
+        return np.linalg.norm(v.T.copy(), axis=1)
+
     rng = np.random.default_rng(0)
-    shape = (full_dim(grid, t), 2)
+    shape = (full_dim(grid, t), PROBE_COLUMNS)
     probe = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    probe /= column_norms(probe)
     walked = apply_walk(grid, t, probe)
-    layout = (grid.side, grid.side, DEGREE**t, 2)  # y, x, labels, columns
-    dev = 0.0
+    layout = (grid.side, grid.side, DEGREE**t, PROBE_COLUMNS)  # y, x, labels, columns
+    translation = 0.0
     for axis in (0, 1):
         moved_probe = np.roll(probe.reshape(layout), 1, axis=axis).reshape(shape)
         moved_walk = np.roll(walked.reshape(layout), 1, axis=axis).reshape(shape)
         defect = apply_walk(grid, t, moved_probe) - moved_walk
-        dev = max(dev, float(np.abs(defect).max()))
-    return dev
+        translation = max(translation, float(np.abs(defect).max()))
+
+    marked = (1, 1)
+    oracled = apply_oracle(grid, t, marked, probe)
+    twice = (
+        apply_shift(grid, t, apply_shift(grid, t, probe)),
+        apply_coin(grid, t, apply_coin(grid, t, probe)),
+        apply_oracle(grid, t, marked, oracled),
+    )
+    norm_devs = (np.abs(column_norms(v) - 1.0).max() for v in (walked, oracled))
+    involution_devs = (np.abs(v - probe).max() for v in twice)
+    return translation, float(max(*norm_devs, *involution_devs))
 
 
 @dataclass
@@ -401,18 +435,20 @@ class CorrespondenceReport:
     real_weight_dev: float
     eigenpair_residual: float
     component_dev: float
+    unitarity_dev: float
 
-    def passed(self, tol: float = 1e-9) -> bool:
+    def passed(self) -> bool:
         return all(
             [
-                self.phase_multiset_dev <= tol,
+                self.phase_multiset_dev <= SPECTRUM_TOL,
                 self.nonreal_count == self.expected_nonreal_count,
                 self.invariant_dim == self.expected_invariant_dim,
-                self.projection_sum_dev <= tol,
-                self.overlap_law_dev <= tol,
-                self.real_weight_dev <= tol,
-                self.eigenpair_residual <= tol,
-                self.component_dev <= tol,
+                self.projection_sum_dev <= SPECTRUM_TOL,
+                self.overlap_law_dev <= SPECTRUM_TOL,
+                self.real_weight_dev <= SPECTRUM_TOL,
+                self.eigenpair_residual <= SPECTRUM_TOL,
+                self.component_dev <= SPECTRUM_TOL,
+                self.unitarity_dev <= UNITARITY_TOL,
             ]
         )
 
@@ -442,7 +478,9 @@ def correspondence_report(
         [cos^t phi_k = +1] and [cos^t phi_k = -1] (the real weight),
       - the path-basis component formulas, on the paths that start at vertex
         0: a path's deviation has the same modulus at every vertex, since
-        translating it multiplies both ends of a plane wave by one phase.
+        translating it multiplies both ends of a plane wave by one phase,
+      - on the same random probe as the residual, W_t and O_t keep the norm
+        and S_t, C_t and O_t are involutions (the unitarity deviation).
 
     These hold on every side and step count. Each d^t x d^t block is built
     once: the residual and the component formulas read its eigenvectors, and
@@ -463,7 +501,7 @@ def correspondence_report(
     # partners of its labels: the coin of phi at each source vertex. The same
     # partners end the paths from vertex 0; a path that ends where it starts
     # (even t) is its own partner and has no p- component, so it is skipped.
-    residual = _translation_dev(grid, t)
+    residual, unitarity = _probe_devs(grid, t)
     source = _shift_permutation(grid, t)[:d_t]
     source_vertex, source_label = np.divmod(source, d_t)
     paths = np.flatnonzero(source != np.arange(d_t))
@@ -545,4 +583,5 @@ def correspondence_report(
         real_weight_dev=real_dev,
         eigenpair_residual=residual,
         component_dev=component_dev,
+        unitarity_dev=unitarity,
     )

@@ -28,6 +28,9 @@ import numpy as np
 
 from .torus import TorusGrid, mode_orbits
 
+# Largest GridSums.identity_residual that the S3 = 1 - N + 2*S1 check accepts.
+IDENTITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSums:

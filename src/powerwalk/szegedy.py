@@ -23,6 +23,12 @@ from .torus import DEFAULT_DENSE_BUDGET
 # Singular values within this margin of 0 or 1 mark simultaneous eigenvectors
 # of the two range projectors (the trivially-acted-on subspace).
 SUBSPACE_TOL = 1e-9
+# Largest |A_k^dagger B_k - M^k| entry that the discriminant check accepts.
+DISCRIMINANT_TOL = 1e-10
+# Largest deviation that the eigenphase check (the walk's nontrivial
+# eigenphases against the powered chain's walk) and the gap-powering check
+# gap_k = 1-(1-gap)^k accept.
+EIGENPHASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)

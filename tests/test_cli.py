@@ -22,13 +22,11 @@ def run_cli(argv, capsys):
 
 def test_config_round_trips_to_canonical_json():
     parser = cli.build_parser()
-    args = parser.parse_args(
-        ["verify-spectrum", "--sizes", "5,9", "--t", "1,3", "--seed", "4"]
-    )
+    args = parser.parse_args(["verify-spectrum", "--sizes", "5,9", "--t", "1,3"])
     config = cli.config_from_args(args)
     text = config.canonical_json()
     data = json.loads(text)
-    assert (data["sizes"], data["t_values"], data["seed"]) == ([5, 9], [1, 3], 4)
+    assert (data["sizes"], data["t_values"]) == ([5, 9], [1, 3])
     # Every field is in the JSON: the config it builds writes the same JSON.
     assert cli.ExperimentConfig(**data).canonical_json() == text
 
@@ -236,12 +234,20 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["tulsi", "--sizes", "9", "--log-c", "2"],
         ["sums", "--sizes", "9", "--t", "3", "--t-schedule", "sweep"],
         ["verify-spectrum", "--sizes", "3", "--t", "1", "--log-c", "2"],
+        # A bad k is refused before the good one ahead of it is built.
+        ["szegedy", "--sizes", "3", "--k", "2,0"],
     ],
 )
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(
         cli, "search_trajectory", lambda model, Q, *moments: calls.append(model)
+    )
+    build = szegedy.build_isometries
+    monkeypatch.setattr(
+        szegedy,
+        "build_isometries",
+        lambda chain, k, **kw: calls.append((chain, k)) or build(chain, k, **kw),
     )
     grid_sums = cli.grid_sums
     monkeypatch.setattr(
@@ -408,14 +414,28 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--format", "yaml"])
     assert exc.value.code == 2
-    # Retired flags are unknown: Q is always floor(pi/(2 alpha)), and the
-    # amplification threshold is search.AMPLIFICATION_THRESHOLD.
-    retired = (("--rounding", "floor"), ("--amplification-threshold", "0.25"))
-    for command in ("search", "tulsi"):
-        for flag, value in retired:
-            with pytest.raises(SystemExit) as exc:
-                cli.main([command, "--sizes", "9", flag, value])
-            assert exc.value.code == 2, (command, flag)
+    # Retired flags are unknown: Q is always floor(pi/(2 alpha)), the
+    # amplification threshold is search.AMPLIFICATION_THRESHOLD, each check's
+    # tolerance is a constant of fullwalk, sums or szegedy, and the
+    # verify-spectrum probe has a fixed seed.
+    retired = [
+        (command, flag, value)
+        for command in ("search", "tulsi")
+        for flag, value in (
+            ("--rounding", "floor"), ("--amplification-threshold", "0.25")
+        )
+    ] + [
+        ("verify-spectrum", "--tol-spectrum", "10"),
+        ("verify-spectrum", "--tol-unitarity", "1"),
+        ("verify-spectrum", "--seed", "4"),
+        ("sums", "--tol-identity", "inf"),
+        ("szegedy", "--tol-discriminant", "1"),
+        ("szegedy", "--tol-eigenphase", "1"),
+    ]
+    for command, flag, value in retired:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--sizes", "9", flag, value])
+        assert exc.value.code == 2, (command, flag)
 
 
 TRACED_TULSI = """
@@ -462,8 +482,6 @@ DEFAULT_CONFIG_JSON = (
     '"generator": "random", "k_values": [1, 2, 3], '
     '"log_c": 1.0, "out": null, "seed": 0, '
     '"sizes": SIZES, "t_schedule": "fixed", "t_values": T_VALUES, '
-    '"tolerances": {"discriminant": 1e-10, "eigenphase": 1e-09, '
-    '"identity": 1e-09, "spectrum": 1e-09, "unitarity": 1e-12}, '
     '"trajectory": true}'
 )
 
@@ -472,7 +490,7 @@ DEFAULT_CONFIG_JSON = (
 # before the first one runs.
 CONTRACT = {
     "verify-spectrum": (
-        ["--sizes", "3", "--t", "1", "--seed", "2"],
+        ["--sizes", "3", "--t", "1"],
         ["--sizes", "5,3", "--t", "1,5"],
         "[5]",
         "[1, 3]",
@@ -507,11 +525,11 @@ CONTRACT = {
 # Each subcommand accepts exactly the flags its run reads.
 WALK = "--sizes --t --t-schedule --log-c"
 FLAGS = {
-    "verify-spectrum": f"--seed --budget --tol-spectrum --tol-unitarity {WALK}",
+    "verify-spectrum": f"--budget {WALK}",
     "search": f"--out --format {WALK} --no-trajectory",
     "tulsi": f"--out --format {WALK} --delta --delta-policy",
-    "sums": f"--out --format --tol-identity {WALK}",
-    "szegedy": "--out --format --seed --budget --tol-discriminant --tol-eigenphase "
+    "sums": f"--out --format {WALK}",
+    "szegedy": "--out --format --seed --budget "
     "--sizes --k --chains --generator --chain-csv",
 }
 

@@ -375,7 +375,7 @@ def test_correspondence_report_beyond_dense_sizes():
     # momentum.
     for side in (9, 11, 15):
         rep = correspondence_report(TorusGrid(side), 3, budget=15_000)
-        assert rep.passed(1e-9), rep
+        assert rep.passed(), rep
         assert rep.invariant_dim == 2 * side * side - 1
         assert rep.eigenpair_residual <= 1e-12
 
@@ -387,7 +387,7 @@ def test_correspondence_report_even_sides():
     for side in (4, 6, 8):
         for t in (1, 2, 3):
             rep = correspondence_report(TorusGrid(side), t)
-            assert rep.passed(1e-9), (side, t, rep)
+            assert rep.passed(), (side, t, rep)
             assert rep.invariant_dim == rep.expected_invariant_dim == 2 * side**2 - 3
 
 
@@ -406,8 +406,21 @@ def test_correspondence_report_catches_a_wrong_shift(monkeypatch):
     monkeypatch.setattr(fullwalk, "_shift_permutation", corrupted)
     for t in (1, 3):
         rep = correspondence_report(TorusGrid(5), t)
-        assert not rep.passed(1e-9)
+        assert not rep.passed()
         assert rep.eigenpair_residual > 1e-9, (t, rep)
+
+
+def test_correspondence_report_catches_a_non_involutive_oracle(monkeypatch):
+    # i O keeps every norm but squares to -I: only the unitarity probe reads
+    # the oracle, and its involution defect must show it.
+    oracle = fullwalk.apply_oracle
+    monkeypatch.setattr(
+        fullwalk, "apply_oracle", lambda grid, t, m, state: 1j * oracle(grid, t, m, state)
+    )
+    rep = correspondence_report(TorusGrid(5), 1)
+    assert not rep.passed()
+    assert rep.unitarity_dev > fullwalk.UNITARITY_TOL
+    assert rep.eigenpair_residual <= 1e-12
 
 
 def test_correspondence_report_catches_wrong_path_components(monkeypatch):
@@ -422,7 +435,7 @@ def test_correspondence_report_catches_wrong_path_components(monkeypatch):
         ),
     )
     rep = correspondence_report(TorusGrid(5), 3)
-    assert not rep.passed(1e-9)
+    assert not rep.passed()
     assert rep.component_dev > 1e-9
     assert rep.eigenpair_residual <= 1e-12
 
@@ -441,7 +454,7 @@ def test_correspondence_report_builds_each_block_once(monkeypatch):
     for side in (2, 3, 4, 5, 6, 7):
         for t in (1, 2, 3):
             sizes.clear()
-            assert correspondence_report(TorusGrid(side), t).passed(1e-9)
+            assert correspondence_report(TorusGrid(side), t).passed()
             assert sizes == [4**t] * side**2, (side, t, len(sizes))
 
 
