@@ -55,8 +55,7 @@ class ExperimentConfig:
     sizes: tuple[int, ...] = ()
     t_schedule: str = "fixed"  # fixed | log-n | sweep
     t_values: tuple[int, ...] = (1,)
-    log_c: float = 1.0
-    delta_policy: str = "original-tulsi"  # fixed | optimal-qo | balanced | original-tulsi
+    delta_policy: str = "balanced"  # fixed | optimal-qo | balanced
     delta: float = 0.0
     out: str | None = None
     format: str = "csv"
@@ -76,18 +75,17 @@ class ExperimentConfig:
         n = side * side
         if self.t_schedule == "fixed":
             return self.t_values
-        if not self.log_c > 0.0:
-            raise ValueError(f"--log-c must be > 0, got {self.log_c}")
+        top = nearest_odd(math.log(n))
         if self.t_schedule == "log-n":
-            return (nearest_odd(self.log_c * math.log(n)),)
+            return (top,)
         if self.t_schedule == "sweep":
-            top = nearest_odd(self.log_c * math.log(n))
             return tuple(range(1, top + 1, 2))
         raise ValueError(f"unknown t schedule {self.t_schedule!r}")
 
     def grid_instances(self) -> list[tuple[TorusGrid, int]]:
         """Every (grid, t) of the sweep, in order. Every step count is checked
-        first, so a bad one is refused before any work."""
+        first, so a bad one is refused before any work. Above 2**53 an odd t
+        would lose its parity in the float power cos**t."""
         grids = [TorusGrid(side) for side in self.sizes]
         instances = [(grid, t) for grid in grids for t in self.schedule_for(grid.side)]
         if not instances:
@@ -95,6 +93,8 @@ class ExperimentConfig:
         for _, t in instances:
             if t < 1:
                 raise ValueError(f"step count t must be >= 1, got {t}")
+            if t > 2**53:
+                raise ValueError(f"step count t must be <= 2**53, got {t}")
         return instances
 
 
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"))
 
-    def walk_flags(p: argparse.ArgumentParser) -> None:
+    def walk_flags(p: argparse.ArgumentParser, schedule: bool = True) -> None:
         p.add_argument(
             "--sizes", type=_int_list, help="comma-separated grid sides"
         )
@@ -146,12 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
             type=_int_list,
             help="comma-separated step counts",
         )
-        p.add_argument(
-            "--t-schedule",
-            choices=("fixed", "log-n", "sweep"),
-            help="fixed: use --t; log-n: nearest odd c*ln N; sweep: odd 1..ln N",
-        )
-        p.add_argument("--log-c", type=float, help="c in t = nearest-odd(c ln N)")
+        if schedule:
+            p.add_argument(
+                "--t-schedule",
+                choices=("fixed", "log-n", "sweep"),
+                help="fixed: use --t; log-n: nearest odd ln N; sweep: odd 1..ln N",
+            )
 
     p = sub.add_parser(
         "verify-spectrum",
@@ -169,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "blocks of size 4^t); a larger instance is refused with exit 2 "
         "before any check runs",
     )
-    walk_flags(p)
-    p.set_defaults(sizes=(5,))  # t_values: config_from_args
+    walk_flags(p, schedule=False)
+    p.set_defaults(sizes=(5,), t_values=(1, 3))
 
     p = sub.add_parser(
         "search",
@@ -226,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget",
         type=int,
-        help="largest Szegedy walk dimension N^(k+1) to build densely; "
-        "larger (chain, k) pairs are skipped",
+        help="largest Szegedy walk dimension N^(k+1) to build densely; a "
+        "larger (chain, k) pair is refused with exit 2 before any walk is built",
     )
     p.add_argument("--sizes", type=_int_list, help="chain sizes N")
     p.add_argument(
@@ -255,10 +255,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values = {k: v for k, v in vars(args).items() if k in fields}
     if "delta" in values and values.get("delta_policy") != "fixed":
         raise ValueError("--delta needs --delta-policy fixed")
-    schedule = values.get("t_schedule", "fixed")
-    if "log_c" in values and schedule == "fixed":
-        raise ValueError("--log-c needs --t-schedule log-n or sweep")
-    if "t_values" in values and schedule != "fixed":
+    if "t_values" in values and values.get("t_schedule", "fixed") != "fixed":
         raise ValueError("--t needs --t-schedule fixed")
     if "chain_csv" in values:
         ignored = [k for k in ("sizes", "generator", "chains", "seed") if k in values]
@@ -269,9 +266,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError("--chains and --seed are read only by --generator random")
     if values["command"] == "szegedy" and "chain_csv" not in values:
         values.setdefault("sizes", (2, 3, 4))  # the generated chains' sizes
-    if values["command"] == "verify-spectrum":
-        # Not a parser default, which would read as --t given off the fixed schedule.
-        values.setdefault("t_values", (1, 3))
     return ExperimentConfig(**values)
 
 
@@ -312,7 +306,7 @@ def _sum_fields(gs) -> dict:
     return {name: getattr(gs, name) for name in records.SUM_FIELDS}
 
 
-def _search_record(config: ExperimentConfig, model: SpectralModel, trajectory: bool) -> dict:
+def _search_record(model: SpectralModel, trajectory: bool) -> dict:
     """One search row: the secular root, the analytic accounting at its Q, the
     grid sums, and p_s, measured on the trajectory at Q or the analytic estimate.
     A trajectory row also carries h0_dev = |h(0) - 1| of its return moments,
@@ -351,7 +345,7 @@ def run_search(config: ExperimentConfig) -> ScalingReport:
     # solve. Each is dropped once solved, which frees its cached weights.
     models = [build_model(grid, t) for grid, t in config.grid_instances()]
     while models:
-        report.records.append(_search_record(config, models.pop(0), config.trajectory))
+        report.records.append(_search_record(models.pop(0), config.trajectory))
     recs = report.records
     report.checks["Q_G = t*Q_O"] = all(r["Q_G"] == r["t"] * r["Q_O"] for r in recs)
     report.checks["lower <= S1 <= upper"] = all(
@@ -391,8 +385,8 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
         # The base columns describe plain search at the same (L, t); the
         # success and query columns come from the controlled run's own row,
         # and only its trajectory is measured.
-        rec = _search_record(config, base, trajectory=False)
-        ctl = _search_record(config, controlled, trajectory=True)
+        rec = _search_record(base, trajectory=False)
+        ctl = _search_record(controlled, trajectory=True)
         rec.update(
             {name: ctl[name] for name in ("p_s", "p_s_bound", "Q_O", "Q_G", "h0_dev")},
             delta=delta,
@@ -462,25 +456,23 @@ def _szegedy_chains(config: ExperimentConfig) -> list[tuple[str, szegedy.MarkovC
 
 
 def run_szegedy(config: ExperimentConfig) -> ScalingReport:
-    for k in config.k_values:  # refused before any chain is built
-        if k < 1:
-            raise ValueError(f"step count k must be >= 1, got {k}")
     pairs = [(label, chain, k) for label, chain in _szegedy_chains(config)
              for k in config.k_values]
-    if all(chain.size ** (k + 1) > config.budget for _, chain, k in pairs):
-        raise ValueError(f"no (chain, k) pair to check within budget {config.budget}")
+    if not pairs:
+        raise ValueError("no (chain, k) pair to check")
+    for label, chain, k in pairs:  # refused before any walk is built
+        if k < 1:
+            raise ValueError(f"step count k must be >= 1, got {k}")
+        dim = chain.size ** (k + 1)
+        if dim > config.budget:
+            raise ValueError(
+                f"chain {label} k={k}: dimension {dim} exceeds budget "
+                f"{config.budget}; refusing the walk"
+            )
     report = ScalingReport()
     disc_ok = True
     eig_ok = True
     for label, chain, k in pairs:
-        dim = chain.size ** (k + 1)
-        if dim > config.budget:
-            print(
-                f"chain {label} k={k}: dimension {dim} exceeds budget "
-                f"{config.budget}; skipped",
-                file=sys.stderr,
-            )
-            continue
         walk = szegedy.build_isometries(chain, k, budget=config.budget)
         powered = np.linalg.matrix_power(chain.matrix, k)
         disc_err = float(np.max(np.abs(szegedy.discriminant(walk) - powered)))

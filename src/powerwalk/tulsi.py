@@ -14,7 +14,9 @@ the full-space circuit that cross-checks it. The per-iteration circuit
 |0> state) equals the block operator
 U~ = diag(W_t, -I) . (I - 2|psi_m, delta><psi_m, delta|) exactly; the block
 form is authoritative and the circuit is the cross-check. Both are
-matrix-free, so the cross-check reaches the sizes the reduced engine runs at.
+matrix-free, but they act on the doubled full space of dimension 2 N 4^t, so
+the cross-check stays below the sizes the reduced engine sweeps: the tests
+run the circuit up to L = 65 (t = 1 and 3) and to t = 5 at L = 17.
 """
 
 from __future__ import annotations
@@ -30,24 +32,19 @@ from .torus import TorusGrid
 
 
 # The tuning targets tune_delta accepts, spelled as the CLI's --delta-policy.
-DELTA_POLICIES = ("optimal-qo", "balanced", "original-tulsi")
+DELTA_POLICIES = ("optimal-qo", "balanced")
 
 
 def tune_delta(model: SpectralModel, target: str) -> float:
     """Pick delta for a named point on the Q_O/Q_G trade-off curve.
 
-    original-tulsi: t must be 1, tan^2(delta) = ln N (the single-step
-    controlled search). balanced: tan^2(delta) = ln N / t, maintaining
-    t tan^2(delta) = ln N for intermediate t <= ln N. optimal-qo: the
-    t = Theta(ln N) end, tan^2(delta) clamped to 1 and 0 once t >= ln N.
-    Logarithms are natural throughout.
+    balanced: tan^2(delta) = ln N / t, maintaining t tan^2(delta) = ln N for
+    t <= ln N; at t = 1 it is the original single-step controlled search,
+    tan^2(delta) = ln N. optimal-qo: the t = Theta(ln N) end, tan^2(delta)
+    clamped to 1 and 0 once t >= ln N. Logarithms are natural throughout.
     """
     ln_n = math.log(model.grid.vertex_count)
-    if target == "original-tulsi":
-        if model.t != 1:
-            raise ValueError(f"original-tulsi requires t=1, got t={model.t}")
-        ratio = ln_n
-    elif target == "balanced":
+    if target == "balanced":
         # nearest-odd rounding may land just above ln N; that is still the
         # top of the schedule, so reject only beyond it.
         if model.t > max(ln_n, _nearest_odd(ln_n)):

@@ -251,7 +251,7 @@ def test_criterion_08_controlled_search_recovery():
         n = side * side
         model = build_model(TorusGrid(side), 1)
         controlled = build_model(
-            TorusGrid(side), 1, delta=tune_delta(model, "original-tulsi")
+            TorusGrid(side), 1, delta=tune_delta(model, "balanced")
         )
         alpha_d, _ = compute_alpha(controlled)
         q_delta = math.floor(math.pi / (2 * alpha_d))

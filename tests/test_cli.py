@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from powerwalk import cli, records, search, sums, szegedy
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -138,12 +140,42 @@ def test_tulsi_refuses_policy_mismatch_before_any_trajectory(capsys, monkeypatch
         return trajectory(model, Q, *moments)
 
     monkeypatch.setattr(cli, "search_trajectory", counting)
-    code, out, err = run_cli(["tulsi", "--sizes", "9", "--t", "1,3"], capsys)
+    # The default policy, balanced, holds t tan^2(delta) = ln N: t = 7 is
+    # beyond ln 81 and its nearest odd 5.
+    code, out, err = run_cli(["tulsi", "--sizes", "9", "--t", "1,7"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: original-tulsi requires t=1, got t=3\n"
+    assert err == "error: balanced schedule requires t <= ln N (4.39), got t=7\n"
     assert calls == []
     assert run_cli(["tulsi", "--sizes", "9", "--t", "1"], capsys)[0] == 0
     assert calls == [(9, 1)]
+
+
+def test_tulsi_sweeps_with_the_default_policy(capsys):
+    # The default policy is balanced, which every odd t up to ln N accepts.
+    argv = ["tulsi", "--sizes", "17", "--t-schedule", "sweep"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [row.split(",")[2] for row in out.splitlines()[2:]] == ["1", "3", "5"]
+    assert run_cli([*argv, "--delta-policy", "balanced"], capsys)[:2] == (0, out)
+
+
+def readme_argvs():
+    """The argv of every ``powerwalk ...`` line in README's code blocks."""
+    blocks = README.read_text().split("```")[1::2]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("powerwalk ")
+    ]
+
+
+def test_readme_examples_run(capsys):
+    argvs = readme_argvs()
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
 
 
 MOMENT_CHECK = "check trajectory moment h(0) = 1 within 1e-12: "
@@ -200,7 +232,8 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["verify-spectrum", "--sizes", "3", "--t", "-1"],
         ["verify-spectrum", "--sizes", "3", "--t", "0"],
         ["search", "--sizes", "1001", "--t", "1,2"],
-        ["search", "--sizes", "9", "--t-schedule", "sweep", "--log-c", "-3"],
+        # An odd t above 2**53 would turn even in the float power cos**t.
+        ["search", "--sizes", "8", "--t", "9007199254740993", "--no-trajectory"],
         ["szegedy", "--sizes", ""],
         ["szegedy", "--chains", "-2"],
         # Runs that would check nothing.
@@ -211,6 +244,9 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["szegedy", "--chains", "0"],
         ["szegedy", "--generator", "cycle", "--sizes", "2"],
         ["szegedy", "--sizes", "9", "--k", "4"],  # every pair over budget
+        ["szegedy", "--sizes", "3,9", "--k", "1,4"],  # one pair over budget
+        ["szegedy", "--generator", "cycle", "--sizes", "4", "--k", "1,2",
+         "--budget", "32"],
         ["tulsi", "--sizes", "9", "--delta", "0.3"],  # --delta needs fixed
         ["szegedy", "--generator", "cycle", "--sizes", "2,5", "--k", "1"],
         ["szegedy", "--generator", "lazy-cycle", "--sizes", "2,5", "--k", "1"],
@@ -226,14 +262,11 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["sums", "--sizes", "8", "--t", "4"],
         # ... refused before the odd side ahead of it is summed.
         ["sums", "--sizes", "9,8", "--t", "2"],
-        # A sweep flag that the step-count schedule would ignore.
-        ["search", "--sizes", "9", "--t", "1", "--log-c", "2"],
-        ["search", "--sizes", "9", "--log-c", "-1"],
+        ["sums", "--sizes", "8", "--t", "9007199254740993"],
+        ["tulsi", "--sizes", "8", "--t", "9007199254740993"],
+        # A step count that the sweep schedule would ignore.
         ["search", "--sizes", "9", "--t", "3", "--t-schedule", "log-n"],
-        # ... on every subcommand that walks the torus.
-        ["tulsi", "--sizes", "9", "--log-c", "2"],
         ["sums", "--sizes", "9", "--t", "3", "--t-schedule", "sweep"],
-        ["verify-spectrum", "--sizes", "3", "--t", "1", "--log-c", "2"],
         # A bad k is refused before the good one ahead of it is built.
         ["szegedy", "--sizes", "3", "--k", "2,0"],
     ],
@@ -416,8 +449,9 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
     # Retired flags are unknown: Q is always floor(pi/(2 alpha)), the
     # amplification threshold is search.AMPLIFICATION_THRESHOLD, each check's
-    # tolerance is a constant of fullwalk, sums or szegedy, and the
-    # verify-spectrum probe has a fixed seed.
+    # tolerance is a constant of fullwalk, sums or szegedy, the
+    # verify-spectrum probe has a fixed seed, the schedules read
+    # nearest-odd(ln N) and verify-spectrum runs the --t list only.
     retired = [
         (command, flag, value)
         for command in ("search", "tulsi")
@@ -431,6 +465,13 @@ def test_usage_error_exit_code():
         ("sums", "--tol-identity", "inf"),
         ("szegedy", "--tol-discriminant", "1"),
         ("szegedy", "--tol-eigenphase", "1"),
+        ("verify-spectrum", "--t-schedule", "sweep"),
+        ("verify-spectrum", "--log-c", "2"),
+        ("search", "--log-c", "2"),
+        ("tulsi", "--log-c", "2"),
+        ("sums", "--log-c", "2"),
+        # balanced at t = 1 is the original Tulsi search.
+        ("tulsi", "--delta-policy", "original-tulsi"),
     ]
     for command, flag, value in retired:
         with pytest.raises(SystemExit) as exc:
@@ -478,9 +519,9 @@ def test_benchmark_tracer_wraps_engine():
 DEFAULT_CONFIG_JSON = (
     '{"budget": 4096, "chain_csv": null, '
     '"chains": 20, "command": "COMMAND", "delta": 0.0, '
-    '"delta_policy": "original-tulsi", "format": "csv", '
+    '"delta_policy": "balanced", "format": "csv", '
     '"generator": "random", "k_values": [1, 2, 3], '
-    '"log_c": 1.0, "out": null, "seed": 0, '
+    '"out": null, "seed": 0, '
     '"sizes": SIZES, "t_schedule": "fixed", "t_values": T_VALUES, '
     '"trajectory": true}'
 )
@@ -503,7 +544,7 @@ CONTRACT = {
     ),
     "tulsi": (
         ["--sizes", "9", "--t-schedule", "sweep", "--delta-policy", "balanced"],
-        ["--sizes", "9", "--t", "1,3"],
+        ["--sizes", "9", "--t", "2"],
         "[17, 33, 65, 129, 257]",
         "[1]",
     ),
@@ -523,9 +564,9 @@ CONTRACT = {
 
 
 # Each subcommand accepts exactly the flags its run reads.
-WALK = "--sizes --t --t-schedule --log-c"
+WALK = "--sizes --t --t-schedule"
 FLAGS = {
-    "verify-spectrum": f"--budget {WALK}",
+    "verify-spectrum": "--budget --sizes --t",
     "search": f"--out --format {WALK} --no-trajectory",
     "tulsi": f"--out --format {WALK} --delta --delta-policy",
     "sums": f"--out --format {WALK}",

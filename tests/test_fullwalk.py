@@ -153,6 +153,15 @@ def test_uniform_state_is_walk_fixed_point():
     assert np.allclose(apply_walk(grid, 1, psi), psi)
 
 
+def plane_wave(grid, b):
+    """<v|k> for every vertex v = y L + x, for the momentum k of block b."""
+    L = grid.side
+    kx, ky = b % L, b // L
+    x = np.exp(2j * np.pi * kx * np.arange(L) / L)
+    y = np.exp(2j * np.pi * ky * np.arange(L) / L)
+    return np.outer(y, x).ravel() / L
+
+
 class Gathered:
     """What the tests read of a WalkSpectrum, built from its block factory.
 
@@ -180,7 +189,7 @@ class Gathered:
 
     def slab(self, b, cols=slice(None)):
         vecs = self.spec.block(b)[1][:, cols]
-        wave = self.spec.plane_wave(b)
+        wave = plane_wave(self.spec.grid, b)
         return (wave[:, None, None] * vecs).reshape(-1, vecs.shape[1])
 
     def vectors(self):
@@ -341,8 +350,18 @@ def test_block_vectors_are_an_orthonormal_eigenbasis():
             assert np.max(np.abs(residual)) <= 1e-12, (side, t)
     # Columns 16..31 are block 1 of TorusGrid(4), t=2: |k> (x) phi.
     spec = walk_spectrum(TorusGrid(4), 2)
-    wave_times_block = np.kron(spec.plane_wave(1)[:, None], spec.block(1)[1])
+    wave_times_block = np.kron(plane_wave(spec.grid, 1)[:, None], spec.block(1)[1])
     assert np.array_equal(Gathered(spec).vectors()[:, 16:32], wave_times_block)
+
+
+def test_block_phases_are_the_plane_wave_at_the_partners():
+    # M_k's phase at label g is L <s(g)|k>, with s(g) the partner vertex.
+    for side, t in ((4, 2), (5, 1), (5, 3)):
+        spec = walk_spectrum(TorusGrid(side), t)
+        vertex = spec.partner_offset[1] * side + spec.partner_offset[0]
+        for b in range(side * side):
+            wave = plane_wave(spec.grid, b)
+            assert np.max(np.abs(spec.phases(b) - side * wave[vertex])) <= 1e-13
 
 
 def test_walk_spectrum_refuses_a_shift_that_is_not_two_reflections(monkeypatch):

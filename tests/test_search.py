@@ -237,8 +237,6 @@ def sweep_models():
             base = build_model(grid, t)
             yield base
             for policy in DELTA_POLICIES:
-                if policy == "original-tulsi" and t != 1:
-                    continue  # tune_delta refuses it
                 yield build_model(grid, t, tune_delta(base, policy))
 
 

@@ -62,16 +62,17 @@ def test_schedule_identity():
 
 
 def test_tune_delta_original():
+    # balanced at t = 1 is the original single-step controlled search.
     model = build_model(TorusGrid(32), 1)
-    delta = tune_delta(model, "original-tulsi")
+    delta = tune_delta(model, "balanced")
     assert math.tan(delta) ** 2 == pytest.approx(math.log(1024), rel=1e-12)
     assert delta == pytest.approx(math.atan(math.sqrt(6.931471805599453)), rel=1e-12)
 
 
 def test_tune_delta_errors_and_clamps():
     model3 = build_model(TorusGrid(17), 3)
-    with pytest.raises(ValueError):
-        tune_delta(model3, "original-tulsi")
+    with pytest.raises(ValueError, match="unknown tuning target"):
+        tune_delta(model3, "original-tulsi")  # retired: balanced at t = 1
     big_t = build_model(TorusGrid(5), 5)  # t=5 > ln 25 ~ 3.2
     with pytest.raises(ValueError):
         tune_delta(big_t, "balanced")
@@ -167,7 +168,7 @@ def test_alpha_delta_scaling_band():
     values = []
     for side in (17, 33, 65):
         model = build_model(TorusGrid(side), 1)
-        controlled = build_model(TorusGrid(side), 1, delta=tune_delta(model, "original-tulsi"))
+        controlled = build_model(TorusGrid(side), 1, delta=tune_delta(model, "balanced"))
         a_d, _ = compute_alpha(controlled)
         values.append(a_d * side)
     assert max(values) < 2.0
