@@ -14,8 +14,9 @@ the square-shell bound 8 sum_l l / (1 - exp(-4 l^2 t / N)).
 The sums read ``orbit_measure``, the one (x, weight) measure of (L, t) that
 the search engine reads too: x = cos^t phi on each symmetry orbit of the modes
 (torus.mode_orbits) and the orbit's mode count, about N/8 terms. The counts
-are powers of two, so every scaled term is exact, and compensated (exact)
-summation makes the result independent of the evaluation order.
+are powers of two, so every scaled term is exact. ``exact_sum`` adds each
+array of terms correctly rounded (math.fsum's value) in a few vector passes,
+so no sum depends on the evaluation order.
 """
 
 from __future__ import annotations
@@ -55,12 +56,50 @@ class GridSums:
         return self.lower <= self.S1 <= self.upper
 
 
+def exact_sum(p: np.ndarray, buf: np.ndarray) -> float:
+    """Correctly rounded sum of the float64 array p: math.fsum's value.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008, "Accurate floating-point
+    summation part I"). With sigma a power of two at least (n + 2) max|p|,
+    q = (sigma + p) - sigma and p - q are exact, and the q are multiples of
+    ulp(sigma)/2 whose partial sums stay below sigma, so np.sum(q) is exact in
+    any order. Repeating on the remainder until it is zero leaves a few exact
+    partial sums, which math.fsum rounds once. Overwrites p (it ends all
+    zero) and buf, a scratch array of p's shape. Raises ValueError on a NaN
+    or infinite term and when (n + 2) max|p| overflows.
+    """
+    room = (p.size + 1).bit_length()  # ceil(log2(n + 2))
+    partials = []
+    while True:
+        top = float(np.abs(p, out=buf).max(initial=0.0))
+        if top == 0.0:
+            return math.fsum(partials)
+        if not math.isfinite(top):
+            raise ValueError(f"exact_sum of a non-finite term ({top})")
+        exponent = math.frexp(top)[1] + room
+        if exponent > 1023:
+            raise ValueError(f"exact_sum of {p.size} terms up to {top} overflows")
+        sigma = math.ldexp(1.0, exponent)
+        np.add(p, sigma, out=buf)
+        buf -= sigma
+        partials.append(float(np.sum(buf)))
+        p -= buf
+
+
 @functools.lru_cache(maxsize=1)
 def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     """x = cos^t phi and mode count per orbit, read-only. The cache keeps the
-    last (grid, t): one search or tulsi record reads no other."""
+    last (grid, t): one search or tulsi record reads no other.
+
+    x is |cos|^t, with the sign of cos put back for odd t. numpy's SIMD
+    power kernel takes non-negative bases only and sends a negative one to a
+    scalar pow that can round differently, so powering |cos| keeps every
+    orbit on one routine and makes x(-c) = -x(c) (odd t) exact.
+    """
     cos, count = mode_orbits(grid)
-    x = cos**t
+    x = np.abs(cos) ** t
+    if t % 2:
+        np.copysign(x, cos, out=x)
     x.flags.writeable = False
     return x, count
 
@@ -70,7 +109,8 @@ def _telescoped_sum(grid: TorusGrid) -> float:
     """sum 1/(1 - cos phi_k) over the nonzero modes: t times the lower bound
     of S1 at every t, so a sweep sums it once per side (cached as mode_orbits)."""
     cos, count = mode_orbits(grid)
-    return math.fsum((count / (1.0 - cos)).tolist())
+    terms = np.divide(count, 1.0 - cos)
+    return exact_sum(terms, np.empty_like(terms))
 
 
 def check_finite(grid: TorusGrid, t: int) -> None:
@@ -87,12 +127,16 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
     N = grid.vertex_count
     x, count = orbit_measure(grid, t)
     one_minus = 1.0 - x
-    # math.fsum reads a list of floats faster than an array
-    S1 = math.fsum((count / one_minus).tolist())
-    S2 = math.fsum((count / one_minus**2).tolist())
-    S3 = math.fsum((count * (1.0 + x) / one_minus).tolist())
+    terms, buf = np.empty_like(x), np.empty_like(x)
+    S1 = exact_sum(np.divide(count, one_minus, out=terms), buf)
+    np.square(one_minus, out=terms)
+    S2 = exact_sum(np.divide(count, terms, out=terms), buf)
+    np.add(1.0, x, out=terms)
+    np.multiply(count, terms, out=terms)
+    S3 = exact_sum(np.divide(terms, one_minus, out=terms), buf)
     lower = _telescoped_sum(grid) / t
 
     shells = np.arange(1, grid.side // 2 + 1)
-    upper = 8.0 * math.fsum(shells / (1.0 - np.exp(-4.0 * shells**2 * t / N)))
+    shell_terms = shells / (1.0 - np.exp(-4.0 * shells**2 * t / N))
+    upper = 8.0 * exact_sum(shell_terms, np.empty_like(shell_terms))
     return GridSums(side=grid.side, t=t, S1=S1, S2=S2, S3=S3, lower=lower, upper=upper)

@@ -123,12 +123,14 @@ def test_verify_spectrum_budget_refusal(capsys):
 
 
 def test_verify_spectrum_beyond_dense_sizes(capsys):
-    # dim 5184: one 64x64 block per momentum instead of a dense Schur form.
-    code, out, err = run_cli(
-        ["verify-spectrum", "--sizes", "9", "--t", "3", "--budget", "6000"], capsys
-    )
-    assert (code, out) == (0, "")
-    assert "L=9 t=3: pass" in err and "eigenpair residual" in err
+    # dim 5184 at L=9: one 64x64 block per momentum instead of a dense Schur
+    # form. dim 69696 at L=33, a side of the scaling sweeps, takes about 1 s.
+    for side, budget in (("9", "6000"), ("33", "70000")):
+        code, out, err = run_cli(
+            ["verify-spectrum", "--sizes", side, "--t", "3", "--budget", budget], capsys
+        )
+        assert (code, out) == (0, "")
+        assert f"L={side} t=3: pass" in err and "eigenpair residual" in err
 
 
 def test_tulsi_refuses_policy_mismatch_before_any_trajectory(capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from powerwalk.search import nearest_odd
-from powerwalk.sums import grid_sums
-from powerwalk.torus import TorusGrid, mode_cosines
+from powerwalk.sums import exact_sum, grid_sums, orbit_measure
+from powerwalk.torus import TorusGrid, mode_cosines, mode_orbits
 
 
 def test_smallest_grid_exact_value():
@@ -80,3 +81,88 @@ def test_orbit_sums_match_per_mode_oracle():
             gs = grid_sums(TorusGrid(side), t)
             for got, want in zip((gs.S1, gs.S2, gs.S3, gs.lower), expected):
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (side, t)
+
+
+SUMMAND_KINDS = ("normal", "wide", "subnormal", "cancelling", "equal-run")
+
+
+def _summands(kind, rng):
+    if kind == "normal":
+        return rng.standard_normal(int(rng.integers(1, 3000)))
+    if kind == "wide":  # magnitudes from 1e-300 to 1e300
+        n = int(rng.integers(1, 3000))
+        return rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == "subnormal":
+        return rng.standard_normal(int(rng.integers(1, 3000))) * 1e-310
+    if kind == "cancelling":  # exact +- pairs leave only the tiny term
+        n = int(rng.integers(1, 1500))
+        pairs = rng.standard_normal(n) * 10.0 ** rng.uniform(-20, 20, n)
+        return rng.permutation(np.concatenate([pairs, -pairs, [1e-30]]))
+    if kind == "equal-run":  # one NUFFT cell at large t: a long run of equal terms
+        return np.full(100_000, rng.standard_normal())
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("kind", SUMMAND_KINDS)
+def test_exact_sum_is_fsum(kind):
+    rng = np.random.default_rng(SUMMAND_KINDS.index(kind))
+    for _ in range(20):
+        p = _summands(kind, rng)
+        want = math.fsum(p.tolist())
+        assert exact_sum(p.copy(), np.empty_like(p)) == want
+
+
+def test_exact_sum_small_and_zero():
+    for values in ([], [2.5], [-1e-320], [0.0] * 5, [-0.0, 0.0], [1.0, 1e100, 1.0, -1e100]):
+        p = np.array(values, dtype=float)
+        assert exact_sum(p, np.empty_like(p)) == math.fsum(values), values
+
+
+def test_exact_sum_refuses_what_it_cannot_sum():
+    # max|p| compares false against 0 on NaN, so a plain loop would return 0.
+    for values in ([1.0, math.nan], [math.inf, 1.0], [-math.inf], [math.inf, -math.inf]):
+        p = np.array(values)
+        with pytest.raises(ValueError, match="non-finite"):
+            exact_sum(p, np.empty_like(p))
+    p = np.array([1.7e308, 1.0])  # (n + 2) max|p| overflows
+    with pytest.raises(ValueError, match="overflows"):
+        exact_sum(p, np.empty_like(p))
+
+
+def _fsum_formulas(grid, t):
+    """The five sums as math.fsum over Python lists of the same terms."""
+    x, count = orbit_measure(grid, t)
+    cos, _ = mode_orbits(grid)
+    one_minus = 1.0 - x
+    shells = np.arange(1, grid.side // 2 + 1)
+    return (
+        math.fsum((count / one_minus).tolist()),
+        math.fsum((count / one_minus**2).tolist()),
+        math.fsum((count * (1.0 + x) / one_minus).tolist()),
+        math.fsum((count / (1.0 - cos)).tolist()) / t,
+        8.0 * math.fsum(shells / (1.0 - np.exp(-4.0 * shells**2 * t / grid.vertex_count))),
+    )
+
+
+def test_grid_sums_are_fsum_bytes():
+    for side in (2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 64, 129):
+        for t in (1, 3, 5, 7):
+            gs = grid_sums(TorusGrid(side), t)
+            got = (gs.S1, gs.S2, gs.S3, gs.lower, gs.upper)
+            assert got == _fsum_formulas(TorusGrid(side), t), (side, t)
+
+
+def test_orbit_measure_symmetry():
+    for side in (4, 16, 64, 256):
+        grid = TorusGrid(side)
+        cos, _ = mode_orbits(grid)
+        _, plus, minus = np.intersect1d(cos, -cos, return_indices=True)
+        assert plus.size > 0  # cos[minus] == -cos[plus]
+        up = cos > 0
+        for t in (1, 2, 3, 7):
+            x, _ = orbit_measure(grid, t)
+            if t % 2:
+                assert np.array_equal(x[minus], -x[plus]), (side, t)
+            else:
+                assert np.array_equal(x[minus], x[plus]) and (x >= 0).all(), (side, t)
+            assert np.array_equal(x[up], cos[up] ** t), (side, t)
