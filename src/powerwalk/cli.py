@@ -328,7 +328,7 @@ def _search_record(model: SpectralModel, trajectory: bool) -> dict:
     }
     if trajectory:
         moments = return_moments(model, result.Q)
-        rec["p_s"] = float(search_trajectory(model, result.Q, moments)[-1])
+        rec["p_s"] = float(search_trajectory(model, moments)[-1])
         rec["h0_dev"] = abs(float(moments[0]) - 1.0)
     return rec
 

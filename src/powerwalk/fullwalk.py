@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sums import orbit_measure
 from .torus import (
     DEFAULT_DENSE_BUDGET,
     DEGREE,
@@ -349,11 +350,11 @@ def walk_spectrum(
 
 
 def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
-    """Predicted signed eigenphases +-arccos(cos^t phi_k) over modes with
-    |cos phi_k| < 1, sorted ascending."""
-    cos = mode_cosines(grid)
-    interior = cos[np.abs(cos) < 1.0 - 1e-12]
-    phases = np.arccos(np.clip(interior**t, -1.0, 1.0))
+    """Predicted signed eigenphases +-arccos x over the engine's orbit measure
+    (sums.orbit_measure), |x| < 1, repeated by mode count, sorted ascending."""
+    x, count = orbit_measure(grid, t)
+    interior = np.abs(x) < 1.0 - 1e-12
+    phases = np.repeat(np.arccos(x[interior]), count[interior])
     return np.sort(np.concatenate([phases, -phases]))
 
 
@@ -470,10 +471,10 @@ def correspondence_report(
         a plane wave, has |W Phi - lambda Phi| equal at every vertex, and
         W Phi is compared with lambda Phi on vertex 0's rows; the residual is
         the larger of the commutation defect and that row deviation,
-      - the non-real eigenphase multiset equals {+-arccos(cos^t phi_k)},
-      - the count of non-real eigenvectors is 2 #{k : |cos phi_k| < 1}, so the
-        invariant subspace (the uniform state plus every non-real eigenvector)
-        has dimension 2N-1 on odd sides and 2N-3 on even sides,
+      - the non-real eigenphase multiset is expected_nonreal_phases, and the
+        count of non-real eigenvectors its size 2 #{k : |cos phi_k| < 1}, so
+        the invariant subspace (the uniform state plus every non-real
+        eigenvector) has dimension 2N-1 on odd sides and 2N-3 on even sides,
       - every non-real unit eigenvector carries projection sum 1/2,
       - per eigenvalue cluster, the marked-state overlap law
         <psi_m|P|psi_m> = multiplicity/(2N) for every vertex m,
@@ -511,6 +512,7 @@ def correspondence_report(
     moved = (partner != np.arange(d_t)) | spec.partner_offset.any(axis=0)
     paths = np.flatnonzero(moved)
     near = 1.0 / grid.side  # <0|k>
+    gap = np.empty((d_t, d_t), dtype=complex)  # W Phi - lambda Phi, per block
     component_dev = 0.0
     for b in range(N):
         values, vecs = spec.block(b)
@@ -519,9 +521,12 @@ def correspondence_report(
         # projection sum over the N vertices is |sum(phi)|^2 / d^t.
         sums[b] = np.abs(vecs.sum(axis=0)) ** 2 / d_t
         wave = spec.phases(b) / grid.side  # <s(g)|k>, at each label's partner
-        coined = _reflect_blocks(vecs[None])[0]
-        walked = wave[:, None] * coined[partner]
-        residual = max(residual, float(np.abs(walked - near * vecs * values).max()))
+        walked = _reflect_blocks(vecs[None])[0][partner]
+        np.multiply(wave[:, None], walked, out=walked)
+        np.multiply(near, vecs, out=gap)
+        gap *= values
+        np.subtract(walked, gap, out=gap)
+        residual = max(residual, float(np.abs(gap).max()))
         plus[b] = np.abs(values - 1.0) <= REAL_EIGENVALUE_TOL
         minus[b] = np.abs(values + 1.0) <= REAL_EIGENVALUE_TOL
         cols = ~(plus[b] | minus[b])
@@ -549,10 +554,6 @@ def correspondence_report(
     else:
         phase_dev = float("inf")
 
-    cos = mode_cosines(grid)
-    interior = np.abs(cos) < 1.0 - 1e-12
-    expected_nonreal = 2 * int(np.count_nonzero(interior))
-
     proj = sums[nonreal]
     proj_dev = float(np.max(np.abs(proj - 0.5))) if proj.size else 0.0
 
@@ -570,7 +571,8 @@ def correspondence_report(
     # The projection sum of a block eigenvector is its weight in the block's
     # vertex-uniform vector; block b has the cos phi_k of mode b. ``ends``
     # holds cos^t phi_k = +-1 where |cos phi_k| = 1, and 0 elsewhere.
-    ends = np.where(interior, 0.0, np.rint(cos) ** t)
+    cos = mode_cosines(grid)
+    ends = np.where(np.abs(cos) < 1.0 - 1e-12, 0.0, np.rint(cos) ** t)
     real_dev = 0.0
     for mask, end in ((plus, 1.0), (minus, -1.0)):
         weight = np.where(mask, sums, 0.0).sum(axis=1)
@@ -581,7 +583,7 @@ def correspondence_report(
         t=t,
         phase_multiset_dev=phase_dev,
         nonreal_count=measured.size,
-        expected_nonreal_count=expected_nonreal,
+        expected_nonreal_count=expected.size,
         projection_sum_dev=proj_dev,
         overlap_law_dev=overlap_dev,
         real_weight_dev=real_dev,

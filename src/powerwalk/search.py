@@ -23,6 +23,7 @@ One (x, weight) measure per (L, t), ``sums.orbit_measure`` with x_k =
 cos phi^(t)_k = cos^t phi_k, feeds the secular root, the trajectory and the
 grid sums S1, S2 and S3; as a_k^2 = 1/(2N), the closed-form alpha estimate
 and both overlap factors are read off those sums (``SpectralModel.sums``).
+Its x descends along the orbits for odd t.
 
 The trajectory a record reports comes from ``search_trajectory``, the one
 production route: the target overlaps obey a Volterra recurrence whose kernel
@@ -116,8 +117,8 @@ class SpectralModel:
 
     @property
     def phi1(self) -> float:
-        """Smallest walk eigenphase, arccos of the largest x."""
-        return math.acos(self.distinct_phases[0].max())
+        """Smallest walk eigenphase, arccos of the largest x: the first (odd t)."""
+        return math.acos(self.distinct_phases[0][0])
 
     # The per-mode views below serve the dense and full-space test oracles.
 
@@ -210,9 +211,11 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     The orbit sum is a type-1 non-uniform FFT (Greengard & Lee 2004): each
     coefficient is spread onto a 2x oversampled grid of 4(Q+1) points with a
     Gaussian whose values at the 2*SPREAD_HALF_WIDTH nearest points factor as
-    E1 * E2^l * E3(l), so only E1 and E2 cost an exp per orbit. One inverse
-    FFT of the grid and a division by the Gaussian's Fourier coefficients
-    leave the sum at every m, in O(orbits * width + Q log Q).
+    E1 * E2^l * E3(l), so only E1 and E2 cost an exp per orbit. As x
+    descends along the orbits, each grid cell's orbits form one run, which
+    np.add.reduceat sums pairwise, not term after term. One inverse FFT of
+    the grid and a division by the Gaussian's Fourier coefficients leave the
+    sum at every m, in O(orbits * width + Q log Q).
     """
     if Q < 0:
         raise ValueError(f"iteration count must be >= 0, got {Q}")
@@ -228,23 +231,19 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     # atan2 keeps small phases at full precision, where arccos(x) would not.
     theta = np.arctan2(np.sqrt((1.0 - x) * (1.0 + x)), x)
     cell = np.floor(theta / spacing)
-    gap = theta - cell * spacing  # in [0, spacing): offset from the grid point below
-    cell = cell.astype(np.intp)
+    gap = np.subtract(theta, cell * spacing, out=theta)  # offset in [0, spacing)
+    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    occupied = cell[starts].astype(np.intp)
     e2 = np.exp(gap * (spacing / (2.0 * tau)))
     # E1 * E2^l at the first offset l = 1 - width, then one product per offset
     value = (2.0 * c2) * weights * np.exp(
         gap * (gap / (-4.0 * tau) + (1 - width) * spacing / (2.0 * tau))
     )
-    # Point cell + l of the grid is entry cell + l + width - 1 of ``spread``,
-    # so every offset bins the same cells and shifts the histogram.
-    cells = size // 2 + 2  # theta <= pi, so cell <= size/2
-    spread = np.zeros(cells + 2 * width)
-    for shift, offset in enumerate(range(1 - width, width + 1)):
+    grid = np.zeros(size)
+    for offset in range(1 - width, width + 1):
         e3 = math.exp(-((offset * spacing) ** 2) / (4.0 * tau))
-        spread[shift : shift + cells] += e3 * np.bincount(cell, value, cells)
+        np.add.at(grid, (occupied + offset) % size, e3 * np.add.reduceat(value, starts))
         value *= e2
-    wrapped = (np.arange(spread.size) - (width - 1)) % size
-    grid = np.bincount(wrapped, spread, size)
     m = np.arange(Q + 1)
     h = fft.ifft(grid)[: Q + 1].real * (math.sqrt(math.pi / tau) * np.exp(m * m * tau))
     h += model.a0**2 * c2
@@ -253,11 +252,9 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     return h
 
 
-def search_trajectory(
-    model: SpectralModel, Q: int, moments: np.ndarray | None = None
-) -> np.ndarray:
+def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
     """The trajectory of iterate_search, Q+1 success probabilities, from the
-    return moments h(0..Q) (computed when not given) in O(Q^2).
+    return moments h(0..Q) of return_moments in O(Q^2).
 
     Unrolling psi_q = D R psi_{q-1}, R = I - 2|T><T| and psi_0 the uniform
     0 mode, gives the target overlaps as a Volterra recurrence,
@@ -268,10 +265,7 @@ def search_trajectory(
     so |h(0) - 1| is an independent reading of the moments' accuracy.
     iterate_search stays as the oracle that steps the state itself.
     """
-    if moments is None:
-        moments = return_moments(model, Q)
-    elif Q < 0 or moments.size != Q + 1:
-        raise ValueError(f"need the Q+1 moments h(0..{Q}), got {moments.size}")
+    Q = moments.size - 1
     start = model.a0 * math.cos(model.delta)
     back = -2.0 * moments[:0:-1]  # -2 h(Q), ..., -2 h(1)
     overlap = np.empty(Q + 1)

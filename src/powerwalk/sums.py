@@ -12,8 +12,9 @@ S3 = 1 - N + 2*S1 exactly (cot^2 = cosec^2 - 1). S1 is bracketed below by
 the square-shell bound 8 sum_l l / (1 - exp(-4 l^2 t / N)).
 
 The sums read ``orbit_measure``, the one (x, weight) measure of (L, t) that
-the search engine reads too: x = cos^t phi on each symmetry orbit of the modes
-(torus.mode_orbits) and the orbit's mode count, about N/8 terms. The counts
+the search engine and the full-walk phase check read too: x = cos^t phi on
+each symmetry orbit of the modes (torus.mode_orbits, by descending cos phi)
+and the orbit's mode count, about N/8 terms. The counts
 are powers of two, so every scaled term is exact. ``exact_sum`` adds each
 array of terms correctly rounded (math.fsum's value) in a few vector passes,
 so no sum depends on the evaluation order.

@@ -137,9 +137,9 @@ def test_tulsi_refuses_policy_mismatch_before_any_trajectory(capsys, monkeypatch
     calls = []
     trajectory = cli.search_trajectory
 
-    def counting(model, Q, *moments):
+    def counting(model, moments):
         calls.append((model.grid.side, model.t))
-        return trajectory(model, Q, *moments)
+        return trajectory(model, moments)
 
     monkeypatch.setattr(cli, "search_trajectory", counting)
     # The default policy, balanced, holds t tan^2(delta) = ln N: t = 7 is
@@ -189,6 +189,9 @@ MOMENT_CHECK = "check trajectory moment h(0) = 1 within 1e-12: "
         ["search", "--sizes", "9,13", "--t-schedule", "sweep"],
         ["tulsi", "--sizes", "9,13", "--t-schedule", "sweep",
          "--delta-policy", "balanced"],
+        # Half the orbits share one grid cell here; summed one after another
+        # they moved h(0) by 1.5e-12.
+        ["search", "--sizes", "3001", "--t", "17"],
     ],
 )
 def test_trajectory_moment_check_can_fail(argv, capsys, monkeypatch):
@@ -276,7 +279,7 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
 def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(
-        cli, "search_trajectory", lambda model, Q, *moments: calls.append(model)
+        cli, "search_trajectory", lambda model, moments: calls.append(model)
     )
     build = szegedy.build_isometries
     monkeypatch.setattr(

@@ -121,7 +121,7 @@ def test_reduced_matches_full_simulation():
 def test_search_trajectory_matches_iterate_search_on_the_sweep():
     for model in sweep_models():
         Q = math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
-        route = search_trajectory(model, Q)
+        route = search_trajectory(model, return_moments(model, Q))
         assert route.shape == (Q + 1,)
         assert np.max(np.abs(route - iterate_search(model, Q))) <= 1e-10, (
             model.grid.side, model.t, model.delta
@@ -132,7 +132,8 @@ def test_search_trajectory_matches_iterate_search_at_513():
     model = build_model(TorusGrid(513), 1)
     Q = math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
     assert Q == 1165
-    assert np.max(np.abs(search_trajectory(model, Q) - iterate_search(model, Q))) <= 1e-10
+    route = search_trajectory(model, return_moments(model, Q))
+    assert np.max(np.abs(route - iterate_search(model, Q))) <= 1e-10
 
 
 def test_return_moments_match_direct_sum():
@@ -157,12 +158,18 @@ def test_return_moments_match_direct_sum():
             assert abs(h[0] - 1.0) <= 1e-13
 
 
+def test_return_moments_keep_h0_on_crowded_cells():
+    # At t = 15 most orbits have |x| < 1e-3 and crowd a few cells near
+    # theta = pi/2; a sequential sum over such a cell read |h(0) - 1| = 2.6e-13.
+    model = build_model(TorusGrid(2001), 15)
+    Q = math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
+    assert abs(return_moments(model, Q)[0] - 1.0) <= 1e-14
+
+
 def test_search_trajectory_edge_counts():
     for model in (build_model(TorusGrid(9), 1), build_model(TorusGrid(9), 1, 0.6)):
         start = (model.a0 * math.cos(model.delta)) ** 2
-        assert search_trajectory(model, 0).tolist() == [start]
-        with pytest.raises(ValueError):
-            search_trajectory(model, -1)
+        assert search_trajectory(model, return_moments(model, 0)).tolist() == [start]
         with pytest.raises(ValueError):
             return_moments(model, -1)
 

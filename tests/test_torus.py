@@ -129,14 +129,21 @@ def test_laplacian_row_sums_vanish():
 
 def test_mode_orbits_cover_nonzero_modes():
     # Even sides hold the a = b = L/2 orbit, a single mode with cos = -1.
+    # The table is ordered by descending cos.
+    for side in range(2, 41):
+        grid = TorusGrid(side)
+        cos, count = mode_orbits(grid)
+        assert np.all(np.diff(cos) <= 0)
+        assert count.sum() == grid.vertex_count - 1
+        assert set(np.unique(count)) <= {1, 2, 4, 8}
+        assert (cos.min() == -1.0) == (side % 2 == 0)
+    # mode_cosines rounds cos(2 pi k / L) for k > L/2 on its own, up to
+    # 1.1e-15 away from the table's k <= L/2 values (sides 13, 14, 26, 28, 34).
     for side in (2, 3, 4, 5, 6, 8, 9, 16, 17):
         grid = TorusGrid(side)
         cos, count = mode_orbits(grid)
-        assert count.sum() == grid.vertex_count - 1
-        assert set(np.unique(count)) <= {1, 2, 4, 8}
         expanded = np.sort(np.repeat(cos, count))
         assert np.max(np.abs(expanded - np.sort(mode_cosines(grid)[1:]))) <= 1e-15
-        assert (cos.min() == -1.0) == (side % 2 == 0)
 
 
 def test_adjacency_power_entry_basics():
