@@ -40,7 +40,8 @@ SEARCH_COLUMNS = {
     "alpha_exact": "smallest nonzero search eigenphase (numerical)",
     "alpha_estimate": "closed-form eigenphase estimate a0/sqrt(S1/(2N)) (constant 1)",
     "Q": "iterations floor(pi/(2 alpha_exact))",
-    "p_s": "success probability measured on the trajectory at Q",
+    "p_s": "success probability measured on the trajectory at Q; "
+    "with --no-trajectory the estimate, equal to p_s_bound",
     "p_s_bound": "three-factor success probability, Theta(1)-constant estimate",
     "Q_O": "oracle queries incl. amplification rounds",
     "Q_G": "rotation-map queries, exactly t*Q_O",
@@ -48,7 +49,8 @@ SEARCH_COLUMNS = {
 }
 
 TULSI_COLUMNS = {
-    **SEARCH_COLUMNS,
+    **SEARCH_COLUMNS,  # tulsi has no --no-trajectory; p_s keeps its column
+    "p_s": "success probability measured on the controlled trajectory at Q_delta",
     "delta": "ancilla rotation angle",
     "tan2_delta": "tan^2(delta)",
     "a_pi": "target overlap sin(delta) on the eigenphase-pi mode",

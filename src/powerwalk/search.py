@@ -35,6 +35,7 @@ which steps the state itself, stays as the route's test oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sums import GridSums, grid_sums, orbit_measure
-from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines
+from .sums import GridSums, _workspace, grid_sums, orbit_measure
+from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines, mode_orbits
 
 # Amplification rounds are budgeted when the p_s estimate falls below this.
 AMPLIFICATION_THRESHOLD = 0.25
@@ -80,6 +81,14 @@ class SearchResult:
     Q_G: int
 
 
+@functools.lru_cache(maxsize=1)
+def _orbit_weights(grid: TorusGrid, ak: float) -> np.ndarray:
+    """count * ak**2 per orbit, read-only: every model of the side shares it."""
+    weights = mode_orbits(grid)[1] * ak**2
+    weights.flags.writeable = False
+    return weights
+
+
 @dataclass
 class SpectralModel:
     """Eigenphases and target overlaps driving the reduced-space search.
@@ -107,8 +116,7 @@ class SpectralModel:
         """One (cos phi^(t), weight) pair per symmetry orbit of the nonzero
         modes: the shared x of sums.orbit_measure, and the orbit's total
         squared overlap on the +phi side."""
-        x, count = orbit_measure(self.grid, self.t)
-        return x, count * self.ak**2
+        return orbit_measure(self.grid, self.t)[0], _orbit_weights(self.grid, self.ak)
 
     @cached_property
     def sums(self) -> GridSums:
@@ -222,23 +230,35 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     from numpy import fft  # not loaded by importing numpy; only this route reads it
 
     x, weights = model.distinct_phases
+    # cell and e2 serve as scratch before they are formed, cell again once
+    # occupied has read it.
+    theta, cell, e2, value = _workspace(model.grid)
     c2, s2 = math.cos(model.delta) ** 2, math.sin(model.delta) ** 2
     width = SPREAD_HALF_WIDTH
     modes = 2 * (Q + 1)  # the NUFFT's mode range [-(Q+1), Q+1)
     size = 2 * modes
     spacing = 2.0 * math.pi / size
     tau = math.pi * width / (modes * modes * 3.0)  # pi w / (M^2 R (R - 1/2)), R = 2
-    # atan2 keeps small phases at full precision, where arccos(x) would not.
-    theta = np.arctan2(np.sqrt((1.0 - x) * (1.0 + x)), x)
-    cell = np.floor(theta / spacing)
-    gap = np.subtract(theta, cell * spacing, out=theta)  # offset in [0, spacing)
-    starts = np.flatnonzero(np.diff(cell, prepend=-1.0))
+    # atan2 keeps small phases at full precision, where arccos(x) would not:
+    # theta = arctan2(sqrt((1 - x)(1 + x)), x).
+    np.subtract(1.0, x, out=theta)
+    np.multiply(theta, np.add(1.0, x, out=cell), out=theta)
+    np.arctan2(np.sqrt(theta, out=theta), x, out=theta)
+    np.floor(np.divide(theta, spacing, out=cell), out=cell)
+    # The offset in [0, spacing), in theta's row.
+    gap = np.subtract(theta, np.multiply(cell, spacing, out=e2), out=theta)
+    # A run of equal cells starts where the cell changes; the first orbit opens one.
+    np.subtract(cell[1:], cell[:-1], out=e2[1:])
+    e2[0] = 1.0
+    starts = np.flatnonzero(e2)
     occupied = cell[starts].astype(np.intp)
-    e2 = np.exp(gap * (spacing / (2.0 * tau)))
-    # E1 * E2^l at the first offset l = 1 - width, then one product per offset
-    value = (2.0 * c2) * weights * np.exp(
-        gap * (gap / (-4.0 * tau) + (1 - width) * spacing / (2.0 * tau))
-    )
+    np.exp(np.multiply(gap, spacing / (2.0 * tau), out=e2), out=e2)
+    # E1 * E2^l at the first offset l = 1 - width, then one product per offset:
+    # (2 c2) w exp(gap (gap / (-4 tau) + (1 - width) spacing / (2 tau))).
+    np.divide(gap, -4.0 * tau, out=value)
+    value += (1 - width) * spacing / (2.0 * tau)
+    np.exp(np.multiply(gap, value, out=value), out=value)
+    value *= np.multiply(2.0 * c2, weights, out=cell)
     grid = np.zeros(size)
     for offset in range(1 - width, width + 1):
         e3 = math.exp(-((offset * spacing) ** 2) / (4.0 * tau))
@@ -316,9 +336,7 @@ def compute_alpha(model: SpectralModel) -> tuple[float, float]:
     c2 = math.cos(model.delta) ** 2
     a02 = model.a0**2 * c2
     api2 = math.sin(model.delta) ** 2
-    # Two buffers for every evaluation: fresh temporaries each page-fault.
-    gaps = np.empty_like(x)
-    terms = np.empty_like(x)
+    gaps, terms = _workspace(model.grid)[:2]  # taken after grid_sums has run
     lo, hi = 0.0, model.phi1
     alpha = min(est, 0.5 * hi)  # the estimate, kept inside the bracket
     for _ in range(100):

@@ -88,6 +88,29 @@ def exact_sum(p: np.ndarray, buf: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=1)
+def _workspace(grid: TorusGrid) -> tuple[np.ndarray, ...]:
+    """Four orbit-sized scratch rows for the analytic layer of one side.
+
+    Above about 16k orbits (L = 360) an orbit-sized array passes glibc's
+    default 128 KB mmap threshold, so freeing it returns its pages to the
+    kernel and the next record faults them in again. These rows stay mapped
+    for the side, and a row no call touches is never resident. They are
+    separate arrays: one (4, orbits) block would pass numpy's 4 MiB huge-page
+    advice at L = 1001, where touching a row can make a whole 2 MB page
+    resident.
+
+    grid_sums, _telescoped_sum, search.compute_alpha and search.return_moments
+    take their scratch here. The rule that keeps rows from aliasing: a function
+    holds rows only during its own call and calls nothing else that takes rows
+    meanwhile (compute_alpha takes its rows only after alpha_estimate has run
+    grid_sums), and no returned or cached array is ever a row. The rows are
+    shared by the whole process, so records run one at a time.
+    """
+    n = mode_orbits(grid)[0].size
+    return tuple(np.empty(n) for _ in range(4))
+
+
+@functools.lru_cache(maxsize=1)
 def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     """x = cos^t phi and mode count per orbit, read-only. The cache keeps the
     last (grid, t): one search or tulsi record reads no other.
@@ -98,7 +121,8 @@ def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     orbit on one routine and makes x(-c) = -x(c) (odd t) exact.
     """
     cos, count = mode_orbits(grid)
-    x = np.abs(cos) ** t
+    x = np.abs(cos)
+    np.power(x, t, out=x)
     if t % 2:
         np.copysign(x, cos, out=x)
     x.flags.writeable = False
@@ -110,8 +134,9 @@ def _telescoped_sum(grid: TorusGrid) -> float:
     """sum 1/(1 - cos phi_k) over the nonzero modes: t times the lower bound
     of S1 at every t, so a sweep sums it once per side (cached as mode_orbits)."""
     cos, count = mode_orbits(grid)
-    terms = np.divide(count, 1.0 - cos)
-    return exact_sum(terms, np.empty_like(terms))
+    terms, buf = _workspace(grid)[:2]
+    np.divide(count, np.subtract(1.0, cos, out=buf), out=terms)
+    return exact_sum(terms, buf)
 
 
 def check_finite(grid: TorusGrid, t: int) -> None:
@@ -127,15 +152,17 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
     check_finite(grid, t)
     N = grid.vertex_count
     x, count = orbit_measure(grid, t)
-    one_minus = 1.0 - x
-    terms, buf = np.empty_like(x), np.empty_like(x)
-    S1 = exact_sum(np.divide(count, one_minus, out=terms), buf)
-    np.square(one_minus, out=terms)
+    lower = _telescoped_sum(grid) / t  # before this call takes its rows
+    # 1 - x is formed again where it is read: exact_sum overwrites buf.
+    terms, buf = _workspace(grid)[:2]
+    np.divide(count, np.subtract(1.0, x, out=buf), out=terms)
+    S1 = exact_sum(terms, buf)
+    np.square(np.subtract(1.0, x, out=terms), out=terms)
     S2 = exact_sum(np.divide(count, terms, out=terms), buf)
     np.add(1.0, x, out=terms)
     np.multiply(count, terms, out=terms)
-    S3 = exact_sum(np.divide(terms, one_minus, out=terms), buf)
-    lower = _telescoped_sum(grid) / t
+    np.divide(terms, np.subtract(1.0, x, out=buf), out=terms)
+    S3 = exact_sum(terms, buf)
 
     shells = np.arange(1, grid.side // 2 + 1)
     shell_terms = shells / (1.0 - np.exp(-4.0 * shells**2 * t / N))

@@ -14,6 +14,7 @@ Registers are serialized leftmost-most-significant.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,8 +113,14 @@ def random_symmetric_chain(
 
 
 def load_chain_csv(path) -> MarkovChain:
-    """Read an N x N numeric grid as a transition matrix."""
-    return MarkovChain(np.loadtxt(path, delimiter=",", ndmin=2))
+    """Read an N x N numeric grid as a transition matrix. A file with no
+    numbers is refused by name (numpy would only warn and return no rows)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+    if matrix.size == 0:
+        raise ValueError(f"chain CSV {path} holds no numbers")
+    return MarkovChain(matrix)
 
 
 def spectral_gap(matrix: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +447,14 @@ def test_bad_chain_csv_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(["szegedy", "--chain-csv", str(path)], capsys)
     assert code == 2
     assert "error" in err
+    # An empty file is refused by name in one line, with no numpy warning.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["szegedy", "--chain-csv", str(empty)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: chain CSV {empty} holds no numbers\n"
 
 
 def test_usage_error_exit_code():

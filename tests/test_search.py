@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from powerwalk import fullwalk
+from powerwalk import cli, fullwalk, search, sums, torus
 from powerwalk.search import (
     AMPLIFICATION_THRESHOLD,
     alpha_estimate,
@@ -462,3 +463,49 @@ def test_monotone_benefit_of_t():
                 assert p >= 0.9 * previous
             previous = p
 
+
+def test_records_take_no_orbit_sized_scratch():
+    """After two warm records at L=513, one more record allocates little more
+    than its new x = cos^5 phi: its scratch comes from the side's workspace.
+    tracemalloc sees numpy's buffers; the peak is counted in orbit-sized
+    arrays."""
+    grid = TorusGrid(513)
+    orbit_bytes = torus.mode_orbits(grid)[0].nbytes
+    for trajectory, bound in ((False, 2), (True, 4)):
+        for t in (1, 3):
+            cli._search_record(build_model(grid, t), trajectory)
+        tracemalloc.start()
+        try:
+            cli._search_record(build_model(grid, 5), trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * orbit_bytes, (trajectory, peak / orbit_bytes)
+
+
+def _clear_caches():
+    for module in (torus, sums, search):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_workspace_reuse_leaves_records_unchanged():
+    """Records built in an interleaved order, which reuses each side's
+    workspace rows and cached weights, equal bit for bit the same records
+    built from cleared caches: no row aliases a live result."""
+    builds = [
+        lambda: cli._search_record(build_model(TorusGrid(513), 3), True),
+        lambda: cli._search_record(build_model(TorusGrid(257), 1), True),
+        lambda: cli._search_record(build_model(TorusGrid(513), 3), True),
+        lambda: cli.run_tulsi(
+            cli.ExperimentConfig(command="tulsi", sizes=(513,), t_values=(3,))
+        ).records[0],
+    ]
+    _clear_caches()
+    interleaved = [build() for build in builds]
+    fresh = []
+    for build in builds:
+        _clear_caches()
+        fresh.append(build())
+    assert repr(interleaved) == repr(fresh)
