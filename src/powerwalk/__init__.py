@@ -23,7 +23,6 @@ from .fullwalk import (
     apply_walk,
     coin_uniform_state,
     correspondence_report,
-    projection_sum,
     uniform_superposition,
     walk_matrix,
     walk_spectrum,

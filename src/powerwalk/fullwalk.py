@@ -5,7 +5,7 @@ by |vertex, g_1..g_t>. This module builds the shift S_t (permutation by the
 powered rotation map), the coin C_t (reflection about the per-vertex uniform
 label states), the walk W_t = S_t C_t, and the marking oracle
 O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or on
-several as columns), and S_t, C_t, W_t also as dense matrices for small
+several as columns), and C_t and W_t also as dense matrices for small
 instances. W_t commutes with torus translations, so its eigendecomposition is
 taken one d^t x d^t momentum block at a time (``walk_spectrum``, a factory
 that builds a block when asked). Each block is a product of two reflections,
@@ -33,7 +33,6 @@ from .torus import (
     DEGREE,
     REVERSE,
     STEP,
-    PathPort,
     TorusGrid,
     mode_cosines,
 )
@@ -54,25 +53,6 @@ PROBE_COLUMNS = 8
 
 def full_dim(grid: TorusGrid, t: int) -> int:
     return grid.vertex_count * DEGREE**t
-
-
-def basis_index(grid: TorusGrid, t: int, port: PathPort) -> int:
-    """Index of the basis state |vertex, g_1..g_t|."""
-    if len(port.labels) != t:
-        raise ValueError(f"expected {t} labels, got {len(port.labels)}")
-    rest = 0
-    for g in port.labels:
-        rest = rest * DEGREE + g
-    return grid.vertex_index(port.vertex) * DEGREE**t + rest
-
-
-def index_port(grid: TorusGrid, t: int, index: int) -> PathPort:
-    v, rest = divmod(index, DEGREE**t)
-    labels = []
-    for _ in range(t):
-        rest, g = divmod(rest, DEGREE)
-        labels.append(g)
-    return PathPort(grid.vertex_coords(v), tuple(reversed(labels)))
 
 
 def shift_permutation(grid: TorusGrid, t: int) -> np.ndarray:
@@ -178,13 +158,6 @@ def apply_oracle(
     return out
 
 
-def shift_matrix(grid: TorusGrid, t: int) -> np.ndarray:
-    perm = _shift_permutation(grid, t)
-    S = np.zeros((perm.size, perm.size))
-    S[np.arange(perm.size), perm] = 1.0
-    return S
-
-
 def coin_matrix(grid: TorusGrid, t: int) -> np.ndarray:
     """Block diagonal: the d^t x d^t reflection 2J/d^t - I at every vertex."""
     N, d_t = grid.vertex_count, DEGREE**t
@@ -199,35 +172,6 @@ def walk_matrix(grid: TorusGrid, t: int) -> np.ndarray:
     return coin_matrix(grid, t)[perm, :]
 
 
-def vertex_overlaps(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
-    """a_u = <state|psi^t_u> for every vertex u: length N, or (N, m) for a
-    slab of m states."""
-    state = _check_state(grid, t, state)
-    blocks = np.conj(state).reshape((grid.vertex_count, DEGREE**t) + state.shape[1:])
-    return blocks.sum(axis=1) * DEGREE ** (-t / 2)
-
-
-def projection_sum(grid: TorusGrid, t: int, state: np.ndarray) -> float:
-    """sum_u |<state|psi^t_u>|^2, the weight inside span{|psi^t_u>}.
-
-    Equals 1/2 for every unit eigenvector of W_t with non-real eigenvalue,
-    1 for the uniform state, and 0 for +-1 eigenvectors orthogonal to the
-    uniform-coin states.
-    """
-    a = vertex_overlaps(grid, t, state)
-    return float(np.sum(np.abs(a) ** 2))
-
-
-def _householder_complement(Q: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(Q) minus the unit vector Q a, for orthonormal
-    columns Q: the last columns of Q H, where the Householder reflection H
-    takes the coordinates a to a multiple of e_1 (one rank-one update)."""
-    v = a.copy()
-    v[0] += a[0] / abs(a[0]) if a[0] != 0 else 1.0
-    scale = 2.0 / float(np.sum(np.abs(v) ** 2))
-    return Q[:, 1:] - scale * (Q * v).sum(axis=1)[:, None] * np.conj(v[1:])
-
-
 def _reflection_split(
     phase: np.ndarray, partner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,48 +179,78 @@ def _reflection_split(
     C = 2|u><u| - I is the coin (u uniform) and (M v)_g = phase_g v_r(g) is an
     involution: r = ``partner`` pairs the labels, and phase_g phase_r(g) = 1.
 
-    M's +-1 eigenspaces E+- have the orthonormal bases (e_g +- conj(phase_g)
-    e_r(g))/sqrt(2), one per 2-cycle {g, r(g)}, and e_g for each fixed point
-    g of r, in the eigenspace of its phase. On E+- minus u+- = P+- u, C is -I,
-    so B = -M is -+1 there. On the plane of u+ and u-, with p = |u+| and
-    q = |u-|, B rotates by twice the angle atan2(q, p): (n+ +- i n-)/sqrt(2)
-    has eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. When u+ or u- is too short
-    for that pair to lie farther than REAL_EIGENVALUE_TOL from +-1, u is an
-    eigenvector of M itself and the plane collapses to that one vector.
+    M's +-1 eigenspaces E+- have the orthonormal bases Q+- of columns
+    (e_g +- conj(phase_g) e_r(g))/sqrt(2), one per 2-cycle {g, r(g)}, and e_g
+    for each fixed point g of r, in the eigenspace of its phase. On E+- minus
+    u+- = P+- u, C is -I, so B = -M is -+1 there. On the plane of u+ and u-,
+    with p = |u+| and q = |u-|, B rotates by twice the angle atan2(q, p):
+    (n+ +- i n-)/sqrt(2) has eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. When
+    u+ or u- is too short for that pair to lie farther than
+    REAL_EIGENVALUE_TOL from +-1, u is an eigenvector of M itself and the
+    plane collapses to that one vector. Each label is the nonzero of one
+    column of Q+-, so the coordinates a of P+- u in Q+- and n+- cost O(d).
+    E+- minus u+- is spanned by the last columns of Q H, where the Householder
+    reflection H takes a to a multiple of e_1: Q plus one rank-one update.
     """
     d = phase.size
     labels = np.arange(d)
     lower = labels[labels < partner]  # one label per 2-cycle
     fixed = labels[labels == partner]
-    j = np.arange(lower.size)
-    columns, values, plane, lengths = [], [], [], []
+    half = lower.size
+    pairs = np.arange(half)
+    positive = phase[fixed].real > 0.0
+    values = np.empty(d, dtype=complex)
+    vectors = np.empty((d, d), dtype=complex)
+    start, plane, lengths = 0, [], []
     for sign in (1.0, -1.0):
-        ends = fixed[phase[fixed].real * sign > 0.0]
-        Q = np.zeros((d, lower.size + ends.size), dtype=complex)
-        Q[lower, j] = 2**-0.5
-        Q[partner[lower], j] = sign * 2**-0.5 * np.conj(phase[lower])
-        Q[ends, lower.size + np.arange(ends.size)] = 1.0
-        a = np.conj(Q).sum(axis=0) * d**-0.5  # coordinates of P u in Q
-        length = float(np.sqrt(np.sum(np.abs(a) ** 2)))
+        ends = fixed[positive if sign > 0.0 else ~positive]
+        width = half + ends.size
+        rows = np.concatenate([lower, partner[lower], ends])
+        cols = np.concatenate([pairs, pairs, np.arange(half, width)])
+        entries = np.empty(rows.size, dtype=complex)  # Q's nonzeros, at (rows, cols)
+        entries[:half] = 2**-0.5
+        entries[half : 2 * half] = sign * 2**-0.5 * np.conj(phase[lower])
+        entries[2 * half :] = 1.0
+        conj_entries = np.conj(entries)
+        a = conj_entries[half:]  # coordinates of P u in Q: column sums of conj(Q)
+        a[:half] += conj_entries[:half]
+        a *= d**-0.5
+        length = float(np.sqrt(np.add.reduce(np.abs(a) ** 2)))
         lengths.append(length)
         if 2.0 * length > REAL_EIGENVALUE_TOL:
             a /= length
-            plane.append((Q * a).sum(axis=1))
-            Q = _householder_complement(Q, a)
-        columns.append(Q)
-        values.append(np.full(Q.shape[1], -sign, dtype=complex))
+            n_sign = np.zeros(d, dtype=complex)
+            n_sign[rows] = entries * a[cols]
+            plane.append(n_sign)
+            v = a.copy()
+            v[0] += a[0] / abs(a[0]) if a[0] != 0 else 1.0
+            scale = 2.0 / float(np.add.reduce(np.abs(v) ** 2))
+            qv = np.zeros(d, dtype=complex)  # Q v
+            qv[rows] = entries * v[cols]
+            # Q H = Q - scale (Q v) v^H, without its first column.
+            width -= 1
+            block = vectors[:, start : start + width]
+            np.multiply((-scale * qv)[:, None], np.conj(v[1:]), out=block)
+            keep = cols > 0
+            block[rows[keep], cols[keep] - 1] += entries[keep]
+        else:
+            block = vectors[:, start : start + width]
+            block[:] = 0.0
+            block[rows, cols] = entries
+        values[start : start + width] = -sign
+        start += width
     p, q = lengths
     turn = (p + 1j * q) ** 2 / (p * p + q * q)
     if len(plane) == 2:
         n_plus, n_minus = plane
-        columns.append(
-            np.column_stack([n_plus + 1j * n_minus, n_plus - 1j * n_minus]) * 2**-0.5
-        )
-        values.append(np.array([turn, np.conj(turn)]))
+        np.add(n_plus, 1j * n_minus, out=vectors[:, start])
+        np.subtract(n_plus, 1j * n_minus, out=vectors[:, start + 1])
+        vectors[:, start:] *= 2**-0.5
+        values[start:] = turn, np.conj(turn)
     else:
-        columns.append(plane[0][:, None])
-        values.append(np.array([turn]))
-    return np.concatenate(values), np.concatenate(columns, axis=1)
+        vectors[:, start] = plane[0]
+        values[start] = turn
+    return values, vectors
 
 
 @dataclass
@@ -396,7 +370,11 @@ def _probe_devs(grid: TorusGrid, t: int) -> tuple[float, float]:
 
     rng = np.random.default_rng(0)
     shape = (full_dim(grid, t), PROBE_COLUMNS)
-    probe = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # Column-major, so the coin averages each vertex block of a column along
+    # a contiguous axis, as it does for a single state.
+    probe = np.empty(shape, dtype=complex, order="F")
+    probe.real = rng.normal(size=shape)
+    probe.imag = rng.normal(size=shape)
     probe /= column_norms(probe)
     walked = apply_walk(grid, t, probe)
     layout = (grid.side, grid.side, DEGREE**t, PROBE_COLUMNS)  # y, x, labels, columns

@@ -14,7 +14,7 @@ Registers are serialized leftmost-most-significant.
 
 from __future__ import annotations
 
-import warnings
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +103,8 @@ def random_symmetric_chain(
         d_new = 1.0 / (S @ d)
         ratio = d / d_new
         d = d_new
-        if np.ptp(ratio) <= 1e-15 * ratio.max():
+        top = ratio.max()
+        if top - ratio.min() <= 1e-15 * top:
             break
     M = d[:, None] * S * d[None, :]
     M = 0.5 * (M + M.T)
@@ -113,14 +114,31 @@ def random_symmetric_chain(
 
 
 def load_chain_csv(path) -> MarkovChain:
-    """Read an N x N numeric grid as a transition matrix. A file with no
-    numbers is refused by name (numpy would only warn and return no rows)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    if matrix.size == 0:
+    """Read an N x N grid of comma-separated numbers as a transition matrix,
+    skipping blank lines and '#' comments. A file with no numbers, an entry
+    that is not a number, or a line with another entry count than the first
+    is refused with the file and its line named."""
+    rows = []
+    with open(path) as fp:
+        for line_no, line in enumerate(fp, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            try:
+                row = [float(entry) for entry in text.split(",")]
+            except ValueError:
+                raise ValueError(
+                    f"chain CSV {path} line {line_no}: {text!r} is not a row of numbers"
+                ) from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"chain CSV {path} line {line_no}: {len(row)} entries, "
+                    f"where the first row has {len(rows[0])}"
+                )
+            rows.append(row)
+    if not rows:
         raise ValueError(f"chain CSV {path} holds no numbers")
-    return MarkovChain(matrix)
+    return MarkovChain(np.array(rows))
 
 
 def spectral_gap(matrix: np.ndarray) -> float:
@@ -130,14 +148,17 @@ def spectral_gap(matrix: np.ndarray) -> float:
     return 1.0 - float(moduli[-2]) if moduli.size > 1 else 1.0
 
 
+@functools.lru_cache(maxsize=64)
 def register_reversal(n: int, k: int) -> np.ndarray:
-    """Permutation p over [n^(k+1)] reversing the k+1 base-n registers."""
+    """Permutation p over [n^(k+1)] reversing the k+1 base-n registers, built
+    once per (n, k) and read-only: callers share it."""
     idx = np.arange(n ** (k + 1))
     rest = idx
     out = np.zeros_like(idx)
     for _ in range(k + 1):
         rest, digit = np.divmod(rest, n)
         out = out * n + digit
+    out.flags.writeable = False
     return out
 
 
@@ -175,11 +196,10 @@ def build_isometries(
     amps = root
     for _ in range(k - 1):
         amps = amps[..., :, None] * root
-    blocks = amps.reshape(n, n**k)  # row i = column i's amplitudes, C order
-    A = np.zeros((dim, n))
-    span = np.arange(n**k)
-    for i in range(n):
-        A[i * n**k + span, i] = blocks[i]
+    # A[(i, j_1..j_k), i] = amps[i, j_1..j_k]: row i of amps fills column i.
+    A = np.zeros((n, n**k, n))
+    A[np.arange(n), :, np.arange(n)] = amps.reshape(n, n**k)
+    A = A.reshape(dim, n)
     B = A[register_reversal(n, k), :]
     return SzegedyWalk(chain=chain, k=k, A=A, B=B)
 
@@ -201,13 +221,6 @@ def walk_apply(walk: SzegedyWalk, state: np.ndarray) -> np.ndarray:
     return 2.0 * (walk.B @ (walk.B.T @ after_a)) - after_a
 
 
-def walk_matrix(walk: SzegedyWalk) -> np.ndarray:
-    eye = np.eye(walk.dim)
-    r_a = 2.0 * (walk.A @ walk.A.T) - eye
-    r_b = 2.0 * (walk.B @ walk.B.T) - eye
-    return r_b @ r_a
-
-
 def query_cost(walk: SzegedyWalk, per_step: int = 1) -> int:
     """Queries per walk step: 4 k Q, with Q the cost of one V_1/V_2 call."""
     if per_step < 1:
@@ -215,47 +228,41 @@ def query_cost(walk: SzegedyWalk, per_step: int = 1) -> int:
     return 4 * walk.k * per_step
 
 
-def nontrivial_basis(walk: SzegedyWalk, tol: float = SUBSPACE_TOL) -> np.ndarray:
+def nontrivial_basis(
+    walk: SzegedyWalk, tol: float = SUBSPACE_TOL, disc: np.ndarray | None = None
+) -> np.ndarray:
     """Orthonormal basis (columns) of the nontrivial subspace.
 
     Rank-revealing route: for each discriminant singular triple (u, sigma, v)
     with sigma strictly inside (0, 1), the plane span{A u, B v} is walk
     invariant and the two range projectors do not commute on it. The planes
-    are mutually orthogonal with in-plane Gram [[1, sigma], [sigma, 1]].
+    are mutually orthogonal with in-plane Gram [[1, sigma], [sigma, 1]]; each
+    gives the columns A u and (B v - sigma A u)/sqrt(1 - sigma^2), in turn.
+    ``disc`` is the walk's discriminant when the caller has already formed it.
     """
-    u, s, vt = np.linalg.svd(discriminant(walk))
-    basis = []
-    for j, sigma in enumerate(s):
-        if sigma <= tol or sigma >= 1.0 - tol:
-            continue
-        a_vec = walk.A @ u[:, j]
-        b_vec = walk.B @ vt[j, :]
-        basis.append(a_vec)
-        basis.append((b_vec - sigma * a_vec) / np.sqrt(1.0 - sigma**2))
-    if not basis:
-        return np.zeros((walk.dim, 0))
-    return np.column_stack(basis)
+    u, s, vt = np.linalg.svd(discriminant(walk) if disc is None else disc)
+    interior = (s > tol) & (s < 1.0 - tol)
+    sigma = s[interior]
+    basis = np.empty((walk.dim, 2 * sigma.size))
+    a_vecs = np.matmul(walk.A, u[:, interior], out=basis[:, 0::2])
+    b_vecs = np.matmul(walk.B, vt[interior].T, out=basis[:, 1::2])
+    b_vecs -= sigma * a_vecs
+    b_vecs /= np.sqrt(1.0 - sigma**2)
+    return basis
 
 
-def nontrivial_eigenphases(walk: SzegedyWalk, tol: float = SUBSPACE_TOL) -> np.ndarray:
+def nontrivial_eigenphases(
+    walk: SzegedyWalk, tol: float = SUBSPACE_TOL, disc: np.ndarray | None = None
+) -> np.ndarray:
     """Sorted eigenphases of the walk restricted to its nontrivial subspace.
 
     Applies the walk to the rank-revealed basis and diagonalizes the restricted
     operator, so this measures the walk itself rather than assuming the
-    discriminant correspondence.
+    discriminant correspondence. ``disc`` is as for ``nontrivial_basis``.
     """
-    basis = nontrivial_basis(walk, tol=tol)
+    basis = nontrivial_basis(walk, tol=tol, disc=disc)
     if basis.shape[1] == 0:
         return np.array([])
     restricted = basis.T @ walk_apply(walk, basis)
     return np.sort(np.angle(np.linalg.eigvals(restricted)))
 
-
-def predicted_nontrivial_eigenphases(
-    walk: SzegedyWalk, tol: float = SUBSPACE_TOL
-) -> np.ndarray:
-    """+-2 arccos(sigma) over interior discriminant singular values, sorted."""
-    s = np.linalg.svd(discriminant(walk), compute_uv=False)
-    interior = s[(s > tol) & (s < 1.0 - tol)]
-    theta = 2.0 * np.arccos(np.clip(interior, 0.0, 1.0))
-    return np.sort(np.concatenate([theta, -theta]))

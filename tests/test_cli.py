@@ -457,6 +457,83 @@ def test_bad_chain_csv_is_config_error(tmp_path, capsys):
     assert err == f"error: chain CSV {empty} holds no numbers\n"
 
 
+def test_malformed_chain_csv_names_file_and_line(tmp_path, capsys):
+    # A header line and a ragged row are refused in the CLI's words, with the
+    # file and the offending line named; blank lines and '#' comments count
+    # as lines but hold no row.
+    header = tmp_path / "header.csv"
+    header.write_text("a,b\n0,1\n1,0\n")
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("# swap chain\n0,1\n\n1\n")
+    cases = [
+        (header, f"error: chain CSV {header} line 1: 'a,b' is not a row of numbers\n"),
+        (ragged, f"error: chain CSV {ragged} line 4: 1 entries, where the first row has 2\n"),
+    ]
+    for path, message in cases:
+        code, out, err = run_cli(["szegedy", "--chain-csv", str(path)], capsys)
+        assert (code, out, err) == (2, "", message)
+
+
+def _count_szegedy_work(monkeypatch, argv, capsys):
+    """Run szegedy with argv, recording the chains it drew, every walk it built
+    and every matrix whose gap it took."""
+    chains, walks, disc_calls, gap_args = [], [], [], []
+    draw, build = cli._szegedy_chains, szegedy.build_isometries
+    disc, gap = szegedy.discriminant, szegedy.spectral_gap
+
+    def drawn(config):
+        chains.extend(draw(config))
+        return chains
+
+    def built(*args, **kwargs):
+        walks.append(build(*args, **kwargs))
+        return walks[-1]
+
+    def formed(walk):
+        disc_calls.append(walk)
+        return disc(walk)
+
+    def gapped(matrix):
+        gap_args.append(matrix)
+        return gap(matrix)
+
+    monkeypatch.setattr(cli, "_szegedy_chains", drawn)
+    monkeypatch.setattr(szegedy, "build_isometries", built)
+    monkeypatch.setattr(szegedy, "discriminant", formed)
+    monkeypatch.setattr(szegedy, "spectral_gap", gapped)
+    code, out, _ = run_cli(["szegedy", *argv], capsys)
+    assert code == 0
+    return chains, walks, disc_calls, gap_args
+
+
+def test_szegedy_gap_once_per_chain_and_power(monkeypatch, capsys):
+    # M^1 is M, so its gap is read, not taken again; each M^k with k > 1 is
+    # a matrix of its own and has its gap taken once.
+    ks = (1, 2, 3)
+    chains, _, _, gap_args = _count_szegedy_work(
+        monkeypatch, ["--sizes", "2,3,4", "--k", "1,2,3", "--chains", "5"], capsys
+    )
+    assert len(chains) == 5
+    assert len(gap_args) == len(chains) * len(ks)
+    for _, chain in chains:
+        assert sum(m is chain.matrix for m in gap_args) == 1
+    powers = [m for m in gap_args if not any(m is c.matrix for _, c in chains)]
+    expected = [np.linalg.matrix_power(c.matrix, k) for _, c in chains for k in ks[1:]]
+    assert len({id(m) for m in powers}) == len(powers) == len(expected)
+    assert all(np.array_equal(m, e) for m, e in zip(powers, expected))
+
+
+def test_szegedy_discriminant_once_per_walk(monkeypatch, capsys):
+    # Per (chain, k): the k-step walk of M, whose discriminant the
+    # discriminant check and the eigenphase measurement share, and for k > 1
+    # the one-step walk of M^k (for k = 1 that is the walk of M itself).
+    chains, walks, disc_calls, _ = _count_szegedy_work(
+        monkeypatch, ["--generator", "cycle", "--sizes", "3,4,5", "--k", "1,2"], capsys
+    )
+    assert len(walks) == len(chains) * (1 + 2)
+    assert [id(w) for w in disc_calls] == [id(w) for w in walks]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--format", "yaml"])

@@ -11,21 +11,25 @@ from powerwalk.fullwalk import (
     apply_oracle,
     apply_shift,
     apply_walk,
-    basis_index,
     coin_matrix,
     coin_uniform_state,
     correspondence_report,
     expected_nonreal_phases,
     full_dim,
-    index_port,
-    projection_sum,
-    shift_matrix,
     uniform_superposition,
-    vertex_overlaps,
     walk_matrix,
     walk_spectrum,
 )
 from powerwalk.torus import REVERSE, PathPort, TorusGrid, powered_rotation_apply
+
+from oracles import (
+    basis_index,
+    dense_reflection_split,
+    index_port,
+    projection_sum,
+    shift_matrix,
+    vertex_overlaps,
+)
 
 
 def random_state(grid, t, seed=0, complex_=True):
@@ -475,6 +479,39 @@ def test_correspondence_report_builds_each_block_once(monkeypatch):
             sizes.clear()
             assert correspondence_report(TorusGrid(side), t).passed()
             assert sizes == [4**t] * side**2, (side, t, len(sizes))
+
+
+def test_reflection_split_diagonalises_each_dense_block():
+    # B = M_k C from its definition: (M_k v)_g = phase_g v_r(g) and
+    # C = 2|u><u| - I. Every block of each side and step count, with block 0
+    # and, on even sides, block (L/2, L/2) among them: there cos phi_k = +-1,
+    # u is an eigenvector of M_k and the plane collapses to one vector, so
+    # the block has no non-real eigenvalue.
+    for side in (4, 5, 8, 9):
+        for t in (1, 2, 3):
+            grid = TorusGrid(side)
+            spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+            d = 4**t
+            coin = np.full((d, d), 2.0 / d) - np.eye(d)
+            collapsed = []
+            for b in range(side * side):
+                phase = spec.phases(b)
+                values, vecs = fullwalk._reflection_split(phase, spec.partner_label)
+                M = np.zeros((d, d), dtype=complex)
+                M[np.arange(d), spec.partner_label] = phase
+                B = M @ coin
+                assert values.shape == (d,) and vecs.shape == (d, d)
+                gram = vecs.conj().T @ vecs
+                assert np.max(np.abs(gram - np.eye(d))) <= 1e-13, (side, t, b)
+                assert np.max(np.abs(B @ vecs - vecs * values)) <= 1e-13, (side, t, b)
+                # The same arithmetic as on dense eigenspace bases, bit for bit.
+                dense_values, dense_vecs = dense_reflection_split(phase, spec.partner_label)
+                assert np.array_equal(values, dense_values), (side, t, b)
+                assert np.array_equal(vecs, dense_vecs), (side, t, b)
+                if np.all(np.abs(values.imag) <= REAL_EIGENVALUE_TOL):
+                    collapsed.append(b)
+            corner = (side // 2) * side + side // 2
+            assert collapsed == ([0, corner] if side % 2 == 0 else [0]), (side, t)
 
 
 def all_paths_component_dev(grid, t):

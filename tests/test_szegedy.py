@@ -15,13 +15,17 @@ from powerwalk.szegedy import (
     load_chain_csv,
     nontrivial_basis,
     nontrivial_eigenphases,
-    predicted_nontrivial_eigenphases,
     query_cost,
     random_symmetric_chain,
     register_reversal,
     spectral_gap,
     walk_apply,
-    walk_matrix,
+)
+
+from oracles import (
+    loop_nontrivial_basis,
+    predicted_nontrivial_eigenphases,
+    szegedy_walk_matrix,
 )
 
 
@@ -142,7 +146,7 @@ def test_walk_unitary_on_random_states():
     slab = np.column_stack(states)
     by_column = np.column_stack([walk_apply(walk, state) for state in states])
     assert np.max(np.abs(walk_apply(walk, slab) - by_column)) <= 1e-14
-    W = walk_matrix(walk)
+    W = szegedy_walk_matrix(walk)
     assert np.max(np.abs(W @ W.T - np.eye(walk.dim))) <= 1e-12
 
 
@@ -155,6 +159,22 @@ def test_multistep_matches_powered_chain_spectrum():
         single = nontrivial_eigenphases(build_isometries(powered, 1))
         assert multi.size == single.size
         assert np.max(np.abs(multi - single)) <= 1e-9
+
+
+def test_nontrivial_basis_orthonormal():
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        for k in (1, 2, 3):
+            walk = build_isometries(random_symmetric_chain(n, rng), k)
+            basis = nontrivial_basis(walk)
+            assert basis.shape == (n ** (k + 1), 2 * (n - 1)), (n, k)
+            gram = basis.T @ basis
+            assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-12, (n, k)
+            # The loop over singular triples gives the same columns, and a
+            # discriminant handed in is the one the basis would form itself.
+            assert np.array_equal(loop_nontrivial_basis(walk), basis)
+            disc = discriminant(walk)
+            assert np.array_equal(nontrivial_basis(walk, disc=disc), basis)
 
 
 def test_eigenphases_match_singular_values():
