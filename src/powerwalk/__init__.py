@@ -5,25 +5,14 @@ full-space verification operators, the ancilla-controlled search variant, and
 Szegedy quantization of symmetric Markov chains.
 """
 
-from .torus import (
-    DirectedPort,
-    PathPort,
-    TorusGrid,
-    adjacency_eigenphase,
-    adjacency_matrix,
-    adjacency_power_entry,
-    powered_rotation_apply,
-    rotation_map_apply,
-)
+from .torus import TorusGrid
 from .fullwalk import (
     WalkSpectrum,
     apply_coin,
     apply_oracle,
     apply_shift,
     apply_walk,
-    coin_uniform_state,
     correspondence_report,
-    uniform_superposition,
     walk_matrix,
     walk_spectrum,
 )
@@ -32,10 +21,10 @@ from .search import (
     SpectralModel,
     build_model,
     compute_alpha,
-    iterate_search,
     nearest_odd,
     overlap_ws,
     overlap_wt,
+    return_moments,
     search_trajectory,
     success_probability,
 )

@@ -110,16 +110,11 @@ def apply_shift(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     return state[_shift_permutation(grid, t)]
 
 
-def _reflect_blocks(blocks: np.ndarray) -> np.ndarray:
-    """2 mean - block along axis 1: the coin on (vertices, d^t, ...) blocks."""
-    return 2.0 * blocks.mean(axis=1, keepdims=True) - blocks
-
-
 def apply_coin(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
-    """Reflect each vertex block about its uniform label vector."""
+    """Reflect each vertex block about its uniform label vector: 2 mean - block."""
     state = _check_state(grid, t, state)
     blocks = state.reshape((grid.vertex_count, DEGREE**t) + state.shape[1:])
-    return _reflect_blocks(blocks).reshape(state.shape)
+    return (2.0 * blocks.mean(axis=1, keepdims=True) - blocks).reshape(state.shape)
 
 
 def apply_walk(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
@@ -496,14 +491,18 @@ def correspondence_report(
         values, vecs = spec.block(b)
         eigenvalues[b] = values
         # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
-        # projection sum over the N vertices is |sum(phi)|^2 / d^t.
-        sums[b] = np.abs(vecs.sum(axis=0)) ** 2 / d_t
+        # projection sum over the N vertices is |sum(phi)|^2 / d^t. The
+        # column sums also give the coin and the vertex overlaps below.
+        column = vecs.sum(axis=0)
+        sums[b] = np.abs(column) ** 2 / d_t
         wave = spec.phases(b) / grid.side  # <s(g)|k>, at each label's partner
-        walked = _reflect_blocks(vecs[None])[0][partner]
-        np.multiply(wave[:, None], walked, out=walked)
-        np.multiply(near, vecs, out=gap)
-        gap *= values
-        np.subtract(walked, gap, out=gap)
+        # The coin (2/d^t) sum(phi) - phi, at the partners, times <s(g)|k>.
+        # Every partner is a label, so "clip" changes no index; it skips the
+        # buffered copy that the default mode makes of an ``out`` gather.
+        np.take(vecs, partner, axis=0, out=gap, mode="clip")
+        np.subtract(column * (2.0 / d_t), gap, out=gap)
+        gap *= wave[:, None]
+        gap -= (near * values) * vecs
         residual = max(residual, float(np.abs(gap).max()))
         plus[b] = np.abs(values - 1.0) <= REAL_EIGENVALUE_TOL
         minus[b] = np.abs(values + 1.0) <= REAL_EIGENVALUE_TOL
@@ -513,7 +512,7 @@ def correspondence_report(
             # the vertex overlaps a_u = conj(<u|k>) conj(sum(phi)) / 2^t there.
             phi = vecs[:, cols]
             far = wave[paths, None]
-            overlap = np.conj(phi.sum(axis=0)) * d_t**-0.5
+            overlap = np.conj(column[cols]) * d_t**-0.5
             dev = _path_component_dev(
                 t, near * phi[paths], far * phi[partner[paths]],
                 near * overlap, np.conj(far) * overlap, values[cols],

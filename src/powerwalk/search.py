@@ -29,8 +29,11 @@ The trajectory a record reports comes from ``search_trajectory``, the one
 production route: the target overlaps obey a Volterra recurrence whose kernel
 is the return moments h(m) = <T|D^m|T>, a type-1 non-uniform FFT of the orbit
 measure (``return_moments``). A record then costs O(orbits * kernel width +
-Q^2) instead of the O(Q * orbits) of stepping the state. ``iterate_search``,
-which steps the state itself, stays as the route's test oracle.
+Q^2) instead of the O(Q * orbits) of stepping the state.
+
+The model holds the orbit measure and nothing per mode. Stepping the state,
+the dense operator U_t over every mode and its eigendecomposition are test
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .sums import GridSums, _workspace, grid_sums, orbit_measure
-from .torus import DEFAULT_DENSE_BUDGET, TorusGrid, mode_cosines, mode_orbits
+from .torus import TorusGrid, mode_orbits
 
 # Amplification rounds are budgeted when the p_s estimate falls below this.
 AMPLIFICATION_THRESHOLD = 0.25
@@ -82,8 +85,10 @@ class SearchResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _orbit_weights(grid: TorusGrid, ak: float) -> np.ndarray:
-    """count * ak**2 per orbit, read-only: every model of the side shares it."""
+def _orbit_weights(grid: TorusGrid) -> np.ndarray:
+    """count * a_k**2 per orbit, a_k = 1/sqrt(2N), read-only: every model of
+    the side shares it."""
+    ak = (2.0 * grid.vertex_count) ** -0.5
     weights = mode_orbits(grid)[1] * ak**2
     weights.flags.writeable = False
     return weights
@@ -107,16 +112,12 @@ class SpectralModel:
     def a0(self) -> float:
         return self.grid.vertex_count**-0.5
 
-    @property
-    def ak(self) -> float:
-        return (2.0 * self.grid.vertex_count) ** -0.5
-
     @cached_property
     def distinct_phases(self) -> tuple[np.ndarray, np.ndarray]:
         """One (cos phi^(t), weight) pair per symmetry orbit of the nonzero
         modes: the shared x of sums.orbit_measure, and the orbit's total
         squared overlap on the +phi side."""
-        return orbit_measure(self.grid, self.t)[0], _orbit_weights(self.grid, self.ak)
+        return orbit_measure(self.grid, self.t)[0], _orbit_weights(self.grid)
 
     @cached_property
     def sums(self) -> GridSums:
@@ -127,36 +128,6 @@ class SpectralModel:
     def phi1(self) -> float:
         """Smallest walk eigenphase, arccos of the largest x: the first (odd t)."""
         return math.acos(self.distinct_phases[0][0])
-
-    # The per-mode views below serve the dense and full-space test oracles.
-
-    @cached_property
-    def mode_cos(self) -> np.ndarray:
-        """cos(phi_k) for the N-1 nonzero modes, in row-major mode order."""
-        return mode_cosines(self.grid)[1:]
-
-    @cached_property
-    def mode_phases(self) -> np.ndarray:
-        """phi^(t)_k = arccos(cos^t phi_k) for each nonzero mode."""
-        return np.arccos(np.clip(self.mode_cos**self.t, -1.0, 1.0))
-
-    @property
-    def reduced_dim(self) -> int:
-        """2N-1 walk modes, plus the ancilla's pi mode when delta > 0."""
-        return 2 * self.grid.vertex_count - 1 + int(self.delta > 0.0)
-
-    @cached_property
-    def phase_vector(self) -> np.ndarray:
-        """All eigenphases: 0, +phi_k, -phi_k, then pi for the ancilla mode."""
-        phases = np.concatenate([[0.0], self.mode_phases, -self.mode_phases])
-        return np.append(phases, math.pi) if self.delta > 0.0 else phases
-
-    @cached_property
-    def target_vector(self) -> np.ndarray:
-        """Real target coordinates in the eigenbasis (unit norm)."""
-        c, n = math.cos(self.delta), self.grid.vertex_count - 1
-        target = np.concatenate([[self.a0 * c], np.full(2 * n, self.ak * c)])
-        return np.append(target, math.sin(self.delta)) if self.delta > 0.0 else target
 
 
 def build_model(grid: TorusGrid, t: int, delta: float = 0.0) -> SpectralModel:
@@ -169,44 +140,6 @@ def build_model(grid: TorusGrid, t: int, delta: float = 0.0) -> SpectralModel:
     if not 0.0 <= delta < math.pi / 2.0:
         raise ValueError(f"delta must lie in [0, pi/2), got {delta}")
     return SpectralModel(grid=grid, t=t, delta=delta)
-
-
-def phase_rotation(x: np.ndarray) -> np.ndarray:
-    """e^{i arccos x}; the factored sine keeps small phases at full precision."""
-    return x + 1j * np.sqrt((1.0 - x) * (1.0 + x))
-
-
-def iterate_search(model: SpectralModel, Q: int) -> np.ndarray:
-    """Apply Q steps of oracle-then-walk to the uniform start, O(orbits) per step.
-
-    The state holds the 0 mode, the +phi half of every orbit and the pi mode.
-    The target is real and each -phi amplitude is the conjugate of its +phi
-    partner, so the target overlap is real and the oracle changes only real
-    parts. Returns the trajectory, Q+1 entries: the success probability
-    before any iteration and after each step.
-    """
-    if Q < 0:
-        raise ValueError(f"iteration count must be >= 0, got {Q}")
-    x, weights = model.distinct_phases
-    c, s = math.cos(model.delta), math.sin(model.delta)
-    target = np.concatenate([[model.a0 * c], np.sqrt(weights) * c, [s]])
-    pair_target = target.copy()
-    pair_target[1:-1] *= 2.0  # each +phi amplitude stands for its conjugate pair
-    rotation = np.concatenate([[1.0], phase_rotation(x), [-1.0]])
-    state = np.zeros(target.size, dtype=complex)
-    state[0] = 1.0
-    real = state.real
-    reflected = np.empty(target.size)
-    trajectory = np.empty(Q + 1)
-    overlap = float(pair_target @ real)
-    trajectory[0] = overlap**2
-    for step in range(1, Q + 1):
-        np.multiply(target, 2.0 * overlap, out=reflected)
-        real -= reflected
-        state *= rotation
-        overlap = float(pair_target @ real)
-        trajectory[step] = overlap**2
-    return trajectory
 
 
 def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
@@ -273,8 +206,8 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
 
 
 def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
-    """The trajectory of iterate_search, Q+1 success probabilities, from the
-    return moments h(0..Q) of return_moments in O(Q^2).
+    """The search trajectory, Q+1 success probabilities (before any step and
+    after each), from the return moments h(0..Q) of return_moments in O(Q^2).
 
     Unrolling psi_q = D R psi_{q-1}, R = I - 2|T><T| and psi_0 the uniform
     0 mode, gives the target overlaps as a Volterra recurrence,
@@ -283,7 +216,6 @@ def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
 
     one dot product per step, and p_s(q) = ov_q^2. h(0) does not enter it,
     so |h(0) - 1| is an independent reading of the moments' accuracy.
-    iterate_search stays as the oracle that steps the state itself.
     """
     Q = moments.size - 1
     start = model.a0 * math.cos(model.delta)
@@ -362,24 +294,6 @@ def compute_alpha(model: SpectralModel) -> tuple[float, float]:
         if not lo < alpha < hi:
             alpha = 0.5 * (lo + hi)
     raise RuntimeError("principal eigenphase root did not converge")
-
-
-def reduced_operator(model: SpectralModel) -> np.ndarray:
-    """Dense matrix of U_t in the full walk eigenbasis (one entry per mode)."""
-    T = model.target_vector
-    phases = np.exp(1j * model.phase_vector)
-    return phases[:, None] * (np.eye(model.reduced_dim) - 2.0 * np.outer(T, T))
-
-
-def dense_alpha(model: SpectralModel, budget: int = DEFAULT_DENSE_BUDGET) -> float:
-    """Smallest nonzero eigenphase by dense eigendecomposition of U_t."""
-    if model.reduced_dim > budget:
-        raise ValueError(
-            f"reduced dimension {model.reduced_dim} exceeds dense budget {budget}"
-        )
-    angles = np.angle(np.linalg.eigvals(reduced_operator(model)))
-    positive = angles[angles > 1e-12]
-    return float(positive.min())
 
 
 def overlap_ws(model: SpectralModel, alpha: float) -> float:

@@ -30,6 +30,9 @@ DISCRIMINANT_TOL = 1e-10
 # eigenphases against the powered chain's walk) and the gap-powering check
 # gap_k = 1-(1-gap)^k accept.
 EIGENPHASE_TOL = 1e-9
+# Most Sinkhorn iterations random_symmetric_chain runs; it stops earlier once
+# the iterates settle into their 2-cycle.
+SINKHORN_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,7 @@ def lazy_chain(chain: MarkovChain, hold: float = 0.5) -> MarkovChain:
     return MarkovChain(hold * np.eye(chain.size) + (1.0 - hold) * chain.matrix)
 
 
-def random_symmetric_chain(
-    n: int, rng: np.random.Generator, iterations: int = 500
-) -> MarkovChain:
+def random_symmetric_chain(n: int, rng: np.random.Generator) -> MarkovChain:
     """Random symmetric doubly stochastic chain by symmetric Sinkhorn scaling.
 
     Draws a strictly positive symmetric seed S and finds the diagonal d with
@@ -92,14 +93,14 @@ def random_symmetric_chain(
     is homogeneous of degree -1, so its iterates settle into a 2-cycle
     {c d*, d*/c} rather than onto d*. The iteration stops once the next
     iterate is a constant multiple of d (to 1e-15 relative); the constant
-    drops out when the rows are normalized.
+    drops out when the rows are normalized. At most SINKHORN_ITERATIONS run.
     """
     if n < 2:
         raise ValueError(f"chain needs n >= 2, got {n}")
     S = rng.uniform(0.1, 1.0, size=(n, n))
     S = 0.5 * (S + S.T)
     d = np.ones(n)
-    for _ in range(iterations):
+    for _ in range(SINKHORN_ITERATIONS):
         d_new = 1.0 / (S @ d)
         ratio = d / d_new
         d = d_new
@@ -228,20 +229,19 @@ def query_cost(walk: SzegedyWalk, per_step: int = 1) -> int:
     return 4 * walk.k * per_step
 
 
-def nontrivial_basis(
-    walk: SzegedyWalk, tol: float = SUBSPACE_TOL, disc: np.ndarray | None = None
-) -> np.ndarray:
+def nontrivial_basis(walk: SzegedyWalk, disc: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the nontrivial subspace.
 
     Rank-revealing route: for each discriminant singular triple (u, sigma, v)
-    with sigma strictly inside (0, 1), the plane span{A u, B v} is walk
-    invariant and the two range projectors do not commute on it. The planes
-    are mutually orthogonal with in-plane Gram [[1, sigma], [sigma, 1]]; each
-    gives the columns A u and (B v - sigma A u)/sqrt(1 - sigma^2), in turn.
+    with sigma inside (0, 1) by more than SUBSPACE_TOL, the plane
+    span{A u, B v} is walk invariant and the two range projectors do not
+    commute on it. The planes are mutually orthogonal with in-plane Gram
+    [[1, sigma], [sigma, 1]]; each gives the columns A u and
+    (B v - sigma A u)/sqrt(1 - sigma^2), in turn.
     ``disc`` is the walk's discriminant when the caller has already formed it.
     """
     u, s, vt = np.linalg.svd(discriminant(walk) if disc is None else disc)
-    interior = (s > tol) & (s < 1.0 - tol)
+    interior = (s > SUBSPACE_TOL) & (s < 1.0 - SUBSPACE_TOL)
     sigma = s[interior]
     basis = np.empty((walk.dim, 2 * sigma.size))
     a_vecs = np.matmul(walk.A, u[:, interior], out=basis[:, 0::2])
@@ -252,7 +252,7 @@ def nontrivial_basis(
 
 
 def nontrivial_eigenphases(
-    walk: SzegedyWalk, tol: float = SUBSPACE_TOL, disc: np.ndarray | None = None
+    walk: SzegedyWalk, disc: np.ndarray | None = None
 ) -> np.ndarray:
     """Sorted eigenphases of the walk restricted to its nontrivial subspace.
 
@@ -260,7 +260,7 @@ def nontrivial_eigenphases(
     operator, so this measures the walk itself rather than assuming the
     discriminant correspondence. ``disc`` is as for ``nontrivial_basis``.
     """
-    basis = nontrivial_basis(walk, tol=tol, disc=disc)
+    basis = nontrivial_basis(walk, disc=disc)
     if basis.shape[1] == 0:
         return np.array([])
     restricted = basis.T @ walk_apply(walk, basis)

@@ -16,18 +16,14 @@ from powerwalk.records import fit_loglog_slope
 from powerwalk.search import (
     build_model,
     compute_alpha,
-    iterate_search,
     nearest_odd,
     success_probability,
 )
 from powerwalk.sums import grid_sums
 from powerwalk.torus import TorusGrid
-from powerwalk.tulsi import (
-    block_step,
-    circuit_step,
-    circuit_trajectory,
-    tune_delta,
-)
+from powerwalk.tulsi import tune_delta
+
+from oracles import block_step, circuit_step, circuit_trajectory, iterate_search
 
 ODD_SWEEP = (17, 33, 65, 129, 257)
 SUMS_SWEEP = (8, 16, 32, 64, 128, 256, 512)

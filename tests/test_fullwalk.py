@@ -20,12 +20,14 @@ from powerwalk.fullwalk import (
     walk_matrix,
     walk_spectrum,
 )
-from powerwalk.torus import REVERSE, PathPort, TorusGrid, powered_rotation_apply
+from powerwalk.torus import REVERSE, TorusGrid
 
 from oracles import (
+    PathPort,
     basis_index,
     dense_reflection_split,
     index_port,
+    powered_rotation_apply,
     projection_sum,
     shift_matrix,
     vertex_overlaps,

@@ -1,0 +1,54 @@
+"""src/ holds what the CLI and the benchmark run: every public top-level
+function and class of a powerwalk module is read by code outside its own
+definition. A definition only tests read belongs in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Kept in src/ for the full-space return moments (ROADMAP item 3), which will
+# start from the uniform state and mark the coin-uniform state of a vertex.
+NOT_YET_RUN = {"fullwalk.coin_uniform_state", "fullwalk.uniform_superposition"}
+
+
+def referenced_names(nodes) -> set[str]:
+    """Every identifier a name, an attribute or an import among ``nodes`` reads."""
+    names = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def unreferenced_definitions() -> list[str]:
+    # __init__ re-exports names, which is not a use of them.
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "powerwalk").glob("*.py"))
+        if path.stem != "__init__"
+    }
+    bench_files = sorted((ROOT / "perfbench").glob("*.py"))
+    bench = referenced_names(ast.parse(path.read_text()) for path in bench_files)
+    unused = []
+    for name, tree in modules.items():
+        outside = bench | referenced_names(t for n, t in modules.items() if n != name)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in outside:
+                continue
+            if node.name not in referenced_names(n for n in tree.body if n is not node):
+                unused.append(f"{name}.{node.name}")
+    return unused
+
+
+def test_every_public_definition_in_src_is_run_outside_the_tests():
+    unused = unreferenced_definitions()
+    assert sorted(set(unused) - NOT_YET_RUN) == []
+    assert NOT_YET_RUN <= set(unused), "an allow-listed name is run now: drop it"

@@ -12,12 +12,9 @@ from powerwalk.search import (
     alpha_estimate,
     build_model,
     compute_alpha,
-    dense_alpha,
-    iterate_search,
     nearest_odd,
     overlap_ws,
     overlap_wt,
-    phase_rotation,
     return_moments,
     search_trajectory,
     success_probability,
@@ -25,6 +22,8 @@ from powerwalk.search import (
 from powerwalk.sums import GridSums, orbit_measure
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import DELTA_POLICIES, tune_delta
+
+from oracles import dense_alpha, iterate_search, phase_rotation, reduced_modes
 
 
 def test_nearest_odd():
@@ -37,18 +36,19 @@ def test_nearest_odd():
 
 def test_build_model_overlaps():
     model = build_model(TorusGrid(5), 1)
-    assert model.ak**2 == pytest.approx(0.02, abs=1e-15)
+    _, target = reduced_modes(model.grid, model.t)
+    assert target[1] ** 2 == pytest.approx(0.02, abs=1e-15)  # a_k^2
     assert model.a0 == pytest.approx(1 / math.sqrt(25), abs=1e-15)
     # full target vector is normalized
-    assert np.linalg.norm(model.target_vector) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(target) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_model_phases_are_arccos_of_powers():
     grid = TorusGrid(5)
-    m1 = build_model(grid, 1)
-    m3 = build_model(grid, 3)
-    assert np.allclose(m3.mode_phases, np.arccos(np.clip(m1.mode_cos**3, -1, 1)))
-    assert np.all((m3.mode_phases > 0) & (m3.mode_phases < math.pi))
+    mode_cos = torus.mode_cosines(grid)[1:]
+    mode_phases = reduced_modes(grid, 3)[0][1 : grid.vertex_count]  # the +phi half
+    assert np.allclose(mode_phases, np.arccos(np.clip(mode_cos**3, -1, 1)))
+    assert np.all((mode_phases > 0) & (mode_phases < math.pi))
 
 
 def test_build_model_rejects_even_t():
@@ -62,14 +62,18 @@ def test_orbit_multiplicities_and_phases():
     for side in (2, 3, 4, 5, 8, 9, 16, 17):
         for t in (1, 3):
             model = build_model(TorusGrid(side), t)
+            mode_cos = torus.mode_cosines(model.grid)[1:]
+            phases, target = reduced_modes(model.grid, t)
+            mode_phases = phases[1 : side * side]
+            ak2 = target[1] ** 2
             x, weights = model.distinct_phases
-            counts = np.rint(weights / model.ak**2).astype(int)
-            assert np.allclose(weights, counts * model.ak**2, rtol=1e-15, atol=0.0)
+            counts = np.rint(weights / ak2).astype(int)
+            assert np.allclose(weights, counts * ak2, rtol=1e-15, atol=0.0)
             assert counts.sum() == side * side - 1
             expanded = np.sort(np.repeat(x, counts))
-            assert np.max(np.abs(expanded - np.sort(model.mode_cos**t))) <= 1e-15
+            assert np.max(np.abs(expanded - np.sort(mode_cos**t))) <= 1e-15
             # The per-mode table may differ from the orbit table in the last bit.
-            assert model.phi1 == pytest.approx(model.mode_phases.min(), rel=1e-15)
+            assert model.phi1 == pytest.approx(mode_phases.min(), rel=1e-15)
 
 
 def test_iterate_search_start_probability():
@@ -85,10 +89,9 @@ def test_iterate_search_norm_preserved():
         for t in (1, 3, 5):
             x, _ = build_model(TorusGrid(side), t).distinct_phases
             assert np.max(np.abs(np.abs(phase_rotation(x)) - 1.0)) <= 1e-15
-    model = build_model(TorusGrid(7), 1)
-    T = model.target_vector
-    phases = np.exp(1j * model.phase_vector)
-    state = np.zeros(model.reduced_dim, dtype=complex)
+    phases, T = reduced_modes(TorusGrid(7), 1)
+    phases = np.exp(1j * phases)
+    state = np.zeros(T.size, dtype=complex)
     state[0] = 1.0
     for _ in range(50):
         state = state - 2.0 * np.dot(T, state) * T

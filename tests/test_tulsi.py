@@ -8,18 +8,20 @@ from powerwalk.search import (
     alpha_estimate,
     build_model,
     compute_alpha,
-    iterate_search,
     overlap_ws,
     overlap_wt,
     success_probability,
 )
 from powerwalk.torus import TorusGrid
-from powerwalk.tulsi import (
+from powerwalk.tulsi import tune_delta
+
+from oracles import (
     block_step,
     circuit_step,
     circuit_trajectory,
     delta_state,
-    tune_delta,
+    iterate_search,
+    reduced_modes,
     x_delta_matrix,
 )
 
@@ -34,7 +36,8 @@ def test_build_rejects_bad_delta():
 def test_delta_zero_reduces_to_plain_model():
     model = build_model(TorusGrid(5), 1)
     zero = build_model(TorusGrid(5), 1, delta=0.0)
-    assert zero.reduced_dim == model.reduced_dim == 49  # no pi mode at delta=0
+    dims = [reduced_modes(m.grid, m.t, m.delta)[0].size for m in (zero, model)]
+    assert dims == [49, 49]  # no pi mode at delta=0
     # identical trajectories, exactly
     plain = iterate_search(model, 25)
     controlled = iterate_search(zero, 25)
@@ -49,9 +52,9 @@ def test_delta_zero_reduces_to_plain_model():
 
 
 def test_limiting_overlaps_near_pi_half():
-    model = build_model(TorusGrid(5), 1, delta=math.pi / 2 - 1e-6)
-    assert model.target_vector[-1] == pytest.approx(1.0, abs=1e-9)  # a_pi
-    assert np.max(np.abs(model.target_vector[:-1])) < 1e-5
+    _, target = reduced_modes(TorusGrid(5), 1, delta=math.pi / 2 - 1e-6)
+    assert target[-1] == pytest.approx(1.0, abs=1e-9)  # a_pi
+    assert np.max(np.abs(target[:-1])) < 1e-5
 
 
 def test_schedule_identity():
@@ -127,10 +130,9 @@ def test_reduced_matches_circuit_trajectory():
 
 
 def test_reduced_iteration_is_unitary():
-    model = build_model(TorusGrid(9), 1, delta=0.6)
-    T = model.target_vector
-    phases = np.exp(1j * model.phase_vector)
-    state = np.zeros(model.reduced_dim, dtype=complex)
+    phases, T = reduced_modes(TorusGrid(9), 1, delta=0.6)
+    phases = np.exp(1j * phases)
+    state = np.zeros(T.size, dtype=complex)
     state[0] = 1.0
     for _ in range(60):
         state = state - 2.0 * np.dot(T, state) * T
