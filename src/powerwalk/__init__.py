@@ -42,7 +42,6 @@ from .szegedy import (
     query_cost,
     random_symmetric_chain,
     spectral_gap,
-    walk_apply,
 )
 
 __version__ = "0.1.0"

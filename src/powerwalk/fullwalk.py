@@ -7,14 +7,15 @@ label states), the walk W_t = S_t C_t, and the marking oracle
 O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or on
 several as columns), and C_t and W_t also as dense matrices for small
 instances. W_t commutes with torus translations, so its eigendecomposition is
-taken one d^t x d^t momentum block at a time (``walk_spectrum``, a factory
-that builds a block when asked). Each block is a product of two reflections,
-the coin and a phased reversal of the path labels, and is diagonalised in
-closed form from that split, with no dense eigensolver.
-``correspondence_report`` builds every block once and runs all its checks on
-it: the brute-force oracle that validates the spectral correspondence between
-W_t and the adjacency matrix, on every side and step count, and the
-reduced-space search engine built on it.
+taken in d^t x d^t momentum blocks (``walk_spectrum``, a factory that builds
+a block, or a stack of them, when asked). Each block is a product of two
+reflections, the coin and a phased reversal of the path labels, and is
+diagonalised in closed form from that split, with no dense eigensolver.
+``correspondence_report`` builds every block once, in batches of at most
+BATCH_ENTRIES entries, and runs all its checks on each batch: the brute-force
+oracle that validates the spectral correspondence between W_t and the
+adjacency matrix, on every side and step count, and the reduced-space search
+engine built on it.
 
 States are plain complex vectors indexed by vertex-major, then label sequence
 with g_1 as the most significant base-d digit.
@@ -49,6 +50,10 @@ UNITARITY_TOL = 1e-12
 # Random unit columns of the probe that the translation and unitarity checks
 # act on.
 PROBE_COLUMNS = 8
+# Most eigenvector entries (blocks x d^t x d^t) that correspondence_report
+# splits and checks in one batch: 4096 blocks of 4 x 4, 16 of 64 x 64, one
+# from 256 x 256 up. Each complex temporary of a batch then fits in 1 MB.
+BATCH_ENTRIES = 2**16
 
 
 def full_dim(grid: TorusGrid, t: int) -> int:
@@ -170,81 +175,79 @@ def walk_matrix(grid: TorusGrid, t: int) -> np.ndarray:
 def _reflection_split(
     phase: np.ndarray, partner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors (columns) of B = M C, where
+    """Eigenvalues (blocks, d) and orthonormal eigenvectors (blocks, d, d, as
+    columns) of B = M C for each row of a (blocks, d) phase stack, where
     C = 2|u><u| - I is the coin (u uniform) and (M v)_g = phase_g v_r(g) is an
     involution: r = ``partner`` pairs the labels, and phase_g phase_r(g) = 1.
 
     M's +-1 eigenspaces E+- have the orthonormal bases Q+- of columns
     (e_g +- conj(phase_g) e_r(g))/sqrt(2), one per 2-cycle {g, r(g)}, and e_g
-    for each fixed point g of r, in the eigenspace of its phase. On E+- minus
-    u+- = P+- u, C is -I, so B = -M is -+1 there. On the plane of u+ and u-,
-    with p = |u+| and q = |u-|, B rotates by twice the angle atan2(q, p):
-    (n+ +- i n-)/sqrt(2) has eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. When
-    u+ or u- is too short for that pair to lie farther than
-    REAL_EIGENVALUE_TOL from +-1, u is an eigenvector of M itself and the
-    plane collapses to that one vector. Each label is the nonzero of one
-    column of Q+-, so the coordinates a of P+- u in Q+- and n+- cost O(d).
-    E+- minus u+- is spanned by the last columns of Q H, where the Householder
-    reflection H takes a to a multiple of e_1: Q plus one rank-one update.
+    for each fixed point g of r, in the eigenspace of its phase (the same in
+    every block of a stack). On E+- minus u+- = P+- u, C is -I, so B = -M is
+    -+1 there. On the plane of u+ and u-, with p = |u+| and q = |u-|, B
+    rotates by twice the angle atan2(q, p): (n+ +- i n-)/sqrt(2) has
+    eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. Each label is the nonzero of
+    one column of Q+-, so the coordinates a of P+- u in Q+- and n+- cost
+    O(d). E+- minus n+- is spanned by the last columns of Q H, where the
+    Householder reflection H takes a to a multiple of e_1. When u+- is too
+    short for the pair to lie farther than REAL_EIGENVALUE_TOL from +-1, u is
+    an eigenvector of M and a is taken as e_1: n+- is then Q+-'s first
+    column, where B is -+1 as on the other plane vector to within that
+    tolerance. All blocks thus share one layout, split in one pass.
     """
-    d = phase.size
+    count, d = phase.shape
     labels = np.arange(d)
     lower = labels[labels < partner]  # one label per 2-cycle
     fixed = labels[labels == partner]
     half = lower.size
     pairs = np.arange(half)
-    positive = phase[fixed].real > 0.0
-    values = np.empty(d, dtype=complex)
-    vectors = np.empty((d, d), dtype=complex)
+    positive = phase[:, fixed].real > 0.0
+    if (positive != positive[0]).any():
+        raise ValueError("the blocks give a fixed point phases of both signs")
+    values = np.empty((count, d), dtype=complex)
+    vectors = np.empty((count, d, d), dtype=complex)
     start, plane, lengths = 0, [], []
     for sign in (1.0, -1.0):
-        ends = fixed[positive if sign > 0.0 else ~positive]
-        width = half + ends.size
+        ends = fixed[positive[0] if sign > 0.0 else ~positive[0]]
         rows = np.concatenate([lower, partner[lower], ends])
-        cols = np.concatenate([pairs, pairs, np.arange(half, width)])
-        entries = np.empty(rows.size, dtype=complex)  # Q's nonzeros, at (rows, cols)
-        entries[:half] = 2**-0.5
-        entries[half : 2 * half] = sign * 2**-0.5 * np.conj(phase[lower])
-        entries[2 * half :] = 1.0
+        cols = np.concatenate([pairs, pairs, np.arange(half, half + ends.size)])
+        entries = np.empty((count, rows.size), dtype=complex)  # Q's nonzeros
+        entries[:, :half] = 2**-0.5
+        entries[:, half : 2 * half] = sign * 2**-0.5 * np.conj(phase[:, lower])
+        entries[:, 2 * half :] = 1.0
         conj_entries = np.conj(entries)
-        a = conj_entries[half:]  # coordinates of P u in Q: column sums of conj(Q)
-        a[:half] += conj_entries[:half]
+        a = conj_entries[:, half:]  # P u in Q: the column sums of conj(Q)
+        a[:, :half] += conj_entries[:, :half]
         a *= d**-0.5
-        length = float(np.sqrt(np.add.reduce(np.abs(a) ** 2)))
-        lengths.append(length)
-        if 2.0 * length > REAL_EIGENVALUE_TOL:
-            a /= length
-            n_sign = np.zeros(d, dtype=complex)
-            n_sign[rows] = entries * a[cols]
-            plane.append(n_sign)
-            v = a.copy()
-            v[0] += a[0] / abs(a[0]) if a[0] != 0 else 1.0
-            scale = 2.0 / float(np.add.reduce(np.abs(v) ** 2))
-            qv = np.zeros(d, dtype=complex)  # Q v
-            qv[rows] = entries * v[cols]
-            # Q H = Q - scale (Q v) v^H, without its first column.
-            width -= 1
-            block = vectors[:, start : start + width]
-            np.multiply((-scale * qv)[:, None], np.conj(v[1:]), out=block)
-            keep = cols > 0
-            block[rows[keep], cols[keep] - 1] += entries[keep]
-        else:
-            block = vectors[:, start : start + width]
-            block[:] = 0.0
-            block[rows, cols] = entries
-        values[start : start + width] = -sign
+        length = np.sqrt(np.add.reduce(np.abs(a) ** 2, axis=1))[:, None]
+        lengths.append(length[:, 0])
+        unit = np.zeros_like(a)
+        unit[:, 0] = 1.0
+        np.divide(a, length, out=unit, where=2.0 * length > REAL_EIGENVALUE_TOL)
+        n_sign = np.zeros((count, d), dtype=complex)
+        n_sign[:, rows] = entries * unit[:, cols]
+        plane.append(n_sign)
+        v = unit.copy()
+        lead = unit[:, 0]
+        v[:, 0] += np.divide(lead, abs(lead), out=np.ones_like(lead), where=lead != 0)
+        scale = 2.0 / np.add.reduce(np.abs(v) ** 2, axis=1)
+        qv = np.zeros((count, d), dtype=complex)  # Q v
+        qv[:, rows] = entries * v[:, cols]
+        # Q H = Q - scale (Q v) v^H, without its first column.
+        width = unit.shape[1] - 1
+        block = vectors[:, :, start : start + width]
+        np.multiply((-scale[:, None] * qv)[..., None], v[:, None, 1:].conj(), out=block)
+        keep = cols > 0
+        block[:, rows[keep], cols[keep] - 1] += entries[:, keep]
+        values[:, start : start + width] = -sign
         start += width
     p, q = lengths
     turn = (p + 1j * q) ** 2 / (p * p + q * q)
-    if len(plane) == 2:
-        n_plus, n_minus = plane
-        np.add(n_plus, 1j * n_minus, out=vectors[:, start])
-        np.subtract(n_plus, 1j * n_minus, out=vectors[:, start + 1])
-        vectors[:, start:] *= 2**-0.5
-        values[start:] = turn, np.conj(turn)
-    else:
-        vectors[:, start] = plane[0]
-        values[start] = turn
+    n_plus, n_minus = plane
+    np.add(n_plus, 1j * n_minus, out=vectors[:, :, start])
+    np.subtract(n_plus, 1j * n_minus, out=vectors[:, :, start + 1])
+    vectors[:, :, start:] *= 2**-0.5
+    values[:, start], values[:, start + 1] = turn, np.conj(turn)
     return values, vectors
 
 
@@ -268,17 +271,18 @@ class WalkSpectrum:
     partner_label: np.ndarray  # r(g), vertex 0's block of the shift
     partner_offset: np.ndarray  # (2, d^t): s(g) = (x, y) of the partner vertex
 
-    def phases(self, b: int) -> np.ndarray:
+    def phases(self, b) -> np.ndarray:
         """e^{2 pi i k.s(g)/L} for every label g, for the momentum of block b:
-        the phases of M_k, and L <s(g)|k>."""
+        the phases of M_k, and L <s(g)|k>; one row per block of an array b."""
         L = self.grid.side
-        kx, ky = b % L, b // L
-        turns = (kx * self.partner_offset[0] + ky * self.partner_offset[1]) % L
-        return np.exp(2j * np.pi * turns / L)
+        k = np.stack(np.divmod(b, L)[::-1], axis=-1)  # (k_x, k_y)
+        return np.exp(2j * np.pi * (k @ self.partner_offset % L) / L)
 
-    def block(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors as columns) of momentum block b."""
-        return _reflection_split(self.phases(b), self.partner_label)
+    def block(self, b) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors as columns) of momentum block b, or of
+        each block of an array b, stacked."""
+        split = _reflection_split(np.atleast_2d(self.phases(b)), self.partner_label)
+        return split if np.ndim(b) else tuple(part[0] for part in split)
 
 
 def walk_spectrum(
@@ -329,9 +333,9 @@ def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
 
 def _path_component_dev(t: int, phi_i, phi_j, a_u, a_v, eigenvalues) -> float:
     """Largest deviation of the measured <Phi|p+->, over paths between basis
-    states i and j = S_t i (one row each), from the closed forms driven by the
-    vertex overlaps a_u and a_v of i's and j's vertices, for eigenvectors Phi
-    (one column each) with non-real eigenvalue e^{i phi}; ``phi_i`` and
+    states i and j = S_t i (one column each), from the closed forms driven by
+    the vertex overlaps a_u and a_v of i's and j's vertices, for eigenvectors
+    Phi (one row each) with non-real eigenvalue e^{i phi}; ``phi_i`` and
     ``phi_j`` hold the entries Phi_i and Phi_j:
 
         <Phi|p+> = sqrt(2/d^t) (a_u + a_v) / (1 + e^{-i phi})
@@ -462,17 +466,16 @@ def correspondence_report(
         and S_t, C_t and O_t are involutions (the unitarity deviation).
 
     These hold on every side and step count. Each d^t x d^t block is built
-    once: the residual and the component formulas read its eigenvectors, and
-    its eigenvalues, their +-1 masks and its projection sums fill row b of the
-    (N, d^t) arrays that every other check reads. No dim x dim or dim x N
-    array is formed.
+    once, in a batch of consecutive blocks of at most BATCH_ENTRIES entries
+    (or one block): the residual and the component formulas read the batch's
+    eigenvectors, and its eigenvalues, their +-1 masks and its projection sums
+    fill its rows of the (N, d^t) arrays that every other check reads. No
+    dim x dim, dim x N or N d^t x d^t array is formed.
     """
     spec = walk_spectrum(grid, t, budget=budget)
     N, d_t = grid.vertex_count, DEGREE**t
     eigenvalues = np.empty((N, d_t), dtype=complex)
     sums = np.empty((N, d_t))
-    plus = np.empty((N, d_t), dtype=bool)
-    minus = np.empty((N, d_t), dtype=bool)
 
     # Once the walk commutes with translations, it maps each plane wave
     # |k> (x) phi to one of the same k, so |W Phi - lambda Phi| is equal at
@@ -485,51 +488,52 @@ def correspondence_report(
     moved = (partner != np.arange(d_t)) | spec.partner_offset.any(axis=0)
     paths = np.flatnonzero(moved)
     near = 1.0 / grid.side  # <0|k>
-    gap = np.empty((d_t, d_t), dtype=complex)  # W Phi - lambda Phi, per block
+    batch = max(1, BATCH_ENTRIES // d_t**2)
+    gap = np.empty((min(batch, N), d_t, d_t), dtype=complex)  # W Phi - lambda Phi
     component_dev = 0.0
-    for b in range(N):
-        values, vecs = spec.block(b)
-        eigenvalues[b] = values
+    for first in range(0, N, batch):
+        blocks = np.arange(first, min(first + batch, N))
+        values, vecs = spec.block(blocks)
+        eigenvalues[blocks] = values
         # <|k> (x) phi | psi_u> = conj(<k|u>) conj(sum(phi)) / 2^t, so the
         # projection sum over the N vertices is |sum(phi)|^2 / d^t. The
         # column sums also give the coin and the vertex overlaps below.
-        column = vecs.sum(axis=0)
-        sums[b] = np.abs(column) ** 2 / d_t
-        wave = spec.phases(b) / grid.side  # <s(g)|k>, at each label's partner
+        column = vecs.sum(axis=1)
+        sums[blocks] = np.abs(column) ** 2 / d_t
+        wave = spec.phases(blocks) / grid.side  # <s(g)|k>, at each label's partner
         # The coin (2/d^t) sum(phi) - phi, at the partners, times <s(g)|k>.
         # Every partner is a label, so "clip" changes no index; it skips the
         # buffered copy that the default mode makes of an ``out`` gather.
-        np.take(vecs, partner, axis=0, out=gap, mode="clip")
-        np.subtract(column * (2.0 / d_t), gap, out=gap)
-        gap *= wave[:, None]
-        gap -= (near * values) * vecs
-        residual = max(residual, float(np.abs(gap).max()))
-        plus[b] = np.abs(values - 1.0) <= REAL_EIGENVALUE_TOL
-        minus[b] = np.abs(values + 1.0) <= REAL_EIGENVALUE_TOL
-        cols = ~(plus[b] | minus[b])
-        if cols.any():
+        here = gap[: blocks.size]
+        np.take(vecs, partner, axis=1, out=here, mode="clip")
+        np.subtract(column[:, None, :] * (2.0 / d_t), here, out=here)
+        here *= wave[:, :, None]
+        here -= (near * values)[:, None, :] * vecs
+        residual = max(residual, float(np.abs(here).max()))
+        distance = np.minimum(np.abs(values - 1.0), np.abs(values + 1.0))
+        rows, cols = np.nonzero(~(distance <= REAL_EIGENVALUE_TOL))  # the non-real
+        if rows.size:
             # Phi = |k> (x) phi at |0, g> and at its partner |s(g), r(g)>, and
             # the vertex overlaps a_u = conj(<u|k>) conj(sum(phi)) / 2^t there.
-            phi = vecs[:, cols]
-            far = wave[paths, None]
-            overlap = np.conj(column[cols]) * d_t**-0.5
+            phi = vecs[rows, :, cols]
+            far = wave[rows][:, paths]
+            overlap = np.conj(column[rows, cols, None]) * d_t**-0.5
             dev = _path_component_dev(
-                t, near * phi[paths], far * phi[partner[paths]],
-                near * overlap, np.conj(far) * overlap, values[cols],
+                t, near * phi[:, paths], far * phi[:, partner[paths]],
+                near * overlap, np.conj(far) * overlap, values[rows, cols, None],
             )
             component_dev = max(component_dev, dev)
 
+    plus = np.abs(eigenvalues - 1.0) <= REAL_EIGENVALUE_TOL
+    minus = np.abs(eigenvalues + 1.0) <= REAL_EIGENVALUE_TOL
     nonreal = ~(plus | minus)
     phases = np.angle(eigenvalues[nonreal])
     order = np.argsort(phases)
     measured = phases[order]
     expected = expected_nonreal_phases(grid, t)
+    phase_dev = float("inf")
     if measured.size == expected.size:
-        phase_dev = (
-            float(np.max(np.abs(measured - expected))) if measured.size else 0.0
-        )
-    else:
-        phase_dev = float("inf")
+        phase_dev = float(np.max(np.abs(measured - expected), initial=0.0))
 
     proj = sums[nonreal]
     proj_dev = float(np.max(np.abs(proj - 0.5))) if proj.size else 0.0

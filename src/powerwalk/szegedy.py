@@ -15,6 +15,7 @@ Registers are serialized leftmost-most-significant.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +79,9 @@ def complete_chain(n: int) -> MarkovChain:
     return MarkovChain(M)
 
 
-def lazy_chain(chain: MarkovChain, hold: float = 0.5) -> MarkovChain:
-    """Lazy variant: stay put with probability ``hold``."""
-    if not 0.0 <= hold < 1.0:
-        raise ValueError(f"hold probability must lie in [0, 1), got {hold}")
-    return MarkovChain(hold * np.eye(chain.size) + (1.0 - hold) * chain.matrix)
+def lazy_chain(chain: MarkovChain) -> MarkovChain:
+    """Lazy variant: stay put with probability 1/2."""
+    return MarkovChain(0.5 * np.eye(chain.size) + 0.5 * chain.matrix)
 
 
 def random_symmetric_chain(n: int, rng: np.random.Generator) -> MarkovChain:
@@ -142,127 +141,128 @@ def load_chain_csv(path) -> MarkovChain:
     return MarkovChain(np.array(rows))
 
 
-def spectral_gap(matrix: np.ndarray) -> float:
+def spectral_gap(matrix: np.ndarray) -> np.ndarray:
     """1 - the second-largest |eigenvalue| of a symmetric matrix, counted with
-    multiplicity: 0 for a bipartite or disconnected chain, 1 for one state."""
-    moduli = np.sort(np.abs(np.linalg.eigvalsh(matrix)))
-    return 1.0 - float(moduli[-2]) if moduli.size > 1 else 1.0
+    multiplicity, per matrix of a (..., n, n) stack: 0 for a bipartite or
+    disconnected chain, 1 for one state."""
+    moduli = np.sort(np.abs(np.linalg.eigvalsh(matrix)), axis=-1)
+    return 1.0 - moduli[..., -2] if moduli.shape[-1] > 1 else np.ones(moduli.shape[:-1])
 
 
 @functools.lru_cache(maxsize=64)
 def register_reversal(n: int, k: int) -> np.ndarray:
     """Permutation p over [n^(k+1)] reversing the k+1 base-n registers, built
     once per (n, k) and read-only: callers share it."""
-    idx = np.arange(n ** (k + 1))
-    rest = idx
-    out = np.zeros_like(idx)
-    for _ in range(k + 1):
-        rest, digit = np.divmod(rest, n)
-        out = out * n + digit
+    out = np.arange(n ** (k + 1)).reshape((n,) * (k + 1)).T.ravel()
     out.flags.writeable = False
     return out
 
 
 @dataclass
 class SzegedyWalk:
-    """Multi-step quantized walk: isometries on k+1 registers, two reflections."""
+    """Multi-step quantized walk: isometries on k+1 registers, two reflections.
+    A and B are (n^{k+1}, n), or (c, n^{k+1}, n) for c chains of one size."""
 
-    chain: MarkovChain
     k: int
-    A: np.ndarray  # (n^{k+1}, n), column i = |A^k_i>
+    A: np.ndarray  # column i = |A^k_i>
     B: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-2]
 
 
 def build_isometries(
-    chain: MarkovChain, k: int, budget: int = DEFAULT_DENSE_BUDGET
+    chain: MarkovChain | np.ndarray, k: int, budget: int = DEFAULT_DENSE_BUDGET
 ) -> SzegedyWalk:
     """Construct the k-step isometries with path-product amplitudes.
 
     Column i of A carries sqrt(M_{i j_1} M_{j_1 j_2} ... M_{j_{k-1} j_k}) at
     register content (i, j_1, ..., j_k); B is A with the register order
-    reversed.
+    reversed. ``chain`` is one chain or a (c, n, n) stack of chain matrices.
     """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    n = chain.size
+    M = chain.matrix if isinstance(chain, MarkovChain) else chain
+    n, stack = M.shape[-1], M.shape[:-2]
     dim = n ** (k + 1)
     if dim > budget:
         raise ValueError(f"dimension {dim} = {n}^{k + 1} exceeds budget {budget}")
-    root = np.sqrt(chain.matrix)
-    # amps[i, j_1, ..., j_k]: extend one hop at a time by broadcasting.
+    root = np.sqrt(M)
+    # amps[..., (i, j_1..j_{r-1}), j_r]: extend one hop at a time by broadcasting.
     amps = root
     for _ in range(k - 1):
-        amps = amps[..., :, None] * root
-    # A[(i, j_1..j_k), i] = amps[i, j_1..j_k]: row i of amps fills column i.
-    A = np.zeros((n, n**k, n))
-    A[np.arange(n), :, np.arange(n)] = amps.reshape(n, n**k)
-    A = A.reshape(dim, n)
-    B = A[register_reversal(n, k), :]
-    return SzegedyWalk(chain=chain, k=k, A=A, B=B)
+        amps = (amps[..., None] * root[..., None, :, :]).reshape(*stack, -1, n)
+    # A[(i, j_1..j_k), l] = amps[i, j_1..j_k] if l = i: row i of amps fills column i.
+    A = amps.reshape(*stack, n, n**k, 1) * np.eye(n)[:, None, :]
+    A = A.reshape(*stack, dim, n)
+    return SzegedyWalk(k=k, A=A, B=A[..., register_reversal(n, k), :])
 
 
 def discriminant(walk: SzegedyWalk) -> np.ndarray:
-    """A_k^dagger B_k, an N x N matrix equal to M^k."""
-    return walk.A.T @ walk.B
+    """A_k^dagger B_k, an N x N matrix (per chain of a stack) equal to M^k."""
+    return walk.A.mT @ walk.B
 
 
-def walk_apply(walk: SzegedyWalk, state: np.ndarray) -> np.ndarray:
-    """Apply W_k = (2 B B^dagger - I)(2 A A^dagger - I) without forming it, to
-    a state of shape (dim,) or to each column of a (dim, m) slab."""
-    state = np.asarray(state)
-    if state.ndim not in (1, 2) or state.shape[0] != walk.dim:
-        raise ValueError(
-            f"state has shape {state.shape}, expected ({walk.dim},) or ({walk.dim}, m)"
-        )
-    after_a = 2.0 * (walk.A @ (walk.A.T @ state)) - state
-    return 2.0 * (walk.B @ (walk.B.T @ after_a)) - after_a
+def query_cost(walk: SzegedyWalk) -> int:
+    """Queries per walk step: 4 k, one per V_1/V_2 call."""
+    return 4 * walk.k
 
 
-def query_cost(walk: SzegedyWalk, per_step: int = 1) -> int:
-    """Queries per walk step: 4 k Q, with Q the cost of one V_1/V_2 call."""
-    if per_step < 1:
-        raise ValueError(f"per-step query cost must be >= 1, got {per_step}")
-    return 4 * walk.k * per_step
-
-
-def nontrivial_basis(walk: SzegedyWalk, disc: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the nontrivial subspace.
-
-    Rank-revealing route: for each discriminant singular triple (u, sigma, v)
-    with sigma inside (0, 1) by more than SUBSPACE_TOL, the plane
-    span{A u, B v} is walk invariant and the two range projectors do not
-    commute on it. The planes are mutually orthogonal with in-plane Gram
-    [[1, sigma], [sigma, 1]]; each gives the columns A u and
-    (B v - sigma A u)/sqrt(1 - sigma^2), in turn.
-    ``disc`` is the walk's discriminant when the caller has already formed it.
-    """
-    u, s, vt = np.linalg.svd(discriminant(walk) if disc is None else disc)
+def _restricted_operators(
+    walk: SzegedyWalk, disc: np.ndarray | None = None
+) -> list[tuple[list[int], np.ndarray]]:
+    """X^T W X of nontrivial_eigenphases per interior count m > 0: the chains'
+    rows in the stack and their (rows, 2m, 2m) operators."""
+    n = walk.A.shape[-1]
+    A, B = (isometry.reshape(-1, walk.dim, n) for isometry in (walk.A, walk.B))
+    D = (discriminant(walk) if disc is None else disc).reshape(-1, n, n)
+    gram_a, gram_b = A.mT @ A, B.mT @ B
+    u, s, vt = np.linalg.svd(D)
     interior = (s > SUBSPACE_TOL) & (s < 1.0 - SUBSPACE_TOL)
-    sigma = s[interior]
-    basis = np.empty((walk.dim, 2 * sigma.size))
-    a_vecs = np.matmul(walk.A, u[:, interior], out=basis[:, 0::2])
-    b_vecs = np.matmul(walk.B, vt[interior].T, out=basis[:, 1::2])
-    b_vecs -= sigma * a_vecs
-    b_vecs /= np.sqrt(1.0 - sigma**2)
-    return basis
+    counts = interior.sum(axis=1).tolist()  # not np.unique: it imports numpy.ma
+    operators = []
+    for m in set(counts) - {0}:
+        rows = [row for row, count in enumerate(counts) if count == m]
+        g, pick = len(rows), interior[rows]
+        u_in = u[rows].mT[pick].reshape(g, m, n).mT
+        v_in = vt[rows][pick].reshape(g, m, n).mT
+        sigma = s[rows][pick].reshape(g, 1, m)
+        rho = np.sqrt(1.0 - sigma**2)
+        # Columns 2j and 2j + 1 of X come from triple j.
+        c_a = np.stack([u_in, -sigma * u_in / rho], axis=3).reshape(g, n, 2 * m)
+        c_b = np.stack([np.zeros_like(v_in), v_in / rho], axis=3).reshape(g, n, 2 * m)
+        d = D[rows]
+        a = gram_a[rows] @ c_a + d @ c_b
+        b = d.mT @ c_a + gram_b[rows] @ c_b
+        xx = c_a.mT @ a + c_b.mT @ b
+        restricted = 2.0 * (b.mT @ (2.0 * (d.mT @ a) - b)) - (2.0 * (a.mT @ a) - xx)
+        operators.append((rows, restricted))
+    return operators
 
 
 def nontrivial_eigenphases(
     walk: SzegedyWalk, disc: np.ndarray | None = None
-) -> np.ndarray:
-    """Sorted eigenphases of the walk restricted to its nontrivial subspace.
+) -> list[np.ndarray]:
+    """Sorted eigenphases of each walk of a stack (one walk is a stack of one)
+    restricted to its nontrivial subspace, one array per chain.
 
-    Applies the walk to the rank-revealed basis and diagonalizes the restricted
-    operator, so this measures the walk itself rather than assuming the
-    discriminant correspondence. ``disc`` is as for ``nontrivial_basis``.
+    For each discriminant singular triple (u, sigma, v) with sigma inside
+    (0, 1) by more than SUBSPACE_TOL, span{A u, B v} is walk invariant and the
+    range projectors do not commute on it. Its basis vectors A u and
+    (B v - sigma A u)/sqrt(1 - sigma^2), over the m interior triples, make
+    X = A C_a + B C_b with n x 2m coefficients C_a and C_b. With the Gram
+    matrices G_A = A^T A, G_B = B^T B and D = A^T B (computed, not assumed),
+    a = G_A C_a + D C_b and b = D^T C_a + G_B C_b, the walk
+    W = (2 B B^T - I)(2 A A^T - I) restricted to X is
+
+        X^T W X = 2 b^T (2 D^T a - b) - (2 a^T a - X^T X),  X^T X = C_a^T a + C_b^T b:
+
+    three dim-length products, and no dim x 2m slab W X. This measures the
+    walk rather than assuming the discriminant correspondence. One stacked
+    eigvals per m diagonalises the group; ``disc`` is D when already formed.
     """
-    basis = nontrivial_basis(walk, disc=disc)
-    if basis.shape[1] == 0:
-        return np.array([])
-    restricted = basis.T @ walk_apply(walk, basis)
-    return np.sort(np.angle(np.linalg.eigvals(restricted)))
-
+    phases = dict.fromkeys(range(math.prod(walk.A.shape[:-2])), np.array([]))
+    for rows, op in _restricted_operators(walk, disc):
+        phases.update(zip(rows, np.sort(np.angle(np.linalg.eigvals(op)), axis=-1)))
+    return list(phases.values())

@@ -11,7 +11,8 @@ tests can hold the production code against it:
   - the controlled search: the full-space Tulsi circuit and the block
     operator diag(W_t, -I)(I - 2|psi_m, delta><psi_m, delta|);
   - the verification layer: basis indexing, the dense shift, projection sums,
-    the dense Szegedy walk and the dense form of the block split.
+    the dense form of the block split, and of the Szegedy walk the dense
+    matrix, its matrix-free action and its explicit nontrivial basis.
 """
 
 from __future__ import annotations
@@ -329,6 +330,36 @@ def projection_sum(grid: TorusGrid, t: int, state: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
+def walk_apply(walk: SzegedyWalk, state: np.ndarray) -> np.ndarray:
+    """Apply W_k = (2 B B^dagger - I)(2 A A^dagger - I) of one walk without
+    forming it, to a state of shape (dim,) or to each column of a (dim, m)
+    slab."""
+    state = np.asarray(state)
+    if state.ndim not in (1, 2) or state.shape[0] != walk.dim:
+        raise ValueError(
+            f"state has shape {state.shape}, expected ({walk.dim},) or ({walk.dim}, m)"
+        )
+    after_a = 2.0 * (walk.A @ (walk.A.T @ state)) - state
+    return 2.0 * (walk.B @ (walk.B.T @ after_a)) - after_a
+
+
+def nontrivial_basis(walk: SzegedyWalk) -> np.ndarray:
+    """Orthonormal basis (columns) of one walk's nontrivial subspace: for each
+    interior discriminant singular triple (u, sigma, v), the columns A u and
+    (B v - sigma A u)/sqrt(1 - sigma^2), in turn, from two matrix products.
+    The basis X that szegedy._restricted_operators reaches through the Gram
+    matrices."""
+    u, s, vt = np.linalg.svd(discriminant(walk))
+    interior = (s > SUBSPACE_TOL) & (s < 1.0 - SUBSPACE_TOL)
+    sigma = s[interior]
+    basis = np.empty((walk.dim, 2 * sigma.size))
+    a_vecs = np.matmul(walk.A, u[:, interior], out=basis[:, 0::2])
+    b_vecs = np.matmul(walk.B, vt[interior].T, out=basis[:, 1::2])
+    b_vecs -= sigma * a_vecs
+    b_vecs /= np.sqrt(1.0 - sigma**2)
+    return basis
+
+
 def szegedy_walk_matrix(walk: SzegedyWalk) -> np.ndarray:
     """The dense Szegedy walk (2 B B^T - I)(2 A A^T - I)."""
     eye = np.eye(walk.dim)
@@ -385,22 +416,20 @@ def dense_reflection_split(
         lengths.append(length)
         if 2.0 * length > REAL_EIGENVALUE_TOL:
             a /= length
-            plane.append((Q * a).sum(axis=1))
-            v = a.copy()
-            v[0] += a[0] / abs(a[0]) if a[0] != 0 else 1.0
-            scale = 2.0 / float(np.sum(np.abs(v) ** 2))
-            Q = Q[:, 1:] - scale * (Q * v).sum(axis=1)[:, None] * np.conj(v[1:])
+        else:  # u is an eigenvector of M: the first column of Q stands in
+            a = np.eye(a.size, dtype=complex)[0]
+        plane.append((Q * a).sum(axis=1))
+        v = a.copy()
+        v[:1] += a[:1] / np.abs(a[:1]) if a[0] != 0 else 1.0
+        scale = 2.0 / float(np.sum(np.abs(v) ** 2))
+        Q = Q[:, 1:] - scale * (Q * v).sum(axis=1)[:, None] * np.conj(v[1:])
         columns.append(Q)
         values.append(np.full(Q.shape[1], -sign, dtype=complex))
-    p, q = lengths
-    turn = (p + 1j * q) ** 2 / (p * p + q * q)
-    if len(plane) == 2:
-        n_plus, n_minus = plane
-        columns.append(
-            np.column_stack([n_plus + 1j * n_minus, n_plus - 1j * n_minus]) * 2**-0.5
-        )
-        values.append(np.array([turn, np.conj(turn)]))
-    else:
-        columns.append(plane[0][:, None])
-        values.append(np.array([turn]))
+    p, q = np.array(lengths)[:, None]
+    [turn] = (p + 1j * q) ** 2 / (p * p + q * q)
+    n_plus, n_minus = plane
+    columns.append(
+        np.column_stack([n_plus + 1j * n_minus, n_plus - 1j * n_minus]) * 2**-0.5
+    )
+    values.append(np.array([turn, np.conj(turn)]))
     return np.concatenate(values), np.concatenate(columns, axis=1)

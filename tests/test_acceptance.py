@@ -329,8 +329,8 @@ def test_criterion_09_markov_quantization():
                 disc_worst,
                 float(np.max(np.abs(szegedy.discriminant(walk) - powered))),
             )
-            multi = szegedy.nontrivial_eigenphases(walk)
-            single = szegedy.nontrivial_eigenphases(
+            [multi] = szegedy.nontrivial_eigenphases(walk)
+            [single] = szegedy.nontrivial_eigenphases(
                 szegedy.build_isometries(szegedy.MarkovChain(powered), 1)
             )
             if multi.size != single.size:
@@ -339,13 +339,12 @@ def test_criterion_09_markov_quantization():
             if multi.size:
                 eig_worst = max(eig_worst, float(np.max(np.abs(multi - single))))
             ok = ok and szegedy.query_cost(walk) == 4 * k
-            ok = ok and szegedy.query_cost(walk, per_step=2) == 8 * k
     ok = ok and disc_worst <= 1e-10 and eig_worst <= 1e-9
     report(
         9,
         "A_k^T B_k = M^k entrywise (1e-10) for 20 random symmetric chains, "
         "N in {2,3,4}, k in {1,2,3}; nontrivial eigenphase multisets of the "
-        "multi-step and powered-chain walks agree (1e-9); query counter is 4kQ",
+        "multi-step and powered-chain walks agree (1e-9); query counter is 4k",
         ok,
         f"disc dev {disc_worst:.2e}, eigenphase dev {eig_worst:.2e}",
     )

@@ -405,12 +405,14 @@ def test_gap_powering_checked_on_every_generator(capsys):
 
 def test_gap_powering_check_can_fail(capsys, monkeypatch):
     # The gap of M^2 shifted by 1e-6 breaks the k = 2 row; k = 1 reads M only.
+    # The gaps are taken per stack of chains of one size, so the shift is
+    # applied to each matrix of the stack that is not M.
     base = szegedy.cycle_chain(5).matrix
     gap = szegedy.spectral_gap
     monkeypatch.setattr(
         szegedy,
         "spectral_gap",
-        lambda m: gap(m) + (0.0 if np.array_equal(m, base) else 1e-6),
+        lambda m: gap(m) + np.where((m == base).all(axis=(-2, -1)), 0.0, 1e-6),
     )
     code, out, err = run_cli(
         ["szegedy", "--generator", "cycle", "--sizes", "5", "--k", "1,2"], capsys
@@ -508,19 +510,23 @@ def _count_szegedy_work(monkeypatch, argv, capsys):
 
 def test_szegedy_gap_once_per_chain_and_power(monkeypatch, capsys):
     # M^1 is M, so its gap is read, not taken again; each M^k with k > 1 is
-    # a matrix of its own and has its gap taken once.
+    # a matrix of its own and has its gap taken once. The chains of one size
+    # share each call: one stack per size and power.
     ks = (1, 2, 3)
     chains, _, _, gap_args = _count_szegedy_work(
         monkeypatch, ["--sizes", "2,3,4", "--k", "1,2,3", "--chains", "5"], capsys
     )
     assert len(chains) == 5
-    assert len(gap_args) == len(chains) * len(ks)
+    assert len(gap_args) == 3 * len(ks)
+    taken = [m for stack in gap_args for m in stack]
+    assert len(taken) == len(chains) * len(ks)
     for _, chain in chains:
-        assert sum(m is chain.matrix for m in gap_args) == 1
-    powers = [m for m in gap_args if not any(m is c.matrix for _, c in chains)]
+        assert sum(np.array_equal(m, chain.matrix) for m in taken) == 1
+    bases = [c.matrix for _, c in chains]
+    powers = [m for m in taken if not any(np.array_equal(m, b) for b in bases)]
     expected = [np.linalg.matrix_power(c.matrix, k) for _, c in chains for k in ks[1:]]
-    assert len({id(m) for m in powers}) == len(powers) == len(expected)
-    assert all(np.array_equal(m, e) for m, e in zip(powers, expected))
+    assert len(powers) == len(expected)
+    assert all(sum(np.array_equal(m, e) for m in powers) == 1 for e in expected)
 
 
 def test_szegedy_discriminant_once_per_walk(monkeypatch, capsys):

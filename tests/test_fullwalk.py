@@ -465,40 +465,78 @@ def test_correspondence_report_catches_wrong_path_components(monkeypatch):
     assert rep.eigenpair_residual <= 1e-12
 
 
-def test_correspondence_report_builds_each_block_once(monkeypatch):
-    # One decomposition per momentum block: N calls of the reflection split,
-    # each of one d^t block, on odd and even sides and odd and even t.
+def test_correspondence_report_catches_one_wrong_eigenvector_in_a_batch(monkeypatch):
+    # One entry of one eigenvector, in the second block of the first stack
+    # that holds several, moved by 1e-6: the rest of the stack stays exact,
+    # and the eigenpair residual read over the whole batch must show it.
     split = fullwalk._reflection_split
-    sizes = []
+
+    def perturbed(phase, partner):
+        values, vecs = split(phase, partner)
+        if len(phase) > 1 and not hit:
+            vecs[1, 2, 0] += 1e-6
+            hit.append(phase)
+        return values, vecs
+
+    monkeypatch.setattr(fullwalk, "_reflection_split", perturbed)
+    for side, t in ((5, 1), (7, 3)):
+        hit = []
+        rep = correspondence_report(TorusGrid(side), t)
+        assert len(hit) == 1 and len(hit[0]) > 2, (side, t)
+        assert rep.eigenpair_residual > fullwalk.SPECTRUM_TOL, (side, t, rep)
+        assert not rep.passed()
+
+
+def test_correspondence_report_builds_each_block_once(monkeypatch):
+    # One decomposition per momentum block: the reflection split runs on
+    # stacks of consecutive blocks, each of at most BATCH_ENTRIES entries (or
+    # one block), which together hold every block once, in order, on odd and
+    # even sides and odd and even t.
+    split = fullwalk._reflection_split
+    stacks = []
 
     def counting(phase, partner):
-        sizes.append(phase.size)
+        stacks.append(phase)
         return split(phase, partner)
 
     monkeypatch.setattr(fullwalk, "_reflection_split", counting)
     for side in (2, 3, 4, 5, 6, 7):
         for t in (1, 2, 3):
-            sizes.clear()
-            assert correspondence_report(TorusGrid(side), t).passed()
-            assert sizes == [4**t] * side**2, (side, t, len(sizes))
+            stacks.clear()
+            grid = TorusGrid(side)
+            assert correspondence_report(grid, t).passed()
+            batch = max(1, fullwalk.BATCH_ENTRIES // 16**t)
+            sizes = [min(batch, side**2 - first) for first in range(0, side**2, batch)]
+            assert [len(stack) for stack in stacks] == sizes, (side, t)
+            every = walk_spectrum(grid, t).phases(np.arange(side**2))
+            assert np.array_equal(np.concatenate(stacks), every), (side, t)
+    # Every block of a 5 x 5 side at t = 1 in one stack; 64 x 64 blocks in
+    # several; 1024 x 1024 blocks one at a time.
+    assert fullwalk.BATCH_ENTRIES // 16 >= 25
+    assert 1 < fullwalk.BATCH_ENTRIES // 64**2 < 49
+    assert fullwalk.BATCH_ENTRIES // 1024**2 == 0
 
 
 def test_reflection_split_diagonalises_each_dense_block():
     # B = M_k C from its definition: (M_k v)_g = phase_g v_r(g) and
     # C = 2|u><u| - I. Every block of each side and step count, with block 0
     # and, on even sides, block (L/2, L/2) among them: there cos phi_k = +-1,
-    # u is an eigenvector of M_k and the plane collapses to one vector, so
-    # the block has no non-real eigenvalue.
-    for side in (4, 5, 8, 9):
+    # u is an eigenvector of M_k, the plane pair is two +-1 eigenvectors and
+    # the block has no non-real eigenvalue. All blocks of an instance are
+    # split as one stack, in which those blocks sit beside generic ones.
+    for side in (4, 5, 6, 8, 9):
         for t in (1, 2, 3):
             grid = TorusGrid(side)
             spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
             d = 4**t
             coin = np.full((d, d), 2.0 / d) - np.eye(d)
             collapsed = []
+            stacked = fullwalk._reflection_split(
+                spec.phases(np.arange(side * side)), spec.partner_label
+            )
             for b in range(side * side):
                 phase = spec.phases(b)
-                values, vecs = fullwalk._reflection_split(phase, spec.partner_label)
+                values, vecs = stacked[0][b], stacked[1][b]
                 M = np.zeros((d, d), dtype=complex)
                 M[np.arange(d), spec.partner_label] = phase
                 B = M @ coin
@@ -556,7 +594,8 @@ def test_component_check_reads_vertex_zero_paths_only(monkeypatch):
 
         def perturbed(phase, partner, eps=eps):
             values, vecs = split(phase, partner)
-            w = np.random.default_rng(phase.size).uniform(size=phase.size)
+            d = phase.shape[-1]
+            w = np.random.default_rng(d).uniform(size=d)
             return values, vecs * (1 + eps * w[:, None])
 
         monkeypatch.setattr(fullwalk, "_reflection_split", perturbed)

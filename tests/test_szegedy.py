@@ -7,25 +7,26 @@ from hypothesis import strategies as st
 
 from powerwalk.szegedy import (
     MarkovChain,
+    _restricted_operators,
     build_isometries,
     complete_chain,
     cycle_chain,
     discriminant,
     lazy_chain,
     load_chain_csv,
-    nontrivial_basis,
     nontrivial_eigenphases,
     query_cost,
     random_symmetric_chain,
     register_reversal,
     spectral_gap,
-    walk_apply,
 )
 
 from oracles import (
     loop_nontrivial_basis,
+    nontrivial_basis,
     predicted_nontrivial_eigenphases,
     szegedy_walk_matrix,
+    walk_apply,
 )
 
 
@@ -154,9 +155,9 @@ def test_multistep_matches_powered_chain_spectrum():
     rng = np.random.default_rng(13)
     chain = random_symmetric_chain(4, rng)
     for k in (2, 3):
-        multi = nontrivial_eigenphases(build_isometries(chain, k))
+        [multi] = nontrivial_eigenphases(build_isometries(chain, k))
         powered = MarkovChain(np.linalg.matrix_power(chain.matrix, k))
-        single = nontrivial_eigenphases(build_isometries(powered, 1))
+        [single] = nontrivial_eigenphases(build_isometries(powered, 1))
         assert multi.size == single.size
         assert np.max(np.abs(multi - single)) <= 1e-9
 
@@ -171,10 +172,47 @@ def test_nontrivial_basis_orthonormal():
             gram = basis.T @ basis
             assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-12, (n, k)
             # The loop over singular triples gives the same columns, and a
-            # discriminant handed in is the one the basis would form itself.
+            # discriminant handed in is the one the measurement would form.
             assert np.array_equal(loop_nontrivial_basis(walk), basis)
-            disc = discriminant(walk)
-            assert np.array_equal(nontrivial_basis(walk, disc=disc), basis)
+            [phases] = nontrivial_eigenphases(walk)
+            [given] = nontrivial_eigenphases(walk, disc=discriminant(walk))
+            assert np.array_equal(given, phases)
+
+
+def test_gram_route_operator_is_the_restricted_walk():
+    # X^T W X from the three Gram matrices, per chain of a stack, against the
+    # explicit basis X under the matrix-free walk: stacks of random chains,
+    # one stack that mixes interior counts, and a chain with none.
+    rng = np.random.default_rng(31)
+    stacks = [[random_symmetric_chain(n, rng) for _ in range(3)] for n in range(2, 9)]
+    lazy = lazy_chain(cycle_chain(4))
+    stacks.append([random_symmetric_chain(4, rng), complete_chain(4), lazy])
+    stacks.append([complete_chain(2)])
+    counts = []
+    for chains in stacks:
+        matrices = np.stack([chain.matrix for chain in chains])
+        for k in (1, 2, 3):
+            walk = build_isometries(matrices, k)
+            operators = [None] * len(chains)
+            for rows, restricted in _restricted_operators(walk):
+                for row, operator in zip(rows, restricted):
+                    operators[row] = operator
+            widths = []
+            for j, chain in enumerate(chains):
+                single = build_isometries(chain, k)
+                assert np.array_equal(walk.A[j], single.A)
+                assert np.array_equal(walk.B[j], single.B)
+                basis = nontrivial_basis(single)
+                widths.append(basis.shape[1])
+                if not widths[-1]:
+                    assert operators[j] is None
+                    continue
+                expected = basis.T @ walk_apply(single, basis)
+                assert np.max(np.abs(operators[j] - expected)) <= 1e-12, (chains, k, j)
+            counts.append(widths)
+    # The random stacks have n - 1 interior values per chain; the lazy
+    # 4-cycle has eigenvalue 0, and the 2-state swap only |eigenvalue| 1.
+    assert counts[-6] == [6, 6, 4] and counts[-1] == [0]
 
 
 def test_eigenphases_match_singular_values():
@@ -182,7 +220,7 @@ def test_eigenphases_match_singular_values():
     for n in (2, 3, 4):
         chain = random_symmetric_chain(n, rng)
         walk = build_isometries(chain, 1)
-        measured = nontrivial_eigenphases(walk)
+        [measured] = nontrivial_eigenphases(walk)
         predicted = predicted_nontrivial_eigenphases(walk)
         assert measured.size == predicted.size
         if measured.size:
@@ -218,11 +256,9 @@ def test_query_cost():
     rng = np.random.default_rng(19)
     chain = random_symmetric_chain(2, rng)
     assert query_cost(build_isometries(chain, 1)) == 4
-    assert query_cost(build_isometries(chain, 3), per_step=2) == 24
+    assert query_cost(build_isometries(chain, 3)) == 12
     with pytest.raises(ValueError):
         build_isometries(chain, 0)
-    with pytest.raises(ValueError):
-        query_cost(build_isometries(chain, 1), per_step=0)
 
 
 def test_budget_guard():
@@ -237,7 +273,7 @@ def test_generators():
     assert np.allclose(cyc.matrix.sum(axis=1), 1.0)
     comp = complete_chain(4)
     assert comp.matrix[0, 0] == 0.0
-    lazy = lazy_chain(cyc, 0.5)
+    lazy = lazy_chain(cyc)
     assert lazy.matrix[0, 0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         cycle_chain(2)
@@ -258,6 +294,9 @@ def test_spectral_gap_closed_forms():
     assert spectral_gap(cycle_chain(6).matrix) == pytest.approx(0.0, abs=1e-14)
     assert spectral_gap(np.eye(3)) == 0.0
     assert spectral_gap(np.eye(1)) == 1.0  # one state: no second eigenvalue
+    # A stack of chains has the gap of each, as taken one at a time.
+    stack = np.stack([complete_chain(4).matrix, cycle_chain(4).matrix, np.eye(4)])
+    assert np.array_equal(spectral_gap(stack), [spectral_gap(m) for m in stack])
 
 
 def test_csv_round_trip(tmp_path):
