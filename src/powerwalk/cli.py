@@ -44,7 +44,7 @@ from .search import (
 )
 from .sums import IDENTITY_TOL, check_finite, grid_sums
 from .szegedy import DISCRIMINANT_TOL, EIGENPHASE_TOL
-from .torus import DEFAULT_DENSE_BUDGET, TorusGrid
+from .torus import BATCH_ENTRIES, DEFAULT_DENSE_BUDGET, TorusGrid
 from .tulsi import DELTA_POLICIES, tune_delta
 
 @dataclass
@@ -469,34 +469,41 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
                 f"chain {label} k={k}: dimension {dim} exceeds budget "
                 f"{config.budget}; refusing the walk"
             )
-    # The chains of one size are one stack: per k, one pass builds the walks,
-    # forms each discriminant once for both checks, and takes powers, gaps and
-    # eigenphases by stacked linalg. M^1 is M, whose gap and walk are at hand.
-    rows = {}
+    # Chains of one size go in stacks of at most BATCH_ENTRIES isometry entries
+    # (n^{k+1} x n per chain at the largest k). Per stack and k, one pass builds
+    # the walks, forms each discriminant once for both checks, and takes powers,
+    # gaps and eigenphases by stacked linalg; M^1 is M, whose gap and walk are at
+    # hand, and each M^k > 1 is checked as MarkovChain checks M.
+    top, rows = max(config.k_values), {}
     for n in dict.fromkeys(chain.size for _, chain in chains):
         members = [i for i, (_, chain) in enumerate(chains) if chain.size == n]
-        stack = np.stack([chains[i][1].matrix for i in members])
-        gap = szegedy.spectral_gap(stack)
-        for k in dict.fromkeys(config.k_values):
-            walk = szegedy.build_isometries(stack, k, budget=config.budget)
-            powered = np.linalg.matrix_power(stack, k)
-            disc = szegedy.discriminant(walk)
-            disc_err = np.max(np.abs(disc - powered), axis=(1, 2))
-            multi = szegedy.nontrivial_eigenphases(walk, disc=disc)
-            gap_k, single = gap, multi
-            if k > 1:
-                gap_k = szegedy.spectral_gap(powered)
-                one_step = szegedy.build_isometries(powered, 1)
-                single = szegedy.nontrivial_eigenphases(one_step)
-            for j, i in enumerate(members):
-                eig_err = math.inf
-                if multi[j].size == single[j].size:
-                    eig_err = float(np.max(np.abs(multi[j] - single[j]), initial=0.0))
-                rows[i, k] = dict(
-                    N=n, k=k, chain=chains[i][0], discriminant_error=float(disc_err[j]),
-                    eigenphase_error=eig_err, query_cost=szegedy.query_cost(walk),
-                    gap=float(gap[j]), gap_k=float(gap_k[j]),
-                )
+        per = max(1, BATCH_ENTRIES // n ** (top + 2))
+        for part in (members[j : j + per] for j in range(0, len(members), per)):
+            stack = np.stack([chains[i][1].matrix for i in part])
+            gap = szegedy.spectral_gap(stack)
+            for k in dict.fromkeys(config.k_values):
+                walk = szegedy.build_isometries(stack, k, budget=config.budget)
+                powered = np.linalg.matrix_power(stack, k)
+                disc = szegedy.discriminant(walk)
+                disc_err = np.max(np.abs(disc - powered), axis=(1, 2))
+                multi = szegedy.nontrivial_eigenphases(walk, disc=disc)
+                gap_k, single = gap, multi
+                if k > 1:
+                    szegedy.check_stochastic(powered)
+                    gap_k = szegedy.spectral_gap(powered)
+                    one_step = szegedy.build_isometries(powered, 1)
+                    single = szegedy.nontrivial_eigenphases(one_step)
+                for j, i in enumerate(part):
+                    eig_err = math.inf
+                    if multi[j].size == single[j].size:
+                        eig_err = np.max(abs(multi[j] - single[j]), initial=0.0)
+                    rows[i, k] = dict(
+                        N=n, k=k, chain=chains[i][0],
+                        discriminant_error=float(disc_err[j]),
+                        eigenphase_error=float(eig_err),
+                        query_cost=szegedy.query_cost(walk),
+                        gap=float(gap[j]), gap_k=float(gap_k[j]),
+                    )
     report = ScalingReport()
     report.records = [rows[i, k] for i in range(len(chains)) for k in config.k_values]
     checked = {"discriminant": DISCRIMINANT_TOL, "eigenphase": EIGENPHASE_TOL}

@@ -30,6 +30,7 @@ import numpy as np
 
 from .sums import orbit_measure
 from .torus import (
+    BATCH_ENTRIES,
     DEFAULT_DENSE_BUDGET,
     DEGREE,
     REVERSE,
@@ -50,10 +51,6 @@ UNITARITY_TOL = 1e-12
 # Random unit columns of the probe that the translation and unitarity checks
 # act on.
 PROBE_COLUMNS = 8
-# Most eigenvector entries (blocks x d^t x d^t) that correspondence_report
-# splits and checks in one batch: 4096 blocks of 4 x 4, 16 of 64 x 64, one
-# from 256 x 256 up. Each complex temporary of a batch then fits in 1 MB.
-BATCH_ENTRIES = 2**16
 
 
 def full_dim(grid: TorusGrid, t: int) -> int:
@@ -178,16 +175,16 @@ def _reflection_split(
     """Eigenvalues (blocks, d) and orthonormal eigenvectors (blocks, d, d, as
     columns) of B = M C for each row of a (blocks, d) phase stack, where
     C = 2|u><u| - I is the coin (u uniform) and (M v)_g = phase_g v_r(g) is an
-    involution: r = ``partner`` pairs the labels, and phase_g phase_r(g) = 1.
+    involution: r = ``partner`` pairs the labels, phase_g phase_r(g) = 1, and
+    phase_g = 1 where r(g) = g (``walk_spectrum`` checks both).
 
     M's +-1 eigenspaces E+- have the orthonormal bases Q+- of columns
-    (e_g +- conj(phase_g) e_r(g))/sqrt(2), one per 2-cycle {g, r(g)}, and e_g
-    for each fixed point g of r, in the eigenspace of its phase (the same in
-    every block of a stack). On E+- minus u+- = P+- u, C is -I, so B = -M is
-    -+1 there. On the plane of u+ and u-, with p = |u+| and q = |u-|, B
-    rotates by twice the angle atan2(q, p): (n+ +- i n-)/sqrt(2) has
-    eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. Each label is the nonzero of
-    one column of Q+-, so the coordinates a of P+- u in Q+- and n+- cost
+    (e_g +- conj(phase_g) e_r(g))/sqrt(2), one per 2-cycle {g, r(g)}, and in
+    Q+ also e_g for each fixed point g of r. On E+- minus u+- = P+- u, C is
+    -I, so B = -M is -+1 there. On the plane of u+ and u-, with p = |u+| and
+    q = |u-|, B rotates by twice the angle atan2(q, p): (n+ +- i n-)/sqrt(2)
+    has eigenvalue (p +- iq)^2, n+- = u+- / |u+-|. Each label is the nonzero
+    of one column of Q+-, so the coordinates a of P+- u in Q+- and n+- cost
     O(d). E+- minus n+- is spanned by the last columns of Q H, where the
     Householder reflection H takes a to a multiple of e_1. When u+- is too
     short for the pair to lie farther than REAL_EIGENVALUE_TOL from +-1, u is
@@ -201,14 +198,10 @@ def _reflection_split(
     fixed = labels[labels == partner]
     half = lower.size
     pairs = np.arange(half)
-    positive = phase[:, fixed].real > 0.0
-    if (positive != positive[0]).any():
-        raise ValueError("the blocks give a fixed point phases of both signs")
     values = np.empty((count, d), dtype=complex)
     vectors = np.empty((count, d, d), dtype=complex)
     start, plane, lengths = 0, [], []
-    for sign in (1.0, -1.0):
-        ends = fixed[positive[0] if sign > 0.0 else ~positive[0]]
+    for sign, ends in ((1.0, fixed), (-1.0, fixed[:0])):
         rows = np.concatenate([lower, partner[lower], ends])
         cols = np.concatenate([pairs, pairs, np.arange(half, half + ends.size)])
         entries = np.empty((count, rows.size), dtype=complex)  # Q's nonzeros
@@ -253,17 +246,18 @@ def _reflection_split(
 
 @dataclass
 class WalkSpectrum:
-    """Complete orthonormal eigendecomposition of W_t, one momentum block at a time.
+    """Complete orthonormal eigendecomposition of W_t, in momentum blocks.
 
     W_t commutes with torus translations, so the plane waves
     |k> = N^{-1/2} sum_v e^{2 pi i k.v/L} |v> split it into N blocks of size
     d^t, one per momentum k = (k_x, k_y), numbered b = k_y L + k_x:
     W_t (|k> (x) phi) = |k> (x) B_k phi. Each block is the product of two
-    reflections, B_k = M_k C (``walk_spectrum``), and ``block(b)`` builds its
-    eigenvalues and orthonormal eigenvectors (columns) from that split anew on
-    each call; eigenvector b d^t + j of W_t is |k> (x) ``block(b)[1][:, j]``,
-    with <v|k> = e^{2 pi i k.v/L} / L. ``phases(b)`` holds that plane wave at
-    the partner vertices s(g), times L.
+    reflections, B_k = M_k C (``walk_spectrum``), and ``block(blocks)`` builds
+    the eigenvalues and orthonormal eigenvectors (columns) of each listed
+    block from that split anew on each call; eigenvector b d^t + j of W_t is
+    |k> (x) ``block([b])[1][0, :, j]``, with <v|k> = e^{2 pi i k.v/L} / L.
+    ``phases(blocks)`` holds that plane wave at the partner vertices s(g),
+    times L.
     """
 
     grid: TorusGrid
@@ -271,18 +265,17 @@ class WalkSpectrum:
     partner_label: np.ndarray  # r(g), vertex 0's block of the shift
     partner_offset: np.ndarray  # (2, d^t): s(g) = (x, y) of the partner vertex
 
-    def phases(self, b) -> np.ndarray:
-        """e^{2 pi i k.s(g)/L} for every label g, for the momentum of block b:
-        the phases of M_k, and L <s(g)|k>; one row per block of an array b."""
-        L = self.grid.side
-        k = np.stack(np.divmod(b, L)[::-1], axis=-1)  # (k_x, k_y)
-        return np.exp(2j * np.pi * (k @ self.partner_offset % L) / L)
+    def phases(self, blocks: np.ndarray) -> np.ndarray:
+        """e^{2 pi i k.s(g)/L} for every label g (columns), for the momentum of
+        each block (rows): the phases of M_k, and L <s(g)|k>."""
+        L, (x, y) = self.grid.side, self.partner_offset
+        turns = np.multiply.outer(blocks % L, x) + np.multiply.outer(blocks // L, y)
+        return np.exp(2j * np.pi * (turns % L) / L)
 
-    def block(self, b) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors as columns) of momentum block b, or of
-        each block of an array b, stacked."""
-        split = _reflection_split(np.atleast_2d(self.phases(b)), self.partner_label)
-        return split if np.ndim(b) else tuple(part[0] for part in split)
+    def block(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors as columns) of each momentum block of
+        ``blocks``, stacked."""
+        return _reflection_split(self.phases(blocks), self.partner_label)
 
 
 def walk_spectrum(
@@ -313,11 +306,14 @@ def walk_spectrum(
     if not np.array_equal(partner_label[partner_label], np.arange(d_t)):
         raise RuntimeError("the shift's partner labels are not an involution")
     offset = np.stack([partner_vertex % L, partner_vertex // L])
-    # M_k^2 = I needs phase_g phase_r(g) = 1: k.(s(g) + s(r(g))) = 0 mod L
-    if ((offset + offset[:, partner_label]) % L).any():
+    # M_k^2 = I needs phase_g phase_r(g) = 1: k.(s(g) + s(r(g))) = 0 mod L.
+    # A label the shift fixes is a palindromic path, which returns: s(g) = 0.
+    returns = offset[:, partner_label == np.arange(d_t)]
+    if ((offset + offset[:, partner_label]) % L).any() or returns.any():
         raise RuntimeError(
-            "the shift's partner offsets do not cancel, so the momentum blocks "
-            "do not square to the identity and are not products of reflections"
+            "the shift's partner offsets do not cancel or move a fixed label, so "
+            "the momentum blocks do not square to the identity with phase 1 at "
+            "each fixed label and are not products of reflections"
         )
     return WalkSpectrum(grid, t, partner_label, offset)
 

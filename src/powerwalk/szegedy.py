@@ -15,7 +15,6 @@ Registers are serialized leftmost-most-significant.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,16 +46,21 @@ class MarkovChain:
         object.__setattr__(self, "matrix", M)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"transition matrix must be square, got {M.shape}")
-        if np.min(M) < -1e-12:
-            raise ValueError("transition matrix has negative entries")
-        if np.max(np.abs(M - M.T)) > 1e-12:
-            raise ValueError("transition matrix is not symmetric")
-        if np.max(np.abs(M.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("rows do not sum to 1")
+        check_stochastic(M)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+
+def check_stochastic(M: np.ndarray) -> None:
+    """Raise ValueError unless each matrix of M is a symmetric chain (1e-12)."""
+    if np.min(M) < -1e-12:
+        raise ValueError("transition matrix has negative entries")
+    if np.max(np.abs(M - M.mT)) > 1e-12:
+        raise ValueError("transition matrix is not symmetric")
+    if np.max(np.abs(M.sum(axis=-1) - 1.0)) > 1e-12:
+        raise ValueError("rows do not sum to 1")
 
 
 def cycle_chain(n: int) -> MarkovChain:
@@ -160,30 +164,24 @@ def register_reversal(n: int, k: int) -> np.ndarray:
 
 @dataclass
 class SzegedyWalk:
-    """Multi-step quantized walk: isometries on k+1 registers, two reflections.
-    A and B are (n^{k+1}, n), or (c, n^{k+1}, n) for c chains of one size."""
+    """Multi-step quantized walk: isometries on k+1 registers, two reflections."""
 
     k: int
-    A: np.ndarray  # column i = |A^k_i>
+    A: np.ndarray  # (n^{k+1}, n), or (c, n^{k+1}, n) for c chains; column i = |A^k_i>
     B: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[-2]
 
 
 def build_isometries(
-    chain: MarkovChain | np.ndarray, k: int, budget: int = DEFAULT_DENSE_BUDGET
+    M: np.ndarray, k: int, budget: int = DEFAULT_DENSE_BUDGET
 ) -> SzegedyWalk:
     """Construct the k-step isometries with path-product amplitudes.
 
     Column i of A carries sqrt(M_{i j_1} M_{j_1 j_2} ... M_{j_{k-1} j_k}) at
     register content (i, j_1, ..., j_k); B is A with the register order
-    reversed. ``chain`` is one chain or a (c, n, n) stack of chain matrices.
+    reversed. ``M`` is one chain matrix or a (c, n, n) stack of them.
     """
     if k < 1:
         raise ValueError(f"step count must be >= 1, got {k}")
-    M = chain.matrix if isinstance(chain, MarkovChain) else chain
     n, stack = M.shape[-1], M.shape[:-2]
     dim = n ** (k + 1)
     if dim > budget:
@@ -194,8 +192,7 @@ def build_isometries(
     for _ in range(k - 1):
         amps = (amps[..., None] * root[..., None, :, :]).reshape(*stack, -1, n)
     # A[(i, j_1..j_k), l] = amps[i, j_1..j_k] if l = i: row i of amps fills column i.
-    A = amps.reshape(*stack, n, n**k, 1) * np.eye(n)[:, None, :]
-    A = A.reshape(*stack, dim, n)
+    A = (amps.reshape(*stack, n, -1, 1) * np.eye(n)[:, None, :]).reshape(*stack, dim, n)
     return SzegedyWalk(k=k, A=A, B=A[..., register_reversal(n, k), :])
 
 
@@ -214,10 +211,8 @@ def _restricted_operators(
 ) -> list[tuple[list[int], np.ndarray]]:
     """X^T W X of nontrivial_eigenphases per interior count m > 0: the chains'
     rows in the stack and their (rows, 2m, 2m) operators."""
-    n = walk.A.shape[-1]
-    A, B = (isometry.reshape(-1, walk.dim, n) for isometry in (walk.A, walk.B))
-    D = (discriminant(walk) if disc is None else disc).reshape(-1, n, n)
-    gram_a, gram_b = A.mT @ A, B.mT @ B
+    D = discriminant(walk) if disc is None else disc
+    gram_a, gram_b, n = walk.A.mT @ walk.A, walk.B.mT @ walk.B, D.shape[-1]
     u, s, vt = np.linalg.svd(D)
     interior = (s > SUBSPACE_TOL) & (s < 1.0 - SUBSPACE_TOL)
     counts = interior.sum(axis=1).tolist()  # not np.unique: it imports numpy.ma
@@ -244,8 +239,8 @@ def _restricted_operators(
 def nontrivial_eigenphases(
     walk: SzegedyWalk, disc: np.ndarray | None = None
 ) -> list[np.ndarray]:
-    """Sorted eigenphases of each walk of a stack (one walk is a stack of one)
-    restricted to its nontrivial subspace, one array per chain.
+    """Sorted eigenphases of each walk of a stack (A and B of shape
+    (c, n^{k+1}, n)) restricted to its nontrivial subspace, one array per chain.
 
     For each discriminant singular triple (u, sigma, v) with sigma inside
     (0, 1) by more than SUBSPACE_TOL, span{A u, B v} is walk invariant and the
@@ -262,7 +257,7 @@ def nontrivial_eigenphases(
     walk rather than assuming the discriminant correspondence. One stacked
     eigvals per m diagonalises the group; ``disc`` is D when already formed.
     """
-    phases = dict.fromkeys(range(math.prod(walk.A.shape[:-2])), np.array([]))
+    phases = dict.fromkeys(range(len(walk.A)), np.array([]))
     for rows, op in _restricted_operators(walk, disc):
         phases.update(zip(rows, np.sort(np.angle(np.linalg.eigvals(op)), axis=-1)))
     return list(phases.values())

@@ -30,6 +30,9 @@ DEGREE = 4
 # Largest full-walk dimension N*4^t that walk_spectrum decomposes (block by
 # block), and largest dimension of the Szegedy isometries the package builds.
 DEFAULT_DENSE_BUDGET = 4096
+# Most entries in one batch of stacked dense work, momentum-block eigenvectors
+# (blocks x d^t x d^t) or Szegedy isometries (chains x n^{k+1} x n); one at least.
+BATCH_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,8 @@ def mode_orbits(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     represented by 0 <= a <= b <= L//2 and hold m(a) m(b) (1 if a == b else 2)
     modes, with m(h) = 1 for h = 0 or 2h = L and 2 otherwise, so every count
     is 1, 2, 4 or 8 and the counts sum to N - 1. They come by descending cos,
-    ties in (a, b) order (distinct keys have one order, so the stable sort
-    runs only if two are equal). The table is cached per side, read-only.
+    ties in (a, b) order (a stable sort, the same on every machine). The table
+    is cached per side and its arrays are read-only.
     """
     L = grid.side
     h = np.arange(L // 2 + 1)
@@ -80,9 +83,7 @@ def mode_orbits(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     a, b = np.triu_indices(h.size)
     a, b = a[1:], b[1:]  # drop the k=(0,0) mode
     cos = 0.5 * (c[a] + c[b])
-    order = np.argsort(-cos)
-    if not (np.diff(cos[order]) < 0.0).all():
-        order = np.argsort(-cos, kind="stable")
+    order = np.argsort(-cos, kind="stable")
     table = cos[order], (m[a] * m[b] * np.where(a == b, 1, 2))[order]
     for array in table:
         array.flags.writeable = False

@@ -334,10 +334,10 @@ def walk_apply(walk: SzegedyWalk, state: np.ndarray) -> np.ndarray:
     """Apply W_k = (2 B B^dagger - I)(2 A A^dagger - I) of one walk without
     forming it, to a state of shape (dim,) or to each column of a (dim, m)
     slab."""
-    state = np.asarray(state)
-    if state.ndim not in (1, 2) or state.shape[0] != walk.dim:
+    state, dim = np.asarray(state), len(walk.A)
+    if state.ndim not in (1, 2) or state.shape[0] != dim:
         raise ValueError(
-            f"state has shape {state.shape}, expected ({walk.dim},) or ({walk.dim}, m)"
+            f"state has shape {state.shape}, expected ({dim},) or ({dim}, m)"
         )
     after_a = 2.0 * (walk.A @ (walk.A.T @ state)) - state
     return 2.0 * (walk.B @ (walk.B.T @ after_a)) - after_a
@@ -352,7 +352,7 @@ def nontrivial_basis(walk: SzegedyWalk) -> np.ndarray:
     u, s, vt = np.linalg.svd(discriminant(walk))
     interior = (s > SUBSPACE_TOL) & (s < 1.0 - SUBSPACE_TOL)
     sigma = s[interior]
-    basis = np.empty((walk.dim, 2 * sigma.size))
+    basis = np.empty((len(walk.A), 2 * sigma.size))
     a_vecs = np.matmul(walk.A, u[:, interior], out=basis[:, 0::2])
     b_vecs = np.matmul(walk.B, vt[interior].T, out=basis[:, 1::2])
     b_vecs -= sigma * a_vecs
@@ -362,7 +362,7 @@ def nontrivial_basis(walk: SzegedyWalk) -> np.ndarray:
 
 def szegedy_walk_matrix(walk: SzegedyWalk) -> np.ndarray:
     """The dense Szegedy walk (2 B B^T - I)(2 A A^T - I)."""
-    eye = np.eye(walk.dim)
+    eye = np.eye(len(walk.A))
     r_a = 2.0 * (walk.A @ walk.A.T) - eye
     r_b = 2.0 * (walk.B @ walk.B.T) - eye
     return r_b @ r_a
@@ -389,7 +389,7 @@ def loop_nontrivial_basis(walk: SzegedyWalk) -> np.ndarray:
         basis.append(a_vec)
         basis.append((b_vec - sigma * a_vec) / np.sqrt(1.0 - sigma**2))
     if not basis:
-        return np.zeros((walk.dim, 0))
+        return np.zeros((len(walk.A), 0))
     return np.column_stack(basis)
 
 

@@ -323,7 +323,7 @@ def test_criterion_09_markov_quantization():
         n = (2, 3, 4)[index % 3]
         chain = szegedy.random_symmetric_chain(n, rng)
         for k in (1, 2, 3):
-            walk = szegedy.build_isometries(chain, k)
+            walk = szegedy.build_isometries(chain.matrix[None], k)
             powered = np.linalg.matrix_power(chain.matrix, k)
             disc_worst = max(
                 disc_worst,
@@ -331,7 +331,7 @@ def test_criterion_09_markov_quantization():
             )
             [multi] = szegedy.nontrivial_eigenphases(walk)
             [single] = szegedy.nontrivial_eigenphases(
-                szegedy.build_isometries(szegedy.MarkovChain(powered), 1)
+                szegedy.build_isometries(szegedy.MarkovChain(powered).matrix[None], 1)
             )
             if multi.size != single.size:
                 ok = False

@@ -540,6 +540,48 @@ def test_szegedy_discriminant_once_per_walk(monkeypatch, capsys):
     assert [id(w) for w in disc_calls] == [id(w) for w in walks]
 
 
+def test_szegedy_stack_size_changes_no_byte(monkeypatch, capsys):
+    # One chain per stack and every chain of a size in one stack print the
+    # same records.
+    argv = ["szegedy", "--sizes", "2,3,4", "--k", "1,2,3", "--chains", "11"]
+    outputs, stacks = [], []
+    build = szegedy.build_isometries
+
+    def built(matrix, k, **kwargs):
+        stacks.append(len(matrix))
+        return build(matrix, k, **kwargs)
+
+    monkeypatch.setattr(szegedy, "build_isometries", built)
+    for entries in (1, 2**30):
+        monkeypatch.setattr(cli, "BATCH_ENTRIES", entries)
+        stacks.clear()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outputs.append(out)
+        assert max(stacks) == (1 if entries == 1 else 4)
+    assert outputs[0] == outputs[1]
+
+
+def test_szegedy_memory_stays_bounded_as_chains_grow(capsys):
+    # Chains of one size are stacked at most BATCH_ENTRIES isometry entries at
+    # a time, so the peak does not grow with --chains: 48 chains of 8 states
+    # at k = 3 (n^{k+1} x n = 32768 entries each, 12.6 MB of isometries in
+    # all) peak below a few stacks' worth.
+    import tracemalloc
+
+    peaks = []
+    for chains in (2, 48):
+        tracemalloc.start()
+        code, _, _ = run_cli(
+            ["szegedy", "--sizes", "8", "--k", "3", "--chains", str(chains)], capsys
+        )
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] < 1.5 * peaks[0] + 2**20
+    assert peaks[1] < 8 * 2**20
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--format", "yaml"])

@@ -168,12 +168,18 @@ def plane_wave(grid, b):
     return np.outer(y, x).ravel() / L
 
 
+def one_block(spec, b):
+    """(eigenvalues, eigenvectors as columns) of momentum block b alone."""
+    values, vectors = spec.block(np.array([b]))
+    return values[0], vectors[0]
+
+
 class Gathered:
     """What the tests read of a WalkSpectrum, built from its block factory.
 
     ``eigenvalues`` and ``projection_sums`` (|sum(phi)|^2 / d^t) list W_t's
     eigenvectors in block order: eigenvector b d^t + j is
-    |k> (x) block(b)[1][:, j]. ``masks`` holds one boolean mask per kind:
+    |k> (x) one_block(spec, b)[1][:, j]. ``masks`` holds one boolean mask per kind:
     'plus_one' and 'minus_one' (within REAL_EIGENVALUE_TOL of +1 or -1) and
     'complex' (neither). ``slab(b, cols)`` assembles the chosen eigenvectors
     of block b in the full space, and ``vectors()`` all of them as a
@@ -184,7 +190,7 @@ class Gathered:
         self.spec = spec
         values, sums = [], []
         for b in range(spec.grid.vertex_count):
-            vals, vecs = spec.block(b)
+            vals, vecs = one_block(spec, b)
             values.append(vals)
             sums.append(np.abs(vecs.sum(axis=0)) ** 2 / 4**spec.t)
         self.eigenvalues = np.concatenate(values)
@@ -194,7 +200,7 @@ class Gathered:
         self.masks = {"plus_one": plus, "minus_one": minus, "complex": ~(plus | minus)}
 
     def slab(self, b, cols=slice(None)):
-        vecs = self.spec.block(b)[1][:, cols]
+        vecs = one_block(self.spec, b)[1][:, cols]
         wave = plane_wave(self.spec.grid, b)
         return (wave[:, None, None] * vecs).reshape(-1, vecs.shape[1])
 
@@ -344,7 +350,7 @@ def test_block_vectors_are_an_orthonormal_eigenbasis():
         d_t = 4**t
         blocks = (0, 1, 40) if t == 5 else range(grid.vertex_count)
         for b in blocks:
-            values, vecs = spec.block(b)
+            values, vecs = one_block(spec, b)
             assert np.array_equal(values, gathered.eigenvalues[b * d_t : (b + 1) * d_t])
             gram = vecs.conj().T @ vecs
             assert np.max(np.abs(gram - np.eye(d_t))) <= 1e-12, (side, t, b)
@@ -356,7 +362,7 @@ def test_block_vectors_are_an_orthonormal_eigenbasis():
             assert np.max(np.abs(residual)) <= 1e-12, (side, t)
     # Columns 16..31 are block 1 of TorusGrid(4), t=2: |k> (x) phi.
     spec = walk_spectrum(TorusGrid(4), 2)
-    wave_times_block = np.kron(plane_wave(spec.grid, 1)[:, None], spec.block(1)[1])
+    wave_times_block = np.kron(plane_wave(spec.grid, 1)[:, None], one_block(spec, 1)[1])
     assert np.array_equal(Gathered(spec).vectors()[:, 16:32], wave_times_block)
 
 
@@ -367,7 +373,8 @@ def test_block_phases_are_the_plane_wave_at_the_partners():
         vertex = spec.partner_offset[1] * side + spec.partner_offset[0]
         for b in range(side * side):
             wave = plane_wave(spec.grid, b)
-            assert np.max(np.abs(spec.phases(b) - side * wave[vertex])) <= 1e-13
+            [phase] = spec.phases(np.array([b]))
+            assert np.max(np.abs(phase - side * wave[vertex])) <= 1e-13
 
 
 def test_walk_spectrum_refuses_a_shift_that_is_not_two_reflections(monkeypatch):
@@ -393,6 +400,25 @@ def test_walk_spectrum_refuses_a_shift_that_is_not_two_reflections(monkeypatch):
         for t in (1, 2, 3):
             with pytest.raises(RuntimeError, match=match):
                 walk_spectrum(TorusGrid(5), t)
+
+
+def test_walk_spectrum_refuses_a_fixed_label_that_moves(monkeypatch):
+    # A label the shift fixes sent half way round an even side: r stays an
+    # involution and s(r(g)) = -s(g) mod L still holds, but M_k's phase at
+    # that label is -1 for odd k_x, where the split assumes 1.
+    build = fullwalk._shift_permutation
+
+    def half_turn(grid, t):
+        perm = build(grid, t).copy()
+        d = 4**t
+        g = int(np.flatnonzero(perm[:d] == np.arange(d))[0])
+        perm[g] = (grid.side // 2) * d + g
+        return perm
+
+    walk_spectrum(TorusGrid(4), 2)
+    monkeypatch.setattr(fullwalk, "_shift_permutation", half_turn)
+    with pytest.raises(RuntimeError, match="fixed label"):
+        walk_spectrum(TorusGrid(4), 2)
 
 
 def test_correspondence_report_beyond_dense_sizes():
@@ -531,11 +557,10 @@ def test_reflection_split_diagonalises_each_dense_block():
             d = 4**t
             coin = np.full((d, d), 2.0 / d) - np.eye(d)
             collapsed = []
-            stacked = fullwalk._reflection_split(
-                spec.phases(np.arange(side * side)), spec.partner_label
-            )
+            phases = spec.phases(np.arange(side * side))
+            stacked = fullwalk._reflection_split(phases, spec.partner_label)
             for b in range(side * side):
-                phase = spec.phases(b)
+                phase = phases[b]
                 values, vecs = stacked[0][b], stacked[1][b]
                 M = np.zeros((d, d), dtype=complex)
                 M[np.arange(d), spec.partner_label] = phase

@@ -9,6 +9,7 @@ from powerwalk.szegedy import (
     MarkovChain,
     _restricted_operators,
     build_isometries,
+    check_stochastic,
     complete_chain,
     cycle_chain,
     discriminant,
@@ -41,8 +42,32 @@ def test_chain_validation():
         MarkovChain(np.ones((2, 3)) / 3)
 
 
+def test_stochastic_check_reads_every_matrix_of_a_stack():
+    # The check MarkovChain makes, on each matrix of a stack: one bad matrix
+    # among good ones is refused, and the 1e-12 limits are the chain's.
+    good = np.stack([complete_chain(3).matrix, cycle_chain(3).matrix])
+    check_stochastic(good)
+    skew = good.copy()
+    skew[1, 0, 1] += 2e-12
+    skew[1, 0, 2] -= 2e-12
+    with pytest.raises(ValueError, match="symmetric"):
+        check_stochastic(skew)
+    heavy = good.copy()
+    heavy[0] *= 1.0 + 2e-12
+    with pytest.raises(ValueError, match="sum"):
+        check_stochastic(heavy)
+    negative = good.copy()
+    negative[1, 0, 0] = -2e-12
+    with pytest.raises(ValueError, match="negative"):
+        check_stochastic(negative)
+    slack = good.copy()
+    slack[1, 0, 1] += 5e-13
+    slack[1, 1, 0] += 5e-13
+    check_stochastic(slack)
+
+
 def test_identity_chain_isometry():
-    walk = build_isometries(MarkovChain(np.eye(2)), 1)
+    walk = build_isometries(np.eye(2), 1)
     # |A_i> = |i>|i>
     for i in range(2):
         col = walk.A[:, i]
@@ -52,7 +77,7 @@ def test_identity_chain_isometry():
 
 
 def test_swap_chain_isometries():
-    walk = build_isometries(MarkovChain(np.array([[0.0, 1.0], [1.0, 0.0]])), 1)
+    walk = build_isometries(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
     # |A_0> = |0>|1>, |B_0> = |1>|0>
     assert np.flatnonzero(walk.A[:, 0]).tolist() == [1]
     assert np.flatnonzero(walk.B[:, 0]).tolist() == [2]
@@ -60,7 +85,7 @@ def test_swap_chain_isometries():
 
 def test_identity_discriminant_any_k():
     for k in (1, 2, 3):
-        walk = build_isometries(MarkovChain(np.eye(2)), k)
+        walk = build_isometries(np.eye(2), k)
         assert np.allclose(discriminant(walk), np.eye(2), atol=1e-14)
 
 
@@ -77,7 +102,7 @@ def test_register_reversal_is_involution():
 )
 def test_isometry_columns_unit_norm(n, k, seed):
     chain = random_symmetric_chain(n, np.random.default_rng(seed))
-    walk = build_isometries(chain, k)
+    walk = build_isometries(chain.matrix, k)
     norms = np.linalg.norm(walk.A, axis=0)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     assert np.max(np.abs(walk.A.T @ walk.A - np.eye(n))) <= 1e-12
@@ -117,7 +142,7 @@ def test_discriminant_is_chain_power():
     rng = np.random.default_rng(11)
     chain = random_symmetric_chain(4, rng)
     for k in (1, 2, 3):
-        walk = build_isometries(chain, k)
+        walk = build_isometries(chain.matrix, k)
         expected = np.linalg.matrix_power(chain.matrix, k)
         assert np.max(np.abs(discriminant(walk) - expected)) <= 1e-10
 
@@ -125,7 +150,7 @@ def test_discriminant_is_chain_power():
 def test_walk_fixes_common_range_vector():
     rng = np.random.default_rng(3)
     chain = random_symmetric_chain(3, rng)
-    walk = build_isometries(chain, 2)
+    walk = build_isometries(chain.matrix, 2)
     # uniform combination lies in range(A) and range(B) for doubly
     # stochastic symmetric chains
     common = walk.A @ np.full(3, 3**-0.5)
@@ -136,10 +161,10 @@ def test_walk_fixes_common_range_vector():
 def test_walk_unitary_on_random_states():
     rng = np.random.default_rng(5)
     chain = random_symmetric_chain(3, rng)
-    walk = build_isometries(chain, 2)
+    walk = build_isometries(chain.matrix, 2)
     states = []
     for _ in range(20):
-        state = rng.normal(size=walk.dim) + 1j * rng.normal(size=walk.dim)
+        state = rng.normal(size=len(walk.A)) + 1j * rng.normal(size=len(walk.A))
         state /= np.linalg.norm(state)
         assert abs(np.linalg.norm(walk_apply(walk, state)) - 1.0) <= 1e-12
         states.append(state)
@@ -148,16 +173,16 @@ def test_walk_unitary_on_random_states():
     by_column = np.column_stack([walk_apply(walk, state) for state in states])
     assert np.max(np.abs(walk_apply(walk, slab) - by_column)) <= 1e-14
     W = szegedy_walk_matrix(walk)
-    assert np.max(np.abs(W @ W.T - np.eye(walk.dim))) <= 1e-12
+    assert np.max(np.abs(W @ W.T - np.eye(len(walk.A)))) <= 1e-12
 
 
 def test_multistep_matches_powered_chain_spectrum():
     rng = np.random.default_rng(13)
     chain = random_symmetric_chain(4, rng)
     for k in (2, 3):
-        [multi] = nontrivial_eigenphases(build_isometries(chain, k))
+        [multi] = nontrivial_eigenphases(build_isometries(chain.matrix[None], k))
         powered = MarkovChain(np.linalg.matrix_power(chain.matrix, k))
-        [single] = nontrivial_eigenphases(build_isometries(powered, 1))
+        [single] = nontrivial_eigenphases(build_isometries(powered.matrix[None], 1))
         assert multi.size == single.size
         assert np.max(np.abs(multi - single)) <= 1e-9
 
@@ -166,7 +191,8 @@ def test_nontrivial_basis_orthonormal():
     rng = np.random.default_rng(23)
     for n in range(2, 9):
         for k in (1, 2, 3):
-            walk = build_isometries(random_symmetric_chain(n, rng), k)
+            matrix = random_symmetric_chain(n, rng).matrix
+            walk = build_isometries(matrix, k)
             basis = nontrivial_basis(walk)
             assert basis.shape == (n ** (k + 1), 2 * (n - 1)), (n, k)
             gram = basis.T @ basis
@@ -174,8 +200,9 @@ def test_nontrivial_basis_orthonormal():
             # The loop over singular triples gives the same columns, and a
             # discriminant handed in is the one the measurement would form.
             assert np.array_equal(loop_nontrivial_basis(walk), basis)
-            [phases] = nontrivial_eigenphases(walk)
-            [given] = nontrivial_eigenphases(walk, disc=discriminant(walk))
+            stacked = build_isometries(matrix[None], k)
+            [phases] = nontrivial_eigenphases(stacked)
+            [given] = nontrivial_eigenphases(stacked, disc=discriminant(stacked))
             assert np.array_equal(given, phases)
 
 
@@ -199,7 +226,7 @@ def test_gram_route_operator_is_the_restricted_walk():
                     operators[row] = operator
             widths = []
             for j, chain in enumerate(chains):
-                single = build_isometries(chain, k)
+                single = build_isometries(chain.matrix, k)
                 assert np.array_equal(walk.A[j], single.A)
                 assert np.array_equal(walk.B[j], single.B)
                 basis = nontrivial_basis(single)
@@ -219,8 +246,8 @@ def test_eigenphases_match_singular_values():
     rng = np.random.default_rng(17)
     for n in (2, 3, 4):
         chain = random_symmetric_chain(n, rng)
-        walk = build_isometries(chain, 1)
-        [measured] = nontrivial_eigenphases(walk)
+        walk = build_isometries(chain.matrix, 1)
+        [measured] = nontrivial_eigenphases(build_isometries(chain.matrix[None], 1))
         predicted = predicted_nontrivial_eigenphases(walk)
         assert measured.size == predicted.size
         if measured.size:
@@ -236,7 +263,7 @@ def test_eigenphases_match_singular_values():
 
 def test_trivial_subspace_action():
     # sigma = 1 directions are fixed exactly
-    walk = build_isometries(MarkovChain(np.eye(2)), 1)
+    walk = build_isometries(np.eye(2), 1)
     assert nontrivial_basis(walk).shape[1] == 0
     for i in range(2):
         col = walk.A[:, i]
@@ -244,7 +271,7 @@ def test_trivial_subspace_action():
     # sigma = 0 directions are negated: the uniform 2-state chain has
     # discriminant eigenvalues {1, 0}
     uniform = MarkovChain(np.full((2, 2), 0.5))
-    walk = build_isometries(uniform, 1)
+    walk = build_isometries(uniform.matrix, 1)
     assert nontrivial_basis(walk).shape[1] == 0
     fixed = walk.A @ np.array([1.0, 1.0]) / math.sqrt(2)
     flipped = walk.A @ np.array([1.0, -1.0]) / math.sqrt(2)
@@ -255,17 +282,17 @@ def test_trivial_subspace_action():
 def test_query_cost():
     rng = np.random.default_rng(19)
     chain = random_symmetric_chain(2, rng)
-    assert query_cost(build_isometries(chain, 1)) == 4
-    assert query_cost(build_isometries(chain, 3)) == 12
+    assert query_cost(build_isometries(chain.matrix, 1)) == 4
+    assert query_cost(build_isometries(chain.matrix, 3)) == 12
     with pytest.raises(ValueError):
-        build_isometries(chain, 0)
+        build_isometries(chain.matrix, 0)
 
 
 def test_budget_guard():
     rng = np.random.default_rng(23)
     chain = random_symmetric_chain(4, rng)
     with pytest.raises(ValueError, match="budget"):
-        build_isometries(chain, 6)
+        build_isometries(chain.matrix, 6)
 
 
 def test_generators():

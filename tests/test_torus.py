@@ -186,21 +186,3 @@ def test_mode_cosines_bounds():
 def test_grid_rejects_degenerate_side():
     with pytest.raises(ValueError):
         TorusGrid(1)
-
-
-def test_mode_orbits_order_is_the_stable_sort():
-    # The default sort serves where every key is distinct, the stable one
-    # where two are equal (even sides): the table is the stable-sort table
-    # either way.
-    for L in [*range(2, 81), 1001]:
-        h = np.arange(L // 2 + 1)
-        c = np.cos(2 * np.pi * h / L)
-        m = np.where((h == 0) | (2 * h == L), 1, 2)
-        a, b = np.triu_indices(h.size)
-        a, b = a[1:], b[1:]
-        cos = 0.5 * (c[a] + c[b])
-        order = np.argsort(-cos, kind="stable")
-        count = m[a] * m[b] * np.where(a == b, 1, 2)
-        table = mode_orbits(TorusGrid(L))
-        assert np.array_equal(table[0], cos[order]), L
-        assert np.array_equal(table[1], count[order]), L
