@@ -1,16 +1,17 @@
 """Exact full-space simulation of the multi-step flip-flop walk.
 
 The walk on the t-th graph power lives in the N*d^t dimensional space spanned
-by |vertex, g_1..g_t>. This module builds the shift S_t (permutation by the
-powered rotation map), the coin C_t (reflection about the per-vertex uniform
-label states), the walk W_t = S_t C_t, and the marking oracle
-O_t = I - 2|psi_m><psi_m|, each matrix-free (``apply_*``, on one state or on
-several as columns), and C_t and W_t also as dense matrices for small
-instances. W_t commutes with torus translations, so its eigendecomposition is
-taken in d^t x d^t momentum blocks (``walk_spectrum``, a factory that builds
-a block, or a stack of them, when asked). Each block is a product of two
-reflections, the coin and a phased reversal of the path labels, and is
-diagonalised in closed form from that split, with no dense eigensolver.
+by |vertex, g_1..g_t>. This module builds the shift S_t (the powered rotation
+map, a table over the label sequences translated over the vertices), the coin
+C_t (reflection about the per-vertex uniform label states), the walk
+W_t = S_t C_t, and the marking oracle O_t = I - 2|psi_m><psi_m|, each
+matrix-free (``apply_*``, on one state or on several as columns), and C_t and
+W_t also as dense matrices for small instances. W_t commutes with torus
+translations, so its eigendecomposition is taken in d^t x d^t momentum blocks
+(``walk_spectrum``, a factory that builds a block, or a stack of them, when
+asked). Each block is a product of two reflections, the coin and a phased
+reversal of the path labels, and is diagonalised in closed form from that
+split, with no dense eigensolver.
 ``correspondence_report`` builds every block once, in batches of at most
 BATCH_ENTRIES entries, and runs all its checks on each batch: the brute-force
 oracle that validates the spectral correspondence between W_t and the
@@ -58,33 +59,19 @@ def full_dim(grid: TorusGrid, t: int) -> int:
 
 
 def shift_permutation(grid: TorusGrid, t: int) -> np.ndarray:
-    """Self-inverse permutation p with S_t|i> = |p(i)>, built vectorized.
+    """Self-inverse permutation p with S_t|i> = |p(i)>: |v, g> -> |v + s(g), r(g)>.
 
-    Walks every basis state's label sequence across the torus, reversing each
-    label, then reverses the label order.
+    s(g) is the path's displacement (the sum of its label steps) and r(g) its
+    labels reversed in order and each reversed. Neither depends on v, so both
+    are tabulated over the d^t label sequences and translated over the vertices.
     """
-    L = grid.side
-    d_t = DEGREE**t
-    dim = grid.vertex_count * d_t
-    idx = np.arange(dim)
-    v, rest = np.divmod(idx, d_t)
-    x = v % L
-    y = v // L
-    labels = np.empty((t, dim), dtype=np.int64)
-    for i in range(t - 1, -1, -1):
-        rest, labels[i] = np.divmod(rest, DEGREE)
-    dx = np.array([s[0] for s in STEP])
-    dy = np.array([s[1] for s in STEP])
-    rev = np.array(REVERSE)
-    for i in range(t):
-        g = labels[i]
-        x = (x + dx[g]) % L
-        y = (y + dy[g]) % L
-        labels[i] = rev[g]
-    out = np.zeros(dim, dtype=np.int64)
-    for i in range(t - 1, -1, -1):
-        out = out * DEGREE + labels[i]
-    return (y * L + x) * d_t + out
+    L, d_t = grid.side, DEGREE**t
+    digits = np.arange(d_t)[:, None] // DEGREE ** np.arange(t - 1, -1, -1) % DEGREE
+    step = np.array(STEP)[digits].sum(axis=1)  # s(g) as (dx, dy), one row per g
+    label = np.array(REVERSE)[digits] @ DEGREE ** np.arange(t)  # r(g)
+    # x', y' of the far end, indexed (x or y, g); one (L, L, d^t) sum at the end.
+    x, y = (np.arange(L)[:, None] + step.T[:, None, :]) % L
+    return (y[:, None, :] * (L * d_t) + (x * d_t + label)[None, :, :]).ravel()
 
 
 @functools.lru_cache(maxsize=4)
@@ -285,16 +272,17 @@ def walk_spectrum(
     size d^t (``WalkSpectrum.block``).
 
     The shift sends |v, g> to |v + s(g), r(g)>, where the partner offset s(g)
-    and label r(g) do not depend on v; they are read off the first d^t
-    entries of the shift permutation. Block k is therefore
-    B_k = M_k C: the coin C = 2|u><u| - I (u the uniform label vector) after
-    the phased path reversal (M_k v)_g = e^{2 pi i k.s(g)/L} v_r(g). The
-    shift is an involution, so r(r(g)) = g and s(r(g)) = -s(g) mod L, which
-    makes M_k^2 = I for every k: both checks raise RuntimeError on failure,
-    before any block is built. B_k is then
-    diagonalised exactly from the two reflections (``_reflection_split``):
-    a rotation by 2 arccos|P+ u| on the plane of u and M_k u, and -+1 on the
-    rest of M_k's +-1 eigenspaces. ``budget`` caps the full dimension N d^t.
+    and label r(g) do not depend on v. They are read off the first d^t entries
+    of the shift permutation, not its path table, so the blocks are those of
+    the shift ``apply_shift`` applies and the eigenpair residual tests it.
+    Block k is B_k = M_k C: the coin C = 2|u><u| - I (u the uniform label
+    vector) after the phased path reversal (M_k v)_g = e^{2 pi i k.s(g)/L}
+    v_r(g). The shift is an involution, so r(r(g)) = g and s(r(g)) = -s(g)
+    mod L, which makes M_k^2 = I for every k: both checks raise RuntimeError
+    on failure, before any block is built. B_k is then diagonalised exactly
+    from the two reflections (``_reflection_split``): a rotation by
+    2 arccos|P+ u| on the plane of u and M_k u, and -+1 on the rest of M_k's
+    +-1 eigenspaces. ``budget`` caps the full dimension N d^t.
     """
     dim = full_dim(grid, t)
     if dim > budget:

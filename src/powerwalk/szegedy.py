@@ -54,7 +54,10 @@ class MarkovChain:
 
 
 def check_stochastic(M: np.ndarray) -> None:
-    """Raise ValueError unless each matrix of M is a symmetric chain (1e-12)."""
+    """Raise ValueError unless each matrix of M is a symmetric chain (1e-12).
+    Non-finite entries are refused first: every comparison below is False on NaN."""
+    if not np.isfinite(M).all():
+        raise ValueError("transition matrix has non-finite entries")
     if np.min(M) < -1e-12:
         raise ValueError("transition matrix has negative entries")
     if np.max(np.abs(M - M.mT)) > 1e-12:

@@ -3,11 +3,13 @@
 The torus is the sqrt(N) x sqrt(N) periodic lattice. Every vertex carries four
 edge labels (right, left, up, down); the rotation map sends (vertex, label) to
 (neighbour, label of the same edge at the neighbour) and is an involution.
-``fullwalk.shift_permutation`` powers it over whole label sequences from the
-step and reversal tables below. The normalized adjacency matrix of the t-th
-graph power is the t-th power of the original one, diagonal in the Fourier
-modes k with eigenvalue cos^t phi_k (``mode_cosines``); ``mode_orbits`` groups
-the modes by the torus symmetries for the search engine and the sums.
+``fullwalk.shift_permutation`` powers it from the step and reversal tables
+below: a path's displacement is the sum of its label steps, and its label
+sequence seen from the far end is its reversal with each label reversed. The
+normalized adjacency matrix of the t-th graph power is the t-th power of the
+original one, diagonal in the Fourier modes k with eigenvalue cos^t phi_k
+(``mode_cosines``); ``mode_orbits`` groups the modes by the torus symmetries
+for the search engine and the sums.
 
 The scalar rotation map, the dense adjacency matrix and path enumeration,
 which check these tables, are test oracles in tests/oracles.py.

@@ -459,6 +459,18 @@ def test_bad_chain_csv_is_config_error(tmp_path, capsys):
     assert err == f"error: chain CSV {empty} holds no numbers\n"
 
 
+def test_non_finite_chain_csv_is_refused(tmp_path, capsys):
+    # NaN and inf parse as numbers; the chain check refuses them by name
+    # before the SVD or the sign check sees them.
+    message = "error: transition matrix has non-finite entries\n"
+    grids = {"nan.csv": "0.5,nan\nnan,0.5\n", "inf.csv": "inf,-inf\n-inf,inf\n"}
+    for name, text in grids.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(["szegedy", "--chain-csv", str(path)], capsys)
+        assert (code, out, err) == (2, "", message)
+
+
 def test_malformed_chain_csv_names_file_and_line(tmp_path, capsys):
     # A header line and a ragged row are refused in the CLI's words, with the
     # file and the offending line named; blank lines and '#' comments count

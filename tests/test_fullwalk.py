@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -65,14 +67,28 @@ def test_shift_is_involution():
 
 
 def test_shift_permutation_is_powered_rotation_map():
-    # The permutation is the vectorised rotation map of the t-th graph power.
-    for side in (3, 4):
+    # The permutation is the vectorised rotation map of the t-th graph power,
+    # also on side 2, where the +1 and -1 steps reach the same neighbour.
+    for side, steps in ((2, (1, 2, 3, 4)), (3, (1, 2, 3, 4)), (4, (1, 2, 3))):
         grid = TorusGrid(side)
-        for t in (1, 2, 3):
+        for t in steps:
             perm = fullwalk.shift_permutation(grid, t)
             for i in range(full_dim(grid, t)):
                 partner = powered_rotation_apply(grid, t, index_port(grid, t, i))
                 assert perm[i] == basis_index(grid, t, partner)
+
+
+def test_shift_permutation_takes_no_per_state_scratch():
+    """The build translates one 4^t-row path table over the vertices, so its
+    tracemalloc peak stays within a few copies of the returned array."""
+    grid = TorusGrid(17)
+    tracemalloc.start()
+    try:
+        perm = fullwalk.shift_permutation(grid, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * perm.nbytes, peak / perm.nbytes
 
 
 def test_shift_permutation_built_once_per_instance(monkeypatch):

@@ -60,6 +60,13 @@ def test_stochastic_check_reads_every_matrix_of_a_stack():
     negative[1, 0, 0] = -2e-12
     with pytest.raises(ValueError, match="negative"):
         check_stochastic(negative)
+    for bad in (np.nan, np.inf):
+        unfinite = good.copy()
+        unfinite[1, 0, 1] = unfinite[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check_stochastic(unfinite)
+    with pytest.raises(ValueError, match="non-finite"):
+        MarkovChain(np.full((2, 2), np.nan))
     slack = good.copy()
     slack[1, 0, 1] += 5e-13
     slack[1, 1, 0] += 5e-13
