@@ -5,6 +5,10 @@ full-space verification operators, the ancilla-controlled search variant, and
 Szegedy quantization of symmetric Markov chains.
 """
 
+import os
+# Idle OpenBLAS threads sleep instead of spinning 2^28 cycles; read when numpy loads.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .torus import TorusGrid
 from .fullwalk import (
     WalkSpectrum,

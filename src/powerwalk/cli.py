@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -537,6 +538,10 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(build_parser().parse_args(argv))
         columns, run = COMMANDS[config.command]
+        if config.out:  # written after the run, so a path that cannot be is refused now
+            folder = os.path.dirname(os.path.abspath(config.out))
+            if os.path.isdir(config.out) or not os.access(folder, os.W_OK):
+                raise ValueError(f"--out {config.out}: not a writable file path")
         report = run(config)
         if columns:
             to_text = records.to_csv if config.format == "csv" else records.to_json

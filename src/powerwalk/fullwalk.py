@@ -110,23 +110,6 @@ def apply_walk(grid: TorusGrid, t: int, state: np.ndarray) -> np.ndarray:
     return apply_shift(grid, t, apply_coin(grid, t, state))
 
 
-def coin_uniform_state(grid: TorusGrid, t: int, u: tuple[int, int]) -> np.ndarray:
-    """|psi^t_u> = d^{-t/2} sum_g |u, g>."""
-    if not grid.contains(u):
-        raise ValueError(f"vertex {u} outside grid")
-    d_t = DEGREE**t
-    state = np.zeros(full_dim(grid, t))
-    i = grid.vertex_index(u) * d_t
-    state[i : i + d_t] = d_t**-0.5
-    return state
-
-
-def uniform_superposition(grid: TorusGrid, t: int) -> np.ndarray:
-    """The starting state: uniform over all basis states, eigenvalue 1 of W_t."""
-    dim = full_dim(grid, t)
-    return np.full(dim, dim**-0.5)
-
-
 def apply_oracle(
     grid: TorusGrid, t: int, m: tuple[int, int], state: np.ndarray
 ) -> np.ndarray:

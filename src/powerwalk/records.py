@@ -2,8 +2,8 @@
 
 CSV output is versioned with a `# powerwalk v1` header comment and a fixed
 column order so runs diff cleanly; JSON output is an array of flat records
-(search sums nested under "sums"). Floats are written with repr, which is
-shortest-round-trip and byte-deterministic.
+(search sums nested under "sums"). Floats are written with str (their repr),
+which is shortest-round-trip and byte-deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 CSV_VERSION_HEADER = "# powerwalk v1"
 
@@ -72,16 +72,10 @@ SZEGEDY_COLUMNS = {
 }
 
 
-def format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def to_csv(columns: Sequence[str], records: Sequence[dict]) -> str:
     lines = [CSV_VERSION_HEADER, ",".join(columns)]
     for rec in records:
-        lines.append(",".join(format_value(rec[c]) for c in columns))
+        lines.append(",".join(str(rec[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -26,10 +26,10 @@ and both overlap factors are read off those sums (``SpectralModel.sums``).
 Its x descends along the orbits for odd t.
 
 The trajectory a record reports comes from ``search_trajectory``, the one
-production route: the target overlaps obey a Volterra recurrence whose kernel
-is the return moments h(m) = <T|D^m|T>, a type-1 non-uniform FFT of the orbit
-measure (``return_moments``). A record then costs O(orbits * kernel width +
-Q^2) instead of the O(Q * orbits) of stepping the state.
+production route: a power-series reciprocal over the return moments
+h(m) = <T|D^m|T>, a type-1 non-uniform FFT of the orbit measure
+(``return_moments``). A record then costs O(orbits * kernel width + Q log Q),
+with no BLAS call, instead of the O(Q * orbits) of stepping the state.
 
 The model holds the orbit measure and nothing per mode. Stepping the state,
 the dense operator U_t over every mode and its eigendecomposition are test
@@ -207,23 +207,46 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
 
 def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
     """The search trajectory, Q+1 success probabilities (before any step and
-    after each), from the return moments h(0..Q) of return_moments in O(Q^2).
+    after each), from the return moments h(0..Q) of return_moments in O(Q log Q).
 
     Unrolling psi_q = D R psi_{q-1}, R = I - 2|T><T| and psi_0 the uniform
-    0 mode, gives the target overlaps as a Volterra recurrence,
-
-        ov_q = a0 cos(delta) - 2 sum_{p<q} h(q - p) ov_p,
-
-    one dot product per step, and p_s(q) = ov_q^2. h(0) does not enter it,
+    0 mode, gives the target overlaps the generating function a0 cos(delta) /
+    ((1 - z) b(z)), b(z) = 1 + 2 sum_{m>=1} h(m) z^m, so p_s(q) = ov_q^2 with
+    ov = a0 cos(delta) cumsum(g), g = 1/b mod z^(Q+1). h(0) does not enter it,
     so |h(0) - 1| is an independent reading of the moments' accuracy.
+
+    g is solved term by term to 32 coefficients, then doubled by Newton's
+    iteration g <- g - g (b g - 1) (Brent & Kung 1978), two steps per length
+    so that error does not compound; the last residual b g - 1 is formed in
+    long double. b's pi-mode part 2 sin^2(delta) (-1)^m peaks at z = -1, where
+    an rfft product would lose digits, so its product is a cumulative sum.
     """
-    Q = moments.size - 1
-    start = model.a0 * math.cos(model.delta)
-    back = -2.0 * moments[:0:-1]  # -2 h(Q), ..., -2 h(1)
-    overlap = np.empty(Q + 1)
-    overlap[0] = start
-    for q in range(1, Q + 1):
-        overlap[q] = start + back[Q - q :] @ overlap[:q]
+    from numpy import fft
+
+    n = moments.size
+    pi_mode = 2.0 * math.sin(model.delta) ** 2
+    sign = np.resize([1.0, -1.0], n)
+    rest = 2.0 * moments - pi_mode * sign  # b without the pi mode
+    rest[0] = 1.0
+    lengths = [n]
+    while lengths[-1] > 32:
+        lengths.append((lengths[-1] + 1) // 2)
+    g = np.ones(lengths.pop())
+    for q in range(1, g.size):
+        g[q] = -2.0 * np.sum(moments[q:0:-1] * g[:q])  # h(q), ..., h(1)
+    for k in reversed(lengths):
+        size = 1 << (2 * k - 2).bit_length()  # no wrap-around in a k x k product
+        b = fft.rfft(rest[:k], size)
+        g = np.concatenate([g, np.zeros(k - g.size)])
+        for wide in (False, k == n):
+            tg = fft.rfft(g, size)
+            if wide:
+                b, tg_ld = (fft.rfft(v.astype(np.longdouble), size) for v in (rest, g))
+            residual = fft.irfft(b * (tg_ld if wide else tg), size)[:k].astype(float)
+            residual[0] -= 1.0
+            residual[1:] += pi_mode * sign[1:k] * np.cumsum(sign[: k - 1] * g[:-1])
+            g -= fft.irfft(tg * fft.rfft(residual, size), size)[:k]
+    overlap = model.a0 * math.cos(model.delta) * np.cumsum(g)
     return overlap * overlap
 
 

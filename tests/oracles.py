@@ -6,11 +6,13 @@ tests can hold the production code against it:
     ports, the Fourier eigenvalue of one mode, the dense adjacency matrix and
     exhaustive path enumeration of its powers;
   - the reduced search engine: the dense operator U_t over every walk mode,
-    built from (grid, t, delta) with torus.mode_cosines, its eigenphase, and
-    the trajectory by stepping the orbit-reduced state;
+    built from (grid, t, delta) with torus.mode_cosines, its eigenphase, the
+    trajectory by stepping the orbit-reduced state, and the trajectory by the
+    Volterra recurrence over the return moments, one dot product per step;
   - the controlled search: the full-space Tulsi circuit and the block
     operator diag(W_t, -I)(I - 2|psi_m, delta><psi_m, delta|);
-  - the verification layer: basis indexing, the dense shift, projection sums,
+  - the verification layer: the uniform start and the coin-uniform marked
+    states, basis indexing, the dense shift, projection sums,
     the dense form of the block split, and of the Szegedy walk the dense
     matrix, its matrix-free action and its explicit nontrivial basis.
 """
@@ -188,6 +190,23 @@ def dense_alpha(model: SpectralModel, budget: int = DEFAULT_DENSE_BUDGET) -> flo
     return float(positive.min())
 
 
+def coin_uniform_state(grid: TorusGrid, t: int, u: tuple[int, int]) -> np.ndarray:
+    """|psi^t_u> = d^{-t/2} sum_g |u, g>: the state the oracle marks at u."""
+    if not grid.contains(u):
+        raise ValueError(f"vertex {u} outside grid")
+    d_t = DEGREE**t
+    state = np.zeros(full_dim(grid, t))
+    i = grid.vertex_index(u) * d_t
+    state[i : i + d_t] = d_t**-0.5
+    return state
+
+
+def uniform_superposition(grid: TorusGrid, t: int) -> np.ndarray:
+    """The starting state: uniform over all basis states, eigenvalue 1 of W_t."""
+    dim = full_dim(grid, t)
+    return np.full(dim, dim**-0.5)
+
+
 def phase_rotation(x: np.ndarray) -> np.ndarray:
     """e^{i arccos x}; the factored sine keeps small phases at full precision."""
     return x + 1j * np.sqrt((1.0 - x) * (1.0 + x))
@@ -224,6 +243,28 @@ def iterate_search(model: SpectralModel, Q: int) -> np.ndarray:
         overlap = float(pair_target @ real)
         trajectory[step] = overlap**2
     return trajectory
+
+
+def volterra_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
+    """search.search_trajectory by forward substitution, O(Q^2).
+
+    Unrolling psi_q = D R psi_{q-1}, R = I - 2|T><T| and psi_0 the uniform
+    0 mode, gives the target overlaps as a Volterra recurrence,
+
+        ov_q = a0 cos(delta) - 2 sum_{p<q} h(q - p) ov_p,
+
+    one dot product per step, and p_s(q) = ov_q^2. On float64 moments the
+    dot product is a BLAS ddot, whose summation order OpenBLAS may change with
+    its thread count; long double moments run the recurrence in long double.
+    """
+    Q = moments.size - 1
+    start = model.a0 * math.cos(model.delta)
+    back = -2.0 * moments[:0:-1]  # -2 h(Q), ..., -2 h(1)
+    overlap = np.empty(Q + 1, dtype=moments.dtype)
+    overlap[0] = start
+    for q in range(1, Q + 1):
+        overlap[q] = start + back[Q - q :] @ overlap[:q]
+    return overlap * overlap
 
 
 # Full-space controlled-search circuit. A walk (x) ancilla state is a (dim, 2)
@@ -264,7 +305,7 @@ def block_step(
 ) -> np.ndarray:
     """The block form on a (dim, 2) slab: diag(W_t, -I) times the
     rotated-target reflection I - 2|psi_m, delta><psi_m, delta|."""
-    target = np.outer(fullwalk.coin_uniform_state(grid, t, m), delta_state(delta))
+    target = np.outer(coin_uniform_state(grid, t, m), delta_state(delta))
     return _walk_and_z(grid, t, state - 2.0 * np.vdot(target, state) * target)
 
 
@@ -273,9 +314,9 @@ def circuit_trajectory(
 ) -> np.ndarray:
     """Success probabilities |<psi_m, delta|state>|^2 from explicit circuit
     simulation on the doubled full space, starting from |uniform>|0>."""
-    uniform = fullwalk.uniform_superposition(grid, t)
+    uniform = uniform_superposition(grid, t)
     state = np.column_stack([uniform, np.zeros_like(uniform)])
-    target = np.outer(fullwalk.coin_uniform_state(grid, t, m), delta_state(delta))
+    target = np.outer(coin_uniform_state(grid, t, m), delta_state(delta))
     trajectory = np.empty(Q + 1)
     trajectory[0] = abs(np.vdot(target, state)) ** 2
     for i in range(1, Q + 1):

@@ -23,7 +23,14 @@ from powerwalk.sums import grid_sums
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import tune_delta
 
-from oracles import block_step, circuit_step, circuit_trajectory, iterate_search
+from oracles import (
+    block_step,
+    circuit_step,
+    circuit_trajectory,
+    coin_uniform_state,
+    iterate_search,
+    uniform_superposition,
+)
 
 ODD_SWEEP = (17, 33, 65, 129, 257)
 SUMS_SWEEP = (8, 16, 32, 64, 128, 256, 512)
@@ -135,8 +142,8 @@ def test_criterion_03_reduced_engine_equivalence():
         alpha, _ = compute_alpha(model)
         Q = 3 * math.floor(math.pi / (2 * alpha))
         reduced = iterate_search(model, Q)
-        state = fullwalk.uniform_superposition(grid, t).astype(complex)
-        target = fullwalk.coin_uniform_state(grid, t, marked)
+        state = uniform_superposition(grid, t).astype(complex)
+        target = coin_uniform_state(grid, t, marked)
         full = np.empty(Q + 1)
         full[0] = abs(np.dot(target, state)) ** 2
         for step in range(1, Q + 1):

@@ -23,6 +23,39 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def subprocess_env(**blas):
+    """The test process's environment with the package's src on PYTHONPATH,
+    for a child interpreter. Each keyword sets an OpenBLAS variable, or unsets
+    it if None."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for name, value in blas.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def _openblas_skip_reason():
+    if sys.platform != "linux":
+        return "reads /proc and Linux thread ids"
+    if len(os.sched_getaffinity(0)) < 2:
+        return "needs 2 CPUs for a 2-thread OpenBLAS pool"
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        return f"numpy's BLAS is {blas}, not OpenBLAS"
+    return None
+
+
+# The tests of the OpenBLAS default and of thread-independent bytes.
+OPENBLAS_SKIP = _openblas_skip_reason()
+needs_openblas_pool = pytest.mark.skipif(
+    OPENBLAS_SKIP is not None, reason=str(OPENBLAS_SKIP)
+)
+
+
 def test_config_round_trips_to_canonical_json():
     parser = cli.build_parser()
     args = parser.parse_args(["verify-spectrum", "--sizes", "5,9", "--t", "1,3"])
@@ -296,6 +329,20 @@ def test_bad_step_count_refused_before_any_work(argv, capsys, monkeypatch):
     assert (code, out, calls) == (2, "", [])
     [line] = err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_refused_before_any_work(where, tmp_path, capsys, monkeypatch):
+    # The records are written after the run, so an --out that cannot take
+    # them is refused before the sweep (about 0.8 s of work) starts.
+    path = tmp_path / "missing" / "x.csv" if where == "missing directory" else tmp_path
+    calls = []
+    monkeypatch.setattr(cli, "return_moments", lambda model, Q: calls.append(model))
+    argv = ["search", "--out", str(path), "--sizes", "2001", "--t-schedule", "sweep"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, calls) == (2, "", [])
+    [line] = err.splitlines()
+    assert line.startswith("error: --out ")
 
 
 @pytest.mark.parametrize(
@@ -647,14 +694,11 @@ def test_benchmark_tracer_wraps_engine():
     # perfbench/tracer.py wraps module attributes process-wide, so it runs in
     # its own interpreter. It re-binds SpectralModel.distinct_phases, and the
     # trajectory route's self time lands in the search module's default bucket.
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", TRACED_TULSI, str(PERFBENCH)],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -787,16 +831,68 @@ def test_cli_runs_without_scipy():
     # numpy.fft, which only the trajectory's return moments read, is not
     # loaded by the import either.
     argvs = [[name, *CONTRACT[name][0]] for name in sorted(cli.COMMANDS)]
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE, json.dumps(argvs)],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"loaded": [], "codes": [0] * len(argvs)}
+
+
+@needs_openblas_pool
+def test_search_bytes_do_not_depend_on_blas_threads():
+    # The trajectory calls no BLAS, so a 2-thread OpenBLAS pool prints the
+    # same p_s as one thread at Q = 13178, where a threaded ddot would not.
+    argv = ["search", "--sizes", "5001", "--t", "1"]
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerwalk.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[2].startswith("5001,25010001,1,")
+
+
+BLAS_SPIN = """
+import json, os, time
+from pathlib import Path
+import powerwalk
+time.sleep(0.3)
+spin = sum(
+    int((task / "schedstat").read_text().split()[0])  # ns on the CPU
+    for task in Path("/proc/self/task").iterdir()
+    if int(task.name) != os.getpid()
+)
+timeout = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+print(json.dumps({"spin_ns": spin, "timeout": timeout}))
+"""
+
+
+@needs_openblas_pool
+@pytest.mark.parametrize("timeout", [None, "28"])
+def test_blas_pool_sleeps_after_import(timeout):
+    # Importing powerwalk loads OpenBLAS, whose idle worker threads spin for
+    # 2^28 cycles (about 0.13 s) by default. The package sets a 2^4-cycle
+    # timeout unless one is given, which still wins.
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_SPIN],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(OPENBLAS_NUM_THREADS="2", OPENBLAS_THREAD_TIMEOUT=timeout),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if timeout is None:
+        assert result["spin_ns"] < 10_000_000
+    assert result["timeout"] == (timeout or "4")

@@ -14,11 +14,9 @@ from powerwalk.fullwalk import (
     apply_shift,
     apply_walk,
     coin_matrix,
-    coin_uniform_state,
     correspondence_report,
     expected_nonreal_phases,
     full_dim,
-    uniform_superposition,
     walk_matrix,
     walk_spectrum,
 )
@@ -27,11 +25,13 @@ from powerwalk.torus import REVERSE, TorusGrid
 from oracles import (
     PathPort,
     basis_index,
+    coin_uniform_state,
     dense_reflection_split,
     index_port,
     powered_rotation_apply,
     projection_sum,
     shift_matrix,
+    uniform_superposition,
     vertex_overlaps,
 )
 

@@ -7,11 +7,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Kept in src/ for the full-space return moments (ROADMAP item 3), which will
-# start from the uniform state and mark the coin-uniform state of a vertex.
-NOT_YET_RUN = {"fullwalk.coin_uniform_state", "fullwalk.uniform_superposition"}
-
-
 def referenced_names(nodes) -> set[str]:
     """Every identifier a name, an attribute or an import among ``nodes`` reads."""
     names = set()
@@ -49,6 +44,4 @@ def unreferenced_definitions() -> list[str]:
 
 
 def test_every_public_definition_in_src_is_run_outside_the_tests():
-    unused = unreferenced_definitions()
-    assert sorted(set(unused) - NOT_YET_RUN) == []
-    assert NOT_YET_RUN <= set(unused), "an allow-listed name is run now: drop it"
+    assert unreferenced_definitions() == []

@@ -23,7 +23,15 @@ from powerwalk.sums import GridSums, orbit_measure
 from powerwalk.torus import TorusGrid
 from powerwalk.tulsi import DELTA_POLICIES, tune_delta
 
-from oracles import dense_alpha, iterate_search, phase_rotation, reduced_modes
+from oracles import (
+    coin_uniform_state,
+    dense_alpha,
+    iterate_search,
+    phase_rotation,
+    reduced_modes,
+    uniform_superposition,
+    volterra_trajectory,
+)
 
 
 def test_nearest_odd():
@@ -112,8 +120,8 @@ def test_reduced_matches_full_simulation():
             alpha, _ = compute_alpha(model)
             Q = 3 * math.floor(math.pi / (2 * alpha))
             reduced = iterate_search(model, Q)
-            state = fullwalk.uniform_superposition(grid, t).astype(complex)
-            target = fullwalk.coin_uniform_state(grid, t, m)
+            state = uniform_superposition(grid, t).astype(complex)
+            target = coin_uniform_state(grid, t, m)
             full = [abs(np.dot(target, state)) ** 2]
             for _ in range(Q):
                 state = fullwalk.apply_oracle(grid, t, m, state)
@@ -138,6 +146,37 @@ def test_search_trajectory_matches_iterate_search_at_513():
     assert Q == 1165
     route = search_trajectory(model, return_moments(model, Q))
     assert np.max(np.abs(route - iterate_search(model, Q))) <= 1e-10
+
+
+@pytest.mark.parametrize("t, delta, Q", [(1, 0.0, 2386), (13, 0.6, 1341)])
+def test_search_trajectory_matches_volterra_recurrence(t, delta, Q):
+    # The Newton route against the forward substitution it replaced, on the
+    # same moments.
+    model = build_model(TorusGrid(1001), t, delta)
+    assert math.floor(math.pi / (2.0 * compute_alpha(model)[0])) == Q
+    moments = return_moments(model, Q)
+    route = search_trajectory(model, moments)
+    assert np.max(np.abs(route - volterra_trajectory(model, moments))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "side, t, policy, Q", [(1001, 1, "balanced", 3771), (2001, 7, None, 2724)]
+)
+def test_search_trajectory_holds_rounding_level(side, t, policy, Q):
+    # Two recurrences that lose digits: the balanced angle puts weight
+    # 2 sin^2(delta) = 1.87 on the pi mode's (-1)^m moments, and at t = 7 most
+    # phases crowd pi/2. Forward substitution in doubles is off by 1.5e-10 and
+    # 9.0e-13 there, and the route with its last residual in doubles by 2.8e-13
+    # and 2.5e-11. Against the recurrence in long double on the same moments
+    # the route holds 1e-12 (it reads 3.7e-15 and 8.7e-15).
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double has no more precision than double here")
+    base = build_model(TorusGrid(side), t)
+    model = build_model(base.grid, t, tune_delta(base, policy) if policy else 0.0)
+    assert math.floor(math.pi / (2.0 * compute_alpha(model)[0])) == Q
+    moments = return_moments(model, Q)
+    exact = volterra_trajectory(model, moments.astype(np.longdouble))
+    assert np.max(np.abs(search_trajectory(model, moments) - exact)) <= 1e-12
 
 
 def test_return_moments_match_direct_sum():
