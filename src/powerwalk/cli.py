@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,10 +311,12 @@ def _sum_fields(gs) -> dict:
 def _search_record(model: SpectralModel, trajectory: bool) -> dict:
     """One search row: the secular root, the analytic accounting at its Q, the
     grid sums, and p_s, measured on the trajectory at Q or the analytic estimate.
-    A trajectory row also carries h0_dev = |h(0) - 1| of its return moments,
-    which no column prints."""
+    A trajectory row also carries h0_dev = |h(0) - 1| of its return moments
+    and every row its accounting's warning messages; no column prints them."""
     alpha_exact, alpha_est = compute_alpha(model)
-    result = success_probability(model, alpha_exact)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = success_probability(model, alpha_exact)
     rec = {
         "L": model.grid.side,
         "N": model.grid.vertex_count,
@@ -326,6 +329,7 @@ def _search_record(model: SpectralModel, trajectory: bool) -> dict:
         "Q_O": result.Q_O,
         "Q_G": result.Q_G,
         **_sum_fields(model.sums),
+        "warnings": [str(w.message) for w in caught],
     }
     if trajectory:
         moments = return_moments(model, result.Q)
@@ -390,6 +394,7 @@ def run_tulsi(config: ExperimentConfig) -> ScalingReport:
         ctl = _search_record(controlled, trajectory=True)
         rec.update(
             {name: ctl[name] for name in ("p_s", "p_s_bound", "Q_O", "Q_G", "h0_dev")},
+            warnings=rec["warnings"] + ctl["warnings"],
             delta=delta,
             tan2_delta=math.tan(delta) ** 2,
             a_pi=math.sin(delta),
@@ -551,7 +556,7 @@ def main(argv=None) -> int:
                     fp.write(text)
             else:
                 sys.stdout.write(text)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in report.summary_lines():

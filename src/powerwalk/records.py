@@ -141,7 +141,11 @@ class ScalingReport:
         return all(self.checks.values())
 
     def summary_lines(self) -> list[str]:
-        lines = []
+        lines = [
+            f"warning: L={r['L']} t={r['t']}: {message}"
+            for r in self.records
+            for message in r.get("warnings", ())
+        ]
         for name, (slope, resid) in self.slopes.items():
             lines.append(f"slope {name}: {slope:.4f} (rms residual {resid:.4f})")
         for name, stats in self.bands.items():

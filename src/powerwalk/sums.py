@@ -16,8 +16,9 @@ the search engine and the full-walk phase check read too: x = cos^t phi on
 each symmetry orbit of the modes (torus.mode_orbits, by descending cos phi)
 and the orbit's mode count, about N/8 terms. The counts
 are powers of two, so every scaled term is exact. ``exact_sum`` adds each
-array of terms correctly rounded (math.fsum's value) in a few vector passes,
-so no sum depends on the evaluation order.
+array of terms correctly rounded (math.fsum's value), so no sum depends on the
+evaluation order. It takes one round of vector passes, and more only where a
+bounded plain sum of the remainder leaves the rounding open.
 """
 
 from __future__ import annotations
@@ -64,10 +65,13 @@ def exact_sum(p: np.ndarray, buf: np.ndarray) -> float:
     summation part I"). With sigma a power of two at least (n + 2) max|p|,
     q = (sigma + p) - sigma and p - q are exact, and the q are multiples of
     ulp(sigma)/2 whose partial sums stay below sigma, so np.sum(q) is exact in
-    any order. Repeating on the remainder until it is zero leaves a few exact
-    partial sums, which math.fsum rounds once. Overwrites p (it ends all
-    zero) and buf, a scratch array of p's shape. Raises ValueError on a NaN
-    or infinite term and when (n + 2) max|p| overflows.
+    any order. Each remainder r is then at most ulp(sigma)/2, so a plain
+    np.sum(r) in any order is within a slack of its exact value. Rounding is
+    monotone: when math.fsum rounds partials + np.sum(r) -+ slack to one float,
+    that float is the exact total rounded, so the exit changes no result;
+    otherwise the next round extracts the remainder. Overwrites p (it ends
+    holding the remainder) and buf, a scratch array of p's shape. Raises
+    ValueError on a NaN or infinite term and when (n + 2) max|p| overflows.
     """
     room = (p.size + 1).bit_length()  # ceil(log2(n + 2))
     partials = []
@@ -85,6 +89,15 @@ def exact_sum(p: np.ndarray, buf: np.ndarray) -> float:
         buf -= sigma
         partials.append(float(np.sum(buf)))
         p -= buf
+        # |r| <= 2^(exponent - 53) and n < 2^room, so np.sum(p) is off by less
+        # than (n - 1) u n 2^(exponent - 53) < 2^(exponent + 2 room - 106); the
+        # slack is twice that. Where it underflows to 0 the bound is below
+        # 2^-1074, and an addition's error is a multiple of 2^-1074: it is 0.
+        rest = float(np.sum(p))
+        slack = math.ldexp(1.0, exponent + 2 * room - 105)
+        lo = math.fsum(partials + [rest, -slack])
+        if lo == math.fsum(partials + [rest, slack]):
+            return lo
 
 
 @functools.lru_cache(maxsize=1)
@@ -153,16 +166,14 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
     N = grid.vertex_count
     x, count = orbit_measure(grid, t)
     lower = _telescoped_sum(grid) / t  # before this call takes its rows
-    # 1 - x is formed again where it is read: exact_sum overwrites buf.
-    terms, buf = _workspace(grid)[:2]
-    np.divide(count, np.subtract(1.0, x, out=buf), out=terms)
-    S1 = exact_sum(terms, buf)
-    np.square(np.subtract(1.0, x, out=terms), out=terms)
+    terms, buf, gap = _workspace(grid)[:3]
+    np.subtract(1.0, x, out=gap)
+    S1 = exact_sum(np.divide(count, gap, out=terms), buf)
+    np.square(gap, out=terms)
     S2 = exact_sum(np.divide(count, terms, out=terms), buf)
     np.add(1.0, x, out=terms)
     np.multiply(count, terms, out=terms)
-    np.divide(terms, np.subtract(1.0, x, out=buf), out=terms)
-    S3 = exact_sum(terms, buf)
+    S3 = exact_sum(np.divide(terms, gap, out=terms), buf)
 
     shells = np.arange(1, grid.side // 2 + 1)
     shell_terms = shells / (1.0 - np.exp(-4.0 * shells**2 * t / N))

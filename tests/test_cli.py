@@ -677,6 +677,35 @@ def test_usage_error_exit_code():
         assert exc.value.code == 2, (command, flag)
 
 
+@pytest.mark.parametrize("command", ["sums", "search", "tulsi"])
+def test_side_too_large_for_memory_is_refused(command, capsys):
+    # At L = 2^53 + 1 the orbit table asks numpy for 32 PiB, which fails at once.
+    code, out, err = run_cli([command, "--sizes", str(2**53 + 1), "--t", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["search", "--sizes", "2,3", "--t", "3"], ["tulsi", "--sizes", "2", "--t", "1"]]
+)
+def test_overlap_warning_is_one_summary_line(argv, capsys):
+    # alpha = phi1/2 at L = 2: the accounting warns outside its guarantee. A
+    # child process shows stderr as a user sees it, with no warning filter.
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerwalk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(argv, capsys)[:2]
+    assert "UserWarning" not in proc.stderr and ".py" not in proc.stderr
+    assert "overlap_ws(" not in proc.stderr
+    [line] = [line for line in proc.stderr.splitlines() if line.startswith("warning:")]
+    assert line.startswith(f"warning: L=2 t={argv[-1]}: alpha=")
+    assert "is not below phi1/2=" in line
+
+
 TRACED_TULSI = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

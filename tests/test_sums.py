@@ -129,6 +129,68 @@ def test_exact_sum_refuses_what_it_cannot_sum():
         exact_sum(p, np.empty_like(p))
 
 
+class _Counted(np.ndarray):
+    """An array that logs (ufunc, method, operand size) for every numpy ufunc
+    call it enters, np.sum and ndarray.max included (both are reductions)."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [a.view(np.ndarray) if isinstance(a, _Counted) else a for a in inputs]
+        size = max(np.size(a) for a in inputs)
+        _Counted.log.append((ufunc.__name__, method, size))
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return result if out is None else out[0]
+
+
+def _counted_exact_sum(terms):
+    """exact_sum of a copy of terms, and the log of the ufunc calls it made."""
+    p = np.array(terms, dtype=float).view(_Counted)
+    _Counted.log = []
+    return exact_sum(p, np.empty_like(p)), list(_Counted.log)
+
+
+def _term_arrays(grid, t):
+    """The S1, S2 and S3 terms per orbit, formed as grid_sums forms them."""
+    x, count = orbit_measure(grid, t)
+    return count / (1.0 - x), count / (1.0 - x) ** 2, count * (1.0 + x) / (1.0 - x)
+
+
+def test_exact_sum_stops_after_one_round():
+    # One extraction round is |p|, its max, sigma + p, - sigma, the sum of the
+    # extracted q and p -= q; the certified exit adds one sum of the remainder.
+    # Running until the remainder is zero makes at least two rounds here.
+    s1 = _term_arrays(TorusGrid(1001), 13)[0]
+    got, log = _counted_exact_sum(s1)
+    assert got == math.fsum(s1.tolist())
+    assert len([call for call in log if call[2] == s1.size]) <= 7, log
+
+
+@pytest.mark.parametrize(
+    "values, sum_calls",
+    [
+        ([1.0, 2**-53], 4),  # an exact tie, rounded to even: the remainder must reach 0
+        # above the tie by less than the first round's slack
+        ([1.0, 2**-53] + [2**-110] * 1000, 4),
+        ([1.0, 2**-53, 2**-80], 2),  # above the tie by more: fixed after one round
+        ([1.0, 2**-53, -(2**-80)], 2),  # below it by more
+    ],
+)
+def test_exact_sum_near_ties(values, sum_calls):
+    # Each round makes two np.sum calls: the extracted q and the remainder.
+    got, log = _counted_exact_sum(values)
+    assert got == math.fsum(values)
+    assert [call[:2] for call in log].count(("add", "reduce")) == sum_calls
+
+
+@pytest.mark.parametrize("t", [1, 3, 13])
+def test_exact_sum_is_fsum_on_grid_terms(t):
+    for terms in _term_arrays(TorusGrid(1001), t):
+        assert exact_sum(terms.copy(), np.empty_like(terms)) == math.fsum(terms.tolist())
+
+
 def _fsum_formulas(grid, t):
     """The five sums as math.fsum over Python lists of the same terms."""
     x, count = orbit_measure(grid, t)
