@@ -46,7 +46,7 @@ from .search import (
 )
 from .sums import IDENTITY_TOL, check_finite, grid_sums
 from .szegedy import DISCRIMINANT_TOL, EIGENPHASE_TOL
-from .torus import BATCH_ENTRIES, DEFAULT_DENSE_BUDGET, TorusGrid
+from .torus import BATCH_ENTRIES, DEFAULT_DENSE_BUDGET, TorusGrid, uniform_draws
 from .tulsi import DELTA_POLICIES, tune_delta
 
 @dataclass
@@ -452,11 +452,21 @@ def _szegedy_chains(config: ExperimentConfig) -> list[tuple[str, szegedy.MarkovC
                 f"--chains {config.chains} draws fewer chains than the "
                 f"{len(config.sizes)} --sizes"
             )
-        rng = np.random.default_rng(config.seed)
-        return [
-            (f"random:{i}", szegedy.random_symmetric_chain(n, rng))
-            for i, n in zip(range(config.chains), itertools.cycle(config.sizes))
-        ]
+        if not 0 <= config.seed < 2**64:
+            raise ValueError(f"--seed {config.seed}: must lie in [0, 2**64)")
+        sizes = [n for _, n in zip(range(config.chains), itertools.cycle(config.sizes))]
+        if min(sizes, default=2) < 2:
+            raise ValueError(f"chain needs n >= 2, got {min(sizes)}")
+        # Chain i reads the next n_i^2 draws; chains of one size form one stack.
+        ends = np.cumsum([0] + [n * n for n in sizes])
+        draws = uniform_draws(config.seed, (ends[-1],))
+        chains = [None] * len(sizes)
+        for n in dict.fromkeys(sizes):
+            of_n = [i for i, size in enumerate(sizes) if size == n]
+            stack = np.reshape([draws[ends[i] : ends[i + 1]] for i in of_n], (-1, n, n))
+            for i, matrix in zip(of_n, szegedy.random_symmetric_chain(stack)):
+                chains[i] = (f"random:{i}", szegedy.MarkovChain(matrix))
+        return chains
     make = NAMED_CHAINS[config.generator]
     return [(f"{config.generator}:{n}", make(n)) for n in config.sizes]
 

@@ -38,6 +38,7 @@ from .torus import (
     STEP,
     TorusGrid,
     mode_cosines,
+    uniform_draws,
 )
 
 # Eigenvalues within this distance of +-1 are classified as the +-1 subspace.
@@ -46,11 +47,11 @@ REAL_EIGENVALUE_TOL = 1e-8
 # check: phase multiset, projection sums, overlap law, real weight, eigenpair
 # residual and path components.
 SPECTRUM_TOL = 1e-9
-# Largest norm or involution defect of the operators on the random probe that
+# Largest norm or involution defect of the operators on the probe that
 # CorrespondenceReport.passed accepts.
 UNITARITY_TOL = 1e-12
-# Random unit columns of the probe that the translation and unitarity checks
-# act on.
+# Fixed pseudo-random unit columns of the probe that the translation and
+# unitarity checks act on.
 PROBE_COLUMNS = 8
 
 
@@ -319,14 +320,16 @@ def _path_component_dev(t: int, phi_i, phi_j, a_u, a_v, eigenvalues) -> float:
 
 def _probe_devs(grid: TorusGrid, t: int) -> tuple[float, float]:
     """(translation dev, unitarity dev) of the matrix-free operators on one
-    fixed random (dim, PROBE_COLUMNS) slab X of unit complex columns.
+    fixed (dim, PROBE_COLUMNS) slab X of unit complex columns, pseudo-random:
+    real and imaginary parts 2u - 1 for the uniform_draws u of seed 0.
 
     The translation dev is the largest |W T X - T W X| over the two generator
-    translations T of the torus: zero exactly when W_t commutes with
-    translations (with probability one). The unitarity dev is the largest
-    norm defect of W_t and O_t and involution defect of S_t, C_t and O_t. The
-    oracle marks (1, 1), a vertex of every grid: the overlap law already
-    shows that the vertex does not matter.
+    translations T of the torus: zero when W_t commutes with translations,
+    and not zero when it does not, on any fixed probe with no translation
+    structure of its own, whatever its distribution. The unitarity dev is the
+    largest norm defect of W_t and O_t and involution defect of S_t, C_t and
+    O_t. The oracle marks (1, 1), a vertex of every grid: the overlap law
+    already shows that the vertex does not matter.
     """
 
     def column_norms(v: np.ndarray) -> np.ndarray:
@@ -334,13 +337,11 @@ def _probe_devs(grid: TorusGrid, t: int) -> tuple[float, float]:
         # error stays near 1e-16 where a sum down axis 0 grows with dim.
         return np.linalg.norm(v.T.copy(), axis=1)
 
-    rng = np.random.default_rng(0)
     shape = (full_dim(grid, t), PROBE_COLUMNS)
     # Column-major, so the coin averages each vertex block of a column along
     # a contiguous axis, as it does for a single state.
     probe = np.empty(shape, dtype=complex, order="F")
-    probe.real = rng.normal(size=shape)
-    probe.imag = rng.normal(size=shape)
+    probe.real, probe.imag = 2.0 * uniform_draws(0, (2, *shape)) - 1.0
     probe /= column_norms(probe)
     walked = apply_walk(grid, t, probe)
     layout = (grid.side, grid.side, DEGREE**t, PROBE_COLUMNS)  # y, x, labels, columns
@@ -411,7 +412,7 @@ def correspondence_report(
     Verifies, against the block eigendecomposition of W_t:
       - every eigenpair is one of the actual operator (the eigenpair
         residual): the matrix-free W_t commutes with both generator
-        translations on a random probe, so each full-space eigenvector Phi,
+        translations on a fixed probe, so each full-space eigenvector Phi,
         a plane wave, has |W Phi - lambda Phi| equal at every vertex, and
         W Phi is compared with lambda Phi on vertex 0's rows; the residual is
         the larger of the commutation defect and that row deviation,
@@ -429,7 +430,7 @@ def correspondence_report(
       - the path-basis component formulas, on the paths that start at vertex
         0: a path's deviation has the same modulus at every vertex, since
         translating it multiplies both ends of a plane wave by one phase,
-      - on the same random probe as the residual, W_t and O_t keep the norm
+      - on the same probe as the residual, W_t and O_t keep the norm
         and S_t, C_t and O_t are involutions (the unitarity deviation).
 
     These hold on every side and step count. Each d^t x d^t block is built

@@ -91,33 +91,36 @@ def lazy_chain(chain: MarkovChain) -> MarkovChain:
     return MarkovChain(0.5 * np.eye(chain.size) + 0.5 * chain.matrix)
 
 
-def random_symmetric_chain(n: int, rng: np.random.Generator) -> MarkovChain:
-    """Random symmetric doubly stochastic chain by symmetric Sinkhorn scaling.
+def random_symmetric_chain(draws: np.ndarray) -> np.ndarray:
+    """Symmetric doubly stochastic chains, one per matrix of a (c, n, n) stack
+    of uniform draws in [0, 1), by symmetric Sinkhorn scaling.
 
-    Draws a strictly positive symmetric seed S and finds the diagonal d with
-    diag(d) S diag(d) row-stochastic via the fixed point d = 1/(S d). The map
-    is homogeneous of degree -1, so its iterates settle into a 2-cycle
-    {c d*, d*/c} rather than onto d*. The iteration stops once the next
-    iterate is a constant multiple of d (to 1e-15 relative); the constant
-    drops out when the rows are normalized. At most SINKHORN_ITERATIONS run.
+    The seed S = 0.1 + 0.9 draws (numpy's uniform(0.1, 1.0)), symmetrized, is
+    positive, and diag(d) S diag(d) is row-stochastic at the fixed point
+    d = 1/(S d). The map is homogeneous of degree -1, so its iterates settle
+    into a 2-cycle {c d*, d*/c} rather than onto d*. A chain's d stops once
+    its next iterate is a constant multiple of it (to 1e-15 relative; the
+    constant drops out when the rows are normalized) or after
+    SINKHORN_ITERATIONS, so the chains stacked with it change none of its bits.
     """
-    if n < 2:
-        raise ValueError(f"chain needs n >= 2, got {n}")
-    S = rng.uniform(0.1, 1.0, size=(n, n))
-    S = 0.5 * (S + S.T)
-    d = np.ones(n)
+    if draws.shape[-1] < 2:
+        raise ValueError(f"chain needs n >= 2, got {draws.shape[-1]}")
+    S = 0.1 + 0.9 * draws
+    S = 0.5 * (S + S.mT)
+    d = np.ones(draws.shape[:-1] + (1,))
+    active = np.ones(len(d), dtype=bool)
     for _ in range(SINKHORN_ITERATIONS):
         d_new = 1.0 / (S @ d)
         ratio = d / d_new
-        d = d_new
-        top = ratio.max()
-        if top - ratio.min() <= 1e-15 * top:
+        d[active] = d_new[active]
+        top = ratio.max(axis=(1, 2))
+        active &= top - ratio.min(axis=(1, 2)) > 1e-15 * top
+        if not active.any():
             break
-    M = d[:, None] * S * d[None, :]
-    M = 0.5 * (M + M.T)
-    M /= M.sum(axis=1, keepdims=True)
-    M = 0.5 * (M + M.T)
-    return MarkovChain(M)
+    M = d * S * d.mT
+    M = 0.5 * (M + M.mT)
+    M /= M.sum(axis=-1, keepdims=True)
+    return 0.5 * (M + M.mT)
 
 
 def load_chain_csv(path) -> MarkovChain:

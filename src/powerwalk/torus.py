@@ -90,3 +90,18 @@ def mode_orbits(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     for array in table:
         array.flags.writeable = False
     return table
+
+
+def uniform_draws(seed: int, shape) -> np.ndarray:
+    """Uniform doubles in [0, 1) of the given shape, in C order: the top 53
+    bits of the SplitMix64 stream (Steele, Lea & Flood 2014) of a seed in
+    [0, 2**64). Integer arithmetic only, so the same bits on every machine."""
+    z = np.arange(1, 1 + int(np.prod(shape)), dtype=np.uint64)
+    z *= 0x9E3779B97F4A7C15  # the i-th state, seed + i * gamma mod 2**64
+    z += seed
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return (z >> 11).reshape(shape) * 2.0**-53

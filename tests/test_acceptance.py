@@ -328,7 +328,8 @@ def test_criterion_09_markov_quantization():
     ok = True
     for index in range(20):
         n = (2, 3, 4)[index % 3]
-        chain = szegedy.random_symmetric_chain(n, rng)
+        [matrix] = szegedy.random_symmetric_chain(rng.random((1, n, n)))
+        chain = szegedy.MarkovChain(matrix)
         for k in (1, 2, 3):
             walk = szegedy.build_isometries(chain.matrix[None], k)
             powered = np.linalg.matrix_power(chain.matrix, k)
@@ -362,7 +363,10 @@ def test_criterion_10_spectral_gap_powering():
     # of M: on the random chains of criterion 9, and on lazy cycles at
     # k = ceil(1/g), where the powered gap also clears 1 - 1/e - 0.05.
     rng = np.random.default_rng(2024)
-    chains = [szegedy.random_symmetric_chain((2, 3, 4)[i % 3], rng) for i in range(20)]
+    chains = [
+        szegedy.MarkovChain(szegedy.random_symmetric_chain(rng.random((1, n, n)))[0])
+        for n in ((2, 3, 4)[i % 3] for i in range(20))
+    ]
     cases = [(chain, k) for chain in chains for k in (1, 2, 3)]
     for n in (5, 7, 9):
         chain = szegedy.lazy_chain(szegedy.cycle_chain(n))

@@ -275,6 +275,9 @@ def test_verify_spectrum_every_side_and_step_count(capsys):
         ["search", "--sizes", "8", "--t", "9007199254740993", "--no-trajectory"],
         ["szegedy", "--sizes", ""],
         ["szegedy", "--chains", "-2"],
+        # A seed outside SplitMix64's [0, 2**64), where it would alias.
+        ["szegedy", "--seed", "-1"],
+        ["szegedy", "--seed", str(2**64)],
         # Runs that would check nothing.
         ["search", "--sizes", ""],
         ["tulsi", "--sizes", ""],
@@ -870,6 +873,46 @@ def test_cli_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result == {"loaded": [], "codes": [0] * len(argvs)}
+
+
+def test_seed_refusal_names_the_flag(capsys):
+    for seed in (-1, 2**64):
+        code, out, err = run_cli(["szegedy", "--seed", str(seed)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --seed {seed}: must lie in [0, 2**64)\n"
+    code, _, _ = run_cli(["szegedy", "--sizes", "2", "--seed", str(2**64 - 1)], capsys)
+    assert code == 0
+
+
+RANDOM_FREE = """
+import contextlib, io, json, sys
+from powerwalk import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_probe_and_chains_do_not_import_numpy_random():
+    # The probe and the random chains draw from torus.uniform_draws, so the
+    # verification layer never pays numpy.random's import.
+    argvs = [
+        ["verify-spectrum", "--sizes", "5", "--t", "1"],
+        ["szegedy", "--sizes", "2,3", "--chains", "4", "--seed", "1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", RANDOM_FREE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "numpy.random": False}
 
 
 @needs_openblas_pool

@@ -31,6 +31,11 @@ from oracles import (
 )
 
 
+def random_chain(n, rng):
+    """One random chain of size n from a numpy Generator's draws."""
+    return MarkovChain(random_symmetric_chain(rng.random((1, n, n)))[0])
+
+
 def test_chain_validation():
     with pytest.raises(ValueError, match="symmetric"):
         MarkovChain(np.array([[0.5, 0.5], [0.9, 0.1]]))
@@ -108,7 +113,7 @@ def test_register_reversal_is_involution():
     seed=st.integers(0, 10_000),
 )
 def test_isometry_columns_unit_norm(n, k, seed):
-    chain = random_symmetric_chain(n, np.random.default_rng(seed))
+    chain = random_chain(n, np.random.default_rng(seed))
     walk = build_isometries(chain.matrix, k)
     norms = np.linalg.norm(walk.A, axis=0)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
@@ -126,28 +131,36 @@ class CountingMatrix(np.ndarray):
         return np.asarray(self) @ other
 
 
-class CountingRng:
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def uniform(self, low, high, size):
-        return self.rng.uniform(low, high, size).view(CountingMatrix)
-
-
 def test_random_chain_sinkhorn_stops_once_settled():
     # d -> 1/(S d) settles into a 2-cycle {c d*, d*/c}, never onto d*, so a
-    # test on |d_new - d| alone runs every one of the 500 iterations.
-    rng = CountingRng(7)
+    # test on |d_new - d| alone runs every one of the 500 iterations. A stack
+    # takes as many products as its slowest chain.
+    rng = np.random.default_rng(7)
     for n in range(2, 9):
         CountingMatrix.products = 0
-        chain = random_symmetric_chain(n, rng)
-        assert CountingMatrix.products < 100, n
-        assert np.max(np.abs(chain.matrix.sum(axis=1) - 1.0)) <= 1e-14
+        chains = random_symmetric_chain(rng.random((6, n, n)).view(CountingMatrix))
+        assert 0 < CountingMatrix.products < 100, n
+        assert np.max(np.abs(chains.sum(axis=-1) - 1.0)) <= 1e-14
+
+
+def test_stacked_sinkhorn_scales_each_chain_as_alone():
+    # A chain's d stops at its own iteration, so the chains stacked with it
+    # change none of its bits.
+    rng = np.random.default_rng(37)
+    for n in range(2, 9):
+        draws = rng.random((6, n, n))
+        stack = random_symmetric_chain(draws)
+        assert stack.shape == (6, n, n)
+        for j in range(6):
+            assert np.array_equal(stack[j], random_symmetric_chain(draws[j : j + 1])[0])
+        check_stochastic(stack)
+    with pytest.raises(ValueError, match="n >= 2"):
+        random_symmetric_chain(rng.random((3, 1, 1)))
 
 
 def test_discriminant_is_chain_power():
     rng = np.random.default_rng(11)
-    chain = random_symmetric_chain(4, rng)
+    chain = random_chain(4, rng)
     for k in (1, 2, 3):
         walk = build_isometries(chain.matrix, k)
         expected = np.linalg.matrix_power(chain.matrix, k)
@@ -156,7 +169,7 @@ def test_discriminant_is_chain_power():
 
 def test_walk_fixes_common_range_vector():
     rng = np.random.default_rng(3)
-    chain = random_symmetric_chain(3, rng)
+    chain = random_chain(3, rng)
     walk = build_isometries(chain.matrix, 2)
     # uniform combination lies in range(A) and range(B) for doubly
     # stochastic symmetric chains
@@ -167,7 +180,7 @@ def test_walk_fixes_common_range_vector():
 
 def test_walk_unitary_on_random_states():
     rng = np.random.default_rng(5)
-    chain = random_symmetric_chain(3, rng)
+    chain = random_chain(3, rng)
     walk = build_isometries(chain.matrix, 2)
     states = []
     for _ in range(20):
@@ -185,7 +198,7 @@ def test_walk_unitary_on_random_states():
 
 def test_multistep_matches_powered_chain_spectrum():
     rng = np.random.default_rng(13)
-    chain = random_symmetric_chain(4, rng)
+    chain = random_chain(4, rng)
     for k in (2, 3):
         [multi] = nontrivial_eigenphases(build_isometries(chain.matrix[None], k))
         powered = MarkovChain(np.linalg.matrix_power(chain.matrix, k))
@@ -198,7 +211,7 @@ def test_nontrivial_basis_orthonormal():
     rng = np.random.default_rng(23)
     for n in range(2, 9):
         for k in (1, 2, 3):
-            matrix = random_symmetric_chain(n, rng).matrix
+            matrix = random_chain(n, rng).matrix
             walk = build_isometries(matrix, k)
             basis = nontrivial_basis(walk)
             assert basis.shape == (n ** (k + 1), 2 * (n - 1)), (n, k)
@@ -218,9 +231,9 @@ def test_gram_route_operator_is_the_restricted_walk():
     # explicit basis X under the matrix-free walk: stacks of random chains,
     # one stack that mixes interior counts, and a chain with none.
     rng = np.random.default_rng(31)
-    stacks = [[random_symmetric_chain(n, rng) for _ in range(3)] for n in range(2, 9)]
+    stacks = [[random_chain(n, rng) for _ in range(3)] for n in range(2, 9)]
     lazy = lazy_chain(cycle_chain(4))
-    stacks.append([random_symmetric_chain(4, rng), complete_chain(4), lazy])
+    stacks.append([random_chain(4, rng), complete_chain(4), lazy])
     stacks.append([complete_chain(2)])
     counts = []
     for chains in stacks:
@@ -252,7 +265,7 @@ def test_gram_route_operator_is_the_restricted_walk():
 def test_eigenphases_match_singular_values():
     rng = np.random.default_rng(17)
     for n in (2, 3, 4):
-        chain = random_symmetric_chain(n, rng)
+        chain = random_chain(n, rng)
         walk = build_isometries(chain.matrix, 1)
         [measured] = nontrivial_eigenphases(build_isometries(chain.matrix[None], 1))
         predicted = predicted_nontrivial_eigenphases(walk)
@@ -288,7 +301,7 @@ def test_trivial_subspace_action():
 
 def test_query_cost():
     rng = np.random.default_rng(19)
-    chain = random_symmetric_chain(2, rng)
+    chain = random_chain(2, rng)
     assert query_cost(build_isometries(chain.matrix, 1)) == 4
     assert query_cost(build_isometries(chain.matrix, 3)) == 12
     with pytest.raises(ValueError):
@@ -297,7 +310,7 @@ def test_query_cost():
 
 def test_budget_guard():
     rng = np.random.default_rng(23)
-    chain = random_symmetric_chain(4, rng)
+    chain = random_chain(4, rng)
     with pytest.raises(ValueError, match="budget"):
         build_isometries(chain.matrix, 6)
 
@@ -335,7 +348,7 @@ def test_spectral_gap_closed_forms():
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(29)
-    chain = random_symmetric_chain(3, rng)
+    chain = random_chain(3, rng)
     path = tmp_path / "chain.csv"
     np.savetxt(path, chain.matrix, delimiter=",")
     loaded = load_chain_csv(path)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerwalk.torus import TorusGrid, mode_cosines, mode_orbits
+from powerwalk.torus import TorusGrid, mode_cosines, mode_orbits, uniform_draws
 
 from oracles import (
     DOWN,
@@ -186,3 +186,23 @@ def test_mode_cosines_bounds():
 def test_grid_rejects_degenerate_side():
     with pytest.raises(ValueError):
         TorusGrid(1)
+
+
+def test_uniform_draws_are_the_splitmix64_stream():
+    # The reference outputs of SplitMix64 from seed 1234567, top 53 bits each.
+    reference = [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+    draws = uniform_draws(1234567, (5,))
+    assert draws.dtype == np.float64
+    assert (draws * 2**53).tolist() == [float(z >> 11) for z in reference]
+    # Row-major order over the shape: a prefix of the same stream.
+    assert np.array_equal(uniform_draws(1234567, (2, 2)).ravel(), draws[:4])
+    for seed in (0, 2**64 - 1):
+        draws = uniform_draws(seed, (3, 1000))
+        assert draws.shape == (3, 1000)
+        assert draws.min() >= 0.0 and draws.max() < 1.0
