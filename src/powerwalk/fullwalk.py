@@ -295,7 +295,7 @@ def expected_nonreal_phases(grid: TorusGrid, t: int) -> np.ndarray:
     (sums.orbit_measure), |x| < 1, repeated by mode count, sorted ascending."""
     x, count = orbit_measure(grid, t)
     interior = np.abs(x) < 1.0 - 1e-12
-    phases = np.repeat(np.arccos(x[interior]), count[interior])
+    phases = np.repeat(np.arccos(x[interior]), count[interior].astype(np.intp))
     return np.sort(np.concatenate([phases, -phases]))
 
 

@@ -23,7 +23,7 @@ One (x, weight) measure per (L, t), ``sums.orbit_measure`` with x_k =
 cos phi^(t)_k = cos^t phi_k, feeds the secular root, the trajectory and the
 grid sums S1, S2 and S3; as a_k^2 = 1/(2N), the closed-form alpha estimate
 and both overlap factors are read off those sums (``SpectralModel.sums``).
-Its x descends along the orbits for odd t.
+It comes in the orbit table's lattice order; return_moments sorts by phase.
 
 The trajectory a record reports comes from ``search_trajectory``, the one
 production route: a power-series reciprocal over the return moments
@@ -94,6 +94,13 @@ def _orbit_weights(grid: TorusGrid) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=1)
+def _phase_order(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of -cos (ascending phase at odd t) and the weights in it."""
+    order = np.argsort(-mode_orbits(grid)[0], kind="stable")
+    return order, _orbit_weights(grid)[order]
+
+
 @dataclass
 class SpectralModel:
     """Eigenphases and target overlaps driving the reduced-space search.
@@ -126,7 +133,8 @@ class SpectralModel:
 
     @property
     def phi1(self) -> float:
-        """Smallest walk eigenphase, arccos of the largest x: the first (odd t)."""
+        """Smallest walk eigenphase, arccos of the largest x: the first, as orbit
+        (0, 1) has the largest cos and x = cos^t rises with cos for odd t."""
         return math.acos(self.distinct_phases[0][0])
 
 
@@ -152,9 +160,9 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     The orbit sum is a type-1 non-uniform FFT (Greengard & Lee 2004): each
     coefficient is spread onto a 2x oversampled grid of 4(Q+1) points with a
     Gaussian whose values at the 2*SPREAD_HALF_WIDTH nearest points factor as
-    E1 * E2^l * E3(l), so only E1 and E2 cost an exp per orbit. As x
-    descends along the orbits, each grid cell's orbits form one run, which
-    np.add.reduceat sums pairwise, not term after term. One inverse FFT of
+    E1 * E2^l * E3(l), so only E1 and E2 cost an exp per orbit. Taken in
+    ascending phase (_phase_order), each grid cell's orbits form one run,
+    which np.add.reduceat sums pairwise, not term after term. One inverse FFT of
     the grid and a division by the Gaussian's Fourier coefficients leave the
     sum at every m, in O(orbits * width + Q log Q).
     """
@@ -162,10 +170,12 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
         raise ValueError(f"iteration count must be >= 0, got {Q}")
     from numpy import fft  # not loaded by importing numpy; only this route reads it
 
-    x, weights = model.distinct_phases
+    order, weights = _phase_order(model.grid)
     # cell and e2 serve as scratch before they are formed, cell again once
-    # occupied has read it.
+    # occupied has read it; value holds x in phase order until the first offset
+    # (mode "wrap" gathers straight into it, where "raise" would buffer).
     theta, cell, e2, value = _workspace(model.grid)
+    x = np.take(model.distinct_phases[0], order, out=value, mode="wrap")
     c2, s2 = math.cos(model.delta) ** 2, math.sin(model.delta) ** 2
     width = SPREAD_HALF_WIDTH
     modes = 2 * (Q + 1)  # the NUFFT's mode range [-(Q+1), Q+1)
@@ -225,7 +235,8 @@ def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
 
     n = moments.size
     pi_mode = 2.0 * math.sin(model.delta) ** 2
-    sign = np.resize([1.0, -1.0], n)
+    sign = np.ones(n)
+    sign[1::2] = -1.0
     rest = 2.0 * moments - pi_mode * sign  # b without the pi mode
     rest[0] = 1.0
     lengths = [n]

@@ -13,12 +13,12 @@ the square-shell bound 8 sum_l l / (1 - exp(-4 l^2 t / N)).
 
 The sums read ``orbit_measure``, the one (x, weight) measure of (L, t) that
 the search engine and the full-walk phase check read too: x = cos^t phi on
-each symmetry orbit of the modes (torus.mode_orbits, by descending cos phi)
-and the orbit's mode count, about N/8 terms. The counts
-are powers of two, so every scaled term is exact. ``exact_sum`` adds each
-array of terms correctly rounded (math.fsum's value), so no sum depends on the
-evaluation order. It takes one round of vector passes, and more only where a
-bounded plain sum of the remainder leaves the rounding open.
+each symmetry orbit of the modes (torus.mode_orbits, in lattice order) and
+the orbit's mode count, about N/8 terms. The counts are powers of two, so
+every scaled term is exact. ``exact_sum`` adds each array of terms correctly
+rounded (math.fsum's value), so no sum depends on the evaluation order. It
+takes one round of vector passes, and more only where a bounded plain sum of
+the remainder leaves the rounding open.
 """
 
 from __future__ import annotations
@@ -131,9 +131,12 @@ def orbit_measure(grid: TorusGrid, t: int) -> tuple[np.ndarray, np.ndarray]:
     x is |cos|^t, with the sign of cos put back for odd t. numpy's SIMD
     power kernel takes non-negative bases only and sends a negative one to a
     scalar pow that can round differently, so powering |cos| keeps every
-    orbit on one routine and makes x(-c) = -x(c) (odd t) exact.
+    orbit on one routine and makes x(-c) = -x(c) (odd t) exact. At t = 1 that
+    is cos itself, so the measure is the orbit table.
     """
     cos, count = mode_orbits(grid)
+    if t == 1:
+        return cos, count
     x = np.abs(cos)
     np.power(x, t, out=x)
     if t % 2:
@@ -168,7 +171,8 @@ def grid_sums(grid: TorusGrid, t: int) -> GridSums:
     lower = _telescoped_sum(grid) / t  # before this call takes its rows
     terms, buf, gap = _workspace(grid)[:3]
     np.subtract(1.0, x, out=gap)
-    S1 = exact_sum(np.divide(count, gap, out=terms), buf)
+    # At t = 1 the S1 terms are the telescoped ones, count / (1 - cos).
+    S1 = lower if t == 1 else exact_sum(np.divide(count, gap, out=terms), buf)
     np.square(gap, out=terms)
     S2 = exact_sum(np.divide(count, terms, out=terms), buf)
     np.add(1.0, x, out=terms)

@@ -74,19 +74,18 @@ def mode_orbits(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
     cos(phi_k) is invariant under k_x <-> k_y and k -> L - k. The orbits are
     represented by 0 <= a <= b <= L//2 and hold m(a) m(b) (1 if a == b else 2)
     modes, with m(h) = 1 for h = 0 or 2h = L and 2 otherwise, so every count
-    is 1, 2, 4 or 8 and the counts sum to N - 1. They come by descending cos,
-    ties in (a, b) order (a stable sort, the same on every machine). The table
-    is cached per side and its arrays are read-only.
+    is 1, 2, 4 or 8 (float64, exact) and the counts sum to N - 1. They come in
+    lattice order, (a, b) row-major; the first is (0, 1), the nonzero mode
+    with the largest cos. The table is cached per side and its arrays are
+    read-only.
     """
     L = grid.side
     h = np.arange(L // 2 + 1)
     c = np.cos(2 * np.pi * h / L)
-    m = np.where((h == 0) | (2 * h == L), 1, 2)
+    m = np.where((h == 0) | (2 * h == L), 1.0, 2.0)
     a, b = np.triu_indices(h.size)
     a, b = a[1:], b[1:]  # drop the k=(0,0) mode
-    cos = 0.5 * (c[a] + c[b])
-    order = np.argsort(-cos, kind="stable")
-    table = cos[order], (m[a] * m[b] * np.where(a == b, 1, 2))[order]
+    table = 0.5 * (c[a] + c[b]), m[a] * m[b] * np.where(a == b, 1.0, 2.0)
     for array in table:
         array.flags.writeable = False
     return table

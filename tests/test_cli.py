@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from powerwalk import cli, records, search, sums, szegedy
+from powerwalk import cli, records, search, sums, szegedy, torus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -379,6 +379,29 @@ def test_grid_sums_once_per_instance(argv, capsys, monkeypatch):
     models_per_row = 2 if argv[0] == "tulsi" else 1
     info = sums.orbit_measure.cache_info()
     assert (info.misses, info.hits) == (6, 6 * models_per_row)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--no-trajectory", "--sizes", "9,16", "--t", "1,3"],
+        ["sums", "--sizes", "8,9", "--t", "1,3"],
+    ],
+)
+def test_analytic_path_runs_no_sort(argv, capsys, monkeypatch):
+    # The orbit table comes in lattice order; only the trajectory's NUFFT
+    # sorts the orbits by phase, so a record without it needs no sort.
+    for module in (torus, sums, search):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analytic path sorted")
+
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    assert run_cli(argv, capsys)[0] == 0
 
 
 def test_search_command_columns(capsys):

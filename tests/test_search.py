@@ -182,7 +182,9 @@ def test_search_trajectory_holds_rounding_level(side, t, policy, Q):
 def test_return_moments_match_direct_sum():
     # h(m) = sum_j T_j^2 e^{i m theta_j} over the 0 mode, both halves of every
     # orbit and the pi mode, with theta the angle of the engine's rotation.
-    for side, t in itertools.product((9, 17, 33), (1, 3)):
+    # Even sides tie cos across orbits (once at L=10, twice at L=16), which
+    # the phase order keeps in (a, b) order.
+    for side, t in itertools.product((9, 10, 16, 17, 33), (1, 3)):
         base = build_model(TorusGrid(side), t)
         for delta in (0.0, tune_delta(base, "balanced")):
             model = build_model(base.grid, t, delta)

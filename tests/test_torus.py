@@ -129,11 +129,17 @@ def test_laplacian_row_sums_vanish():
 
 def test_mode_orbits_cover_nonzero_modes():
     # Even sides hold the a = b = L/2 orbit, a single mode with cos = -1.
-    # The table is ordered by descending cos.
+    # The table is in lattice order: representatives 0 <= a <= b <= L//2,
+    # row-major, without (0, 0); the first orbit, (0, 1), has the largest cos.
     for side in range(2, 41):
         grid = TorusGrid(side)
         cos, count = mode_orbits(grid)
-        assert np.all(np.diff(cos) <= 0)
+        h = side // 2 + 1
+        a, b = np.array([(a, b) for a in range(h) for b in range(a, h)][1:]).T
+        c = np.cos(2 * np.pi * np.arange(h) / side)
+        assert np.array_equal(cos, 0.5 * (c[a] + c[b]))
+        assert (cos < 1.0).all()  # (0, 0) is absent
+        assert cos[0] == cos.max() and np.sum(cos == cos[0]) == 1
         assert count.sum() == grid.vertex_count - 1
         assert set(np.unique(count)) <= {1, 2, 4, 8}
         assert (cos.min() == -1.0) == (side % 2 == 0)
@@ -142,7 +148,7 @@ def test_mode_orbits_cover_nonzero_modes():
     for side in (2, 3, 4, 5, 6, 8, 9, 16, 17):
         grid = TorusGrid(side)
         cos, count = mode_orbits(grid)
-        expanded = np.sort(np.repeat(cos, count))
+        expanded = np.sort(np.repeat(cos, count.astype(int)))
         assert np.max(np.abs(expanded - np.sort(mode_cosines(grid)[1:]))) <= 1e-15
 
 
