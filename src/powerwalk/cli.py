@@ -13,7 +13,8 @@ function that fills a ScalingReport; it accepts only the flags that run reads.
 JSON, prints the slope/band/check summary to stderr, and exits 0 when every
 check passed, 1 on a check failure, 2 on usage, config or budget errors and on
 a run that checks nothing. verify-spectrum has no record columns: its verdicts
-are per-instance stderr lines.
+are per-instance stderr lines. Budgets and warnings are decided here; the
+numerical modules take no budget and raise no warning.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +46,14 @@ from .search import (
 )
 from .sums import IDENTITY_TOL, check_finite, grid_sums
 from .szegedy import DISCRIMINANT_TOL, EIGENPHASE_TOL
-from .torus import BATCH_ENTRIES, DEFAULT_DENSE_BUDGET, TorusGrid, uniform_draws
+from .torus import BATCH_ENTRIES, TorusGrid, uniform_draws
 from .tulsi import DELTA_POLICIES, tune_delta
+
+# The --budget default of verify-spectrum and szegedy: the largest full-walk
+# dimension N*4^t decomposed (block by block), and the largest Szegedy walk
+# dimension N^(k+1) built. Both runs refuse a larger instance before any work.
+DEFAULT_DENSE_BUDGET = 4096
+
 
 @dataclass
 class ExperimentConfig:
@@ -282,7 +288,7 @@ def run_verify_spectrum(config: ExperimentConfig) -> ScalingReport:
             )
     all_ok = True
     for grid, t in instances:
-        report = fullwalk.correspondence_report(grid, t, budget=config.budget)
+        report = fullwalk.correspondence_report(grid, t)
         ok = report.passed()
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
@@ -312,11 +318,10 @@ def _search_record(model: SpectralModel, trajectory: bool) -> dict:
     """One search row: the secular root, the analytic accounting at its Q, the
     grid sums, and p_s, measured on the trajectory at Q or the analytic estimate.
     A trajectory row also carries h0_dev = |h(0) - 1| of its return moments
-    and every row its accounting's warning messages; no column prints them."""
+    and every row a warnings list, with one message when alpha is not below
+    phi1/2, the precondition of overlap_ws; no column prints them."""
     alpha_exact, alpha_est = compute_alpha(model)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = success_probability(model, alpha_exact)
+    result = success_probability(model, alpha_exact)
     rec = {
         "L": model.grid.side,
         "N": model.grid.vertex_count,
@@ -329,8 +334,13 @@ def _search_record(model: SpectralModel, trajectory: bool) -> dict:
         "Q_O": result.Q_O,
         "Q_G": result.Q_G,
         **_sum_fields(model.sums),
-        "warnings": [str(w.message) for w in caught],
+        "warnings": [],
     }
+    if alpha_exact >= model.phi1 / 2.0:
+        rec["warnings"].append(
+            f"alpha={alpha_exact:.3e} is not below phi1/2={model.phi1 / 2:.3e}; "
+            "the overlap expressions are outside their guarantee"
+        )
     if trajectory:
         moments = return_moments(model, result.Q)
         rec["p_s"] = float(search_trajectory(model, moments)[-1])
@@ -498,7 +508,7 @@ def run_szegedy(config: ExperimentConfig) -> ScalingReport:
             stack = np.stack([chains[i][1].matrix for i in part])
             gap = szegedy.spectral_gap(stack)
             for k in dict.fromkeys(config.k_values):
-                walk = szegedy.build_isometries(stack, k, budget=config.budget)
+                walk = szegedy.build_isometries(stack, k)
                 powered = np.linalg.matrix_power(stack, k)
                 disc = szegedy.discriminant(walk)
                 disc_err = np.max(np.abs(disc - powered), axis=(1, 2))

@@ -32,7 +32,6 @@ import numpy as np
 from .sums import orbit_measure
 from .torus import (
     BATCH_ENTRIES,
-    DEFAULT_DENSE_BUDGET,
     DEGREE,
     REVERSE,
     STEP,
@@ -249,9 +248,7 @@ class WalkSpectrum:
         return _reflection_split(self.phases(blocks), self.partner_label)
 
 
-def walk_spectrum(
-    grid: TorusGrid, t: int, budget: int = DEFAULT_DENSE_BUDGET
-) -> WalkSpectrum:
+def walk_spectrum(grid: TorusGrid, t: int) -> WalkSpectrum:
     """The eigendecomposition of W_t as a factory of its N momentum blocks of
     size d^t (``WalkSpectrum.block``).
 
@@ -266,13 +263,8 @@ def walk_spectrum(
     on failure, before any block is built. B_k is then diagonalised exactly
     from the two reflections (``_reflection_split``): a rotation by
     2 arccos|P+ u| on the plane of u and M_k u, and -+1 on the rest of M_k's
-    +-1 eigenspaces. ``budget`` caps the full dimension N d^t.
+    +-1 eigenspaces.
     """
-    dim = full_dim(grid, t)
-    if dim > budget:
-        raise ValueError(
-            f"eigendecomposition of dimension {dim} exceeds budget {budget}"
-        )
     L, d_t = grid.side, DEGREE**t
     partner_vertex, partner_label = np.divmod(_shift_permutation(grid, t)[:d_t], d_t)
     if not np.array_equal(partner_label[partner_label], np.arange(d_t)):
@@ -404,9 +396,7 @@ class CorrespondenceReport:
         )
 
 
-def correspondence_report(
-    grid: TorusGrid, t: int, budget: int = DEFAULT_DENSE_BUDGET
-) -> CorrespondenceReport:
+def correspondence_report(grid: TorusGrid, t: int) -> CorrespondenceReport:
     """Run every full-space spectral check on one (grid, t) instance.
 
     Verifies, against the block eigendecomposition of W_t:
@@ -440,7 +430,7 @@ def correspondence_report(
     fill its rows of the (N, d^t) arrays that every other check reads. No
     dim x dim, dim x N or N d^t x d^t array is formed.
     """
-    spec = walk_spectrum(grid, t, budget=budget)
+    spec = walk_spectrum(grid, t)
     N, d_t = grid.vertex_count, DEGREE**t
     eigenvalues = np.empty((N, d_t), dtype=complex)
     sums = np.empty((N, d_t))

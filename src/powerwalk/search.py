@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -337,14 +336,8 @@ def overlap_ws(model: SpectralModel, alpha: float) -> float:
                       + sin^2(delta) / a_0^2(delta) )
 
     Every a_k^2/a_0^2 is 1/2, so the bracket is S2/2 + N tan^2(delta).
-    Valid when alpha < phi^(t)_1 / 2; a violation is warned, not silenced.
+    Valid when alpha < phi^(t)_1 / 2; the caller checks that precondition.
     """
-    if alpha >= model.phi1 / 2.0:
-        warnings.warn(
-            f"alpha={alpha:.3e} is not below phi1/2={model.phi1 / 2:.3e}; "
-            "the overlap expressions are outside their guarantee",
-            stacklevel=2,
-        )
     loss = model.sums.S2 / 2.0 + model.grid.vertex_count * math.tan(model.delta) ** 2
     return float(max(0.0, 1.0 - alpha**4 * loss))
 

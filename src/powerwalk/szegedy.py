@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import DEFAULT_DENSE_BUDGET
-
 # Singular values within this margin of 0 or 1 mark simultaneous eigenvectors
 # of the two range projectors (the trivially-acted-on subspace).
 SUBSPACE_TOL = 1e-9
@@ -177,9 +175,7 @@ class SzegedyWalk:
     B: np.ndarray
 
 
-def build_isometries(
-    M: np.ndarray, k: int, budget: int = DEFAULT_DENSE_BUDGET
-) -> SzegedyWalk:
+def build_isometries(M: np.ndarray, k: int) -> SzegedyWalk:
     """Construct the k-step isometries with path-product amplitudes.
 
     Column i of A carries sqrt(M_{i j_1} M_{j_1 j_2} ... M_{j_{k-1} j_k}) at
@@ -190,8 +186,6 @@ def build_isometries(
         raise ValueError(f"step count must be >= 1, got {k}")
     n, stack = M.shape[-1], M.shape[:-2]
     dim = n ** (k + 1)
-    if dim > budget:
-        raise ValueError(f"dimension {dim} = {n}^{k + 1} exceeds budget {budget}")
     root = np.sqrt(M)
     # amps[..., (i, j_1..j_{r-1}), j_r]: extend one hop at a time by broadcasting.
     amps = root

@@ -29,9 +29,6 @@ STEP = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 DEGREE = 4
 
-# Largest full-walk dimension N*4^t that walk_spectrum decomposes (block by
-# block), and largest dimension of the Szegedy isometries the package builds.
-DEFAULT_DENSE_BUDGET = 4096
 # Most entries in one batch of stacked dense work, momentum-block eigenvectors
 # (blocks x d^t x d^t) or Szegedy isometries (chains x n^{k+1} x n); one at least.
 BATCH_ENTRIES = 2**16

@@ -26,17 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from powerwalk import fullwalk
+from powerwalk.cli import DEFAULT_DENSE_BUDGET
 from powerwalk.fullwalk import REAL_EIGENVALUE_TOL, full_dim, shift_permutation
 from powerwalk.search import SpectralModel
 from powerwalk.szegedy import SUBSPACE_TOL, SzegedyWalk, discriminant
-from powerwalk.torus import (
-    DEFAULT_DENSE_BUDGET,
-    DEGREE,
-    REVERSE,
-    STEP,
-    TorusGrid,
-    mode_cosines,
-)
+from powerwalk.torus import DEGREE, REVERSE, STEP, TorusGrid, mode_cosines
 
 # Torus edge labels, as torus.STEP and torus.REVERSE index them.
 RIGHT, LEFT, UP, DOWN = 0, 1, 2, 3

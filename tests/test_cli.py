@@ -465,6 +465,19 @@ def test_szegedy_generator_cycle(capsys):
     assert len(out.splitlines()) == 2 + 4
 
 
+def test_szegedy_budget_is_the_only_size_limit(capsys):
+    # 65^3 = 274625 fits --budget 300000. The eigenphase check's one-step
+    # walk of M^2 (65^2 = 4225) is over the default budget, but the pre-check
+    # already covers it, so it is built.
+    argv = ["szegedy", "--generator", "cycle", "--sizes", "65", "--k", "2"]
+    code, out, err = run_cli(argv + ["--budget", "300000"], capsys)
+    assert code == 0, err
+    header, row = out.splitlines()[1:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["discriminant_error"]) <= szegedy.DISCRIMINANT_TOL
+    assert float(values["eigenphase_error"]) <= szegedy.EIGENPHASE_TOL
+
+
 def test_gap_powering_checked_on_every_generator(capsys):
     # The verify-dense argv of the benchmark, then each named generator.
     argvs = [["--sizes", "2,3,4,5,6,7,8", "--k", "1,2,3", "--chains", "40", "--seed", "1"]]
@@ -632,9 +645,9 @@ def test_szegedy_stack_size_changes_no_byte(monkeypatch, capsys):
     outputs, stacks = [], []
     build = szegedy.build_isometries
 
-    def built(matrix, k, **kwargs):
+    def built(matrix, k):
         stacks.append(len(matrix))
-        return build(matrix, k, **kwargs)
+        return build(matrix, k)
 
     monkeypatch.setattr(szegedy, "build_isometries", built)
     for entries in (1, 2**30):

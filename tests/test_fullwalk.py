@@ -225,9 +225,17 @@ class Gathered:
         return np.concatenate([self.slab(b) for b in blocks], axis=1)
 
 
-def test_spectrum_budget():
-    with pytest.raises(ValueError, match="budget"):
-        walk_spectrum(TorusGrid(3), 5)
+def test_spectrum_takes_any_size():
+    # dim 9 * 4^5 = 9216, over the CLI's default --budget: the library has no
+    # size limit of its own. B = M_k C as in the dense-block test below.
+    spec = walk_spectrum(TorusGrid(3), 5)
+    d, b = 4**5, 4
+    values, vecs = one_block(spec, b)
+    M = np.zeros((d, d), dtype=complex)
+    M[np.arange(d), spec.partner_label] = spec.phases(np.array([b]))[0]
+    B = M @ (np.full((d, d), 2.0 / d) - np.eye(d))
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(d))) <= 1e-12
+    assert np.max(np.abs(B @ vecs - vecs * values)) <= 1e-12
 
 
 def test_spectrum_phases_match_prediction_L5_t1():
@@ -361,7 +369,7 @@ def test_block_vectors_are_an_orthonormal_eigenbasis():
     cases = [(side, t) for side in range(2, 10) for t in (1, 2, 3)] + [(9, 5)]
     for side, t in cases:
         grid = TorusGrid(side)
-        spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+        spec = walk_spectrum(grid, t)
         gathered = Gathered(spec)
         d_t = 4**t
         blocks = (0, 1, 40) if t == 5 else range(grid.vertex_count)
@@ -441,7 +449,7 @@ def test_correspondence_report_beyond_dense_sizes():
     # dim 5184, 7744 and 14400: past the dense route, one 64x64 block per
     # momentum.
     for side in (9, 11, 15):
-        rep = correspondence_report(TorusGrid(side), 3, budget=15_000)
+        rep = correspondence_report(TorusGrid(side), 3)
         assert rep.passed(), rep
         assert rep.invariant_dim == 2 * side * side - 1
         assert rep.eigenpair_residual <= 1e-12
@@ -569,7 +577,7 @@ def test_reflection_split_diagonalises_each_dense_block():
     for side in (4, 5, 6, 8, 9):
         for t in (1, 2, 3):
             grid = TorusGrid(side)
-            spec = walk_spectrum(grid, t, budget=full_dim(grid, t))
+            spec = walk_spectrum(grid, t)
             d = 4**t
             coin = np.full((d, d), 2.0 / d) - np.eye(d)
             collapsed = []
@@ -599,7 +607,7 @@ def all_paths_component_dev(grid, t):
     """The path-component deviation read on every path of the full space,
     from each block's (dim, 2) slab of non-real eigenvectors: the oracle for
     the report, which reads the paths that start at vertex 0 only."""
-    spec = Gathered(walk_spectrum(grid, t, budget=full_dim(grid, t)))
+    spec = Gathered(walk_spectrum(grid, t))
     d_t = 4**t
     perm = fullwalk.shift_permutation(grid, t)
     i = np.flatnonzero(np.arange(perm.size) < perm)  # one index per path pair
@@ -641,7 +649,7 @@ def test_component_check_reads_vertex_zero_paths_only(monkeypatch):
 
         monkeypatch.setattr(fullwalk, "_reflection_split", perturbed)
         grid = TorusGrid(side)
-        rep = correspondence_report(grid, t, budget=full_dim(grid, t))
+        rep = correspondence_report(grid, t)
         oracle = all_paths_component_dev(grid, t)
         assert abs(rep.component_dev - oracle) <= 1e-13, (side, t, eps)
         assert (oracle > 1e-9) == (eps > 0.0), (side, t, eps)

@@ -45,3 +45,28 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_public_definition_in_src_is_run_outside_the_tests():
     assert unreferenced_definitions() == []
+
+
+def imported_modules(tree) -> set[str]:
+    """The top-level package of every import in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_budgets_and_warnings_are_the_cli_s_policy():
+    # The numerical modules only compute: no function of src/ takes a budget,
+    # and only cli.py names the budget default or could warn.
+    for path in sorted((ROOT / "src" / "powerwalk").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "budget" not in [a.arg for a in args], path.name
+        if path.stem != "cli":
+            assert "warnings" not in imported_modules(tree), path.name
+            assert "DEFAULT_DENSE_BUDGET" not in referenced_names([tree]), path.name

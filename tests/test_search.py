@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -448,10 +449,19 @@ def test_grid_sum_readings_match_orbit_sums():
                 assert alpha_estimate(model) == est
 
 
-def test_overlap_ws_warns_on_precondition_violation():
+def test_overlap_precondition_is_checked_by_the_cli():
+    # overlap_ws only computes, also outside alpha < phi1/2; the search row
+    # names the violation, which at L = 2 is alpha = phi1/2.
     model = build_model(TorusGrid(5), 1)
-    with pytest.warns(UserWarning, match="phi1/2"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         overlap_ws(model, model.phi1)
+    assert cli._search_record(model, trajectory=False)["warnings"] == []
+    row = cli._search_record(build_model(TorusGrid(2), 1), trajectory=False)
+    assert row["warnings"] == [
+        "alpha=7.854e-01 is not below phi1/2=7.854e-01; "
+        "the overlap expressions are outside their guarantee"
+    ]
 
 
 def test_success_probability_counters():

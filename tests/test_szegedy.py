@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerwalk.szegedy import (
+    DISCRIMINANT_TOL,
     MarkovChain,
     _restricted_operators,
     build_isometries,
@@ -308,11 +309,13 @@ def test_query_cost():
         build_isometries(chain.matrix, 0)
 
 
-def test_budget_guard():
-    rng = np.random.default_rng(23)
-    chain = random_chain(4, rng)
-    with pytest.raises(ValueError, match="budget"):
-        build_isometries(chain.matrix, 6)
+def test_isometries_take_any_size():
+    # dim 65^2 = 4225, over the CLI's default --budget: the library has no
+    # size limit of its own.
+    chain = cycle_chain(65)
+    walk = build_isometries(chain.matrix, 1)
+    assert walk.A.shape == (65**2, 65)
+    assert np.max(np.abs(discriminant(walk) - chain.matrix)) <= DISCRIMINANT_TOL
 
 
 def test_generators():
