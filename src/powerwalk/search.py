@@ -161,9 +161,11 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     Gaussian whose values at the 2*SPREAD_HALF_WIDTH nearest points factor as
     E1 * E2^l * E3(l), so only E1 and E2 cost an exp per orbit. Taken in
     ascending phase (_phase_order), each grid cell's orbits form one run,
-    which np.add.reduceat sums pairwise, not term after term. One inverse FFT of
-    the grid and a division by the Gaussian's Fourier coefficients leave the
-    sum at every m, in O(orbits * width + Q log Q).
+    which np.add.reduceat sums pairwise, not term after term. The spread goes
+    into a grid padded by the kernel's reach on both sides, which one modular
+    fold wraps back onto the 4(Q+1) points. One inverse FFT of the grid and a
+    division by the Gaussian's Fourier coefficients leave the sum at every m,
+    in O(orbits * width + Q log Q).
     """
     if Q < 0:
         raise ValueError(f"iteration count must be >= 0, got {Q}")
@@ -201,11 +203,16 @@ def return_moments(model: SpectralModel, Q: int) -> np.ndarray:
     value += (1 - width) * spacing / (2.0 * tau)
     np.exp(np.multiply(gap, value, out=value), out=value)
     value *= np.multiply(2.0 * c2, weights, out=cell)
-    grid = np.zeros(size)
+    # Cell c + offset is padded[c + offset + width - 1]. The fold is modular
+    # over all of it: a grid narrower than the kernel (Q <= 6) wraps at both ends.
+    padded = np.zeros(size + 2 * width)
     for offset in range(1 - width, width + 1):
         e3 = math.exp(-((offset * spacing) ** 2) / (4.0 * tau))
-        np.add.at(grid, (occupied + offset) % size, e3 * np.add.reduceat(value, starts))
+        spread = e3 * np.add.reduceat(value, starts)
+        np.add.at(padded[offset + width - 1 :], occupied, spread)
         value *= e2
+    grid = np.zeros(size)
+    np.add.at(grid, (np.arange(padded.size) - (width - 1)) % size, padded)
     m = np.arange(Q + 1)
     h = fft.ifft(grid)[: Q + 1].real * (math.sqrt(math.pi / tau) * np.exp(m * m * tau))
     h += model.a0**2 * c2
@@ -224,11 +231,15 @@ def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
     ov = a0 cos(delta) cumsum(g), g = 1/b mod z^(Q+1). h(0) does not enter it,
     so |h(0) - 1| is an independent reading of the moments' accuracy.
 
-    g is solved term by term to 32 coefficients, then doubled by Newton's
-    iteration g <- g - g (b g - 1) (Brent & Kung 1978), two steps per length
-    so that error does not compound; the last residual b g - 1 is formed in
-    long double. b's pi-mode part 2 sin^2(delta) (-1)^m peaks at z = -1, where
-    an rfft product would lose digits, so its product is a cumulative sum.
+    g is solved term by term to at most 32 coefficients, then doubled by
+    Newton's iteration g <- g - g (b g - 1) (Brent & Kung 1978): one step per
+    length below Q + 1 and two at Q + 1, the second with its residual b g - 1
+    formed in long double. The iteration corrects itself, as each step
+    squares the residual: the first step at Q + 1 leaves a residual of the
+    size of the rounding that the shorter lengths left in g, and the second
+    squares it away. b's pi-mode part 2 sin^2(delta) (-1)^m peaks at z = -1,
+    where an rfft product would lose digits, so its product is a cumulative
+    sum; plain search has no pi mode and skips it.
     """
     from numpy import fft
 
@@ -241,21 +252,25 @@ def search_trajectory(model: SpectralModel, moments: np.ndarray) -> np.ndarray:
     lengths = [n]
     while lengths[-1] > 32:
         lengths.append((lengths[-1] + 1) // 2)
-    g = np.ones(lengths.pop())
-    for q in range(1, g.size):
+    g = np.zeros(n)  # g[:k] is the series at length k; the rest stays zero
+    g[0] = 1.0
+    for q in range(1, lengths.pop()):
         g[q] = -2.0 * np.sum(moments[q:0:-1] * g[:q])  # h(q), ..., h(1)
     for k in reversed(lengths):
         size = 1 << (2 * k - 2).bit_length()  # no wrap-around in a k x k product
         b = fft.rfft(rest[:k], size)
-        g = np.concatenate([g, np.zeros(k - g.size)])
-        for wide in (False, k == n):
-            tg = fft.rfft(g, size)
+        gk = g[:k]
+        for wide in (False, True) if k == n else (False,):
+            tg = fft.rfft(gk, size)
             if wide:
                 b, tg_ld = (fft.rfft(v.astype(np.longdouble), size) for v in (rest, g))
-            residual = fft.irfft(b * (tg_ld if wide else tg), size)[:k].astype(float)
+                residual = fft.irfft(b * tg_ld, size)[:k].astype(float)
+            else:
+                residual = fft.irfft(b * tg, size)[:k]
             residual[0] -= 1.0
-            residual[1:] += pi_mode * sign[1:k] * np.cumsum(sign[: k - 1] * g[:-1])
-            g -= fft.irfft(tg * fft.rfft(residual, size), size)[:k]
+            if pi_mode:
+                residual[1:] += pi_mode * sign[1:k] * np.cumsum(sign[: k - 1] * gk[:-1])
+            gk -= fft.irfft(tg * fft.rfft(residual, size), size)[:k]
     overlap = model.a0 * math.cos(model.delta) * np.cumsum(g)
     return overlap * overlap
 

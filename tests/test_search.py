@@ -161,7 +161,13 @@ def test_search_trajectory_matches_volterra_recurrence(t, delta, Q):
 
 
 @pytest.mark.parametrize(
-    "side, t, policy, Q", [(1001, 1, "balanced", 3771), (2001, 7, None, 2724)]
+    "side, t, policy, Q",
+    [
+        (1001, 1, "balanced", 3771),
+        (2001, 7, None, 2724),
+        (257, 1, None, 552),
+        (193, 1, "balanced", 636),
+    ],
 )
 def test_search_trajectory_holds_rounding_level(side, t, policy, Q):
     # Two recurrences that lose digits: the balanced angle puts weight
@@ -169,7 +175,9 @@ def test_search_trajectory_holds_rounding_level(side, t, policy, Q):
     # phases crowd pi/2. Forward substitution in doubles is off by 1.5e-10 and
     # 9.0e-13 there, and the route with its last residual in doubles by 2.8e-13
     # and 2.5e-11. Against the recurrence in long double on the same moments
-    # the route holds 1e-12 (it reads 3.7e-15 and 8.7e-15).
+    # the route holds 1e-12 (it reads 4.7e-15 and 8.6e-15). The last two cases
+    # are the benchmark sweeps' longest records, whose doubling chains are
+    # short (five doublings from 18 and 20 coefficients).
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         pytest.skip("long double has no more precision than double here")
     base = build_model(TorusGrid(side), t)
@@ -184,24 +192,26 @@ def test_return_moments_match_direct_sum():
     # h(m) = sum_j T_j^2 e^{i m theta_j} over the 0 mode, both halves of every
     # orbit and the pi mode, with theta the angle of the engine's rotation.
     # Even sides tie cos across orbits (once at L=10, twice at L=16), which
-    # the phase order keeps in (a, b) order.
+    # the phase order keeps in (a, b) order. At Q <= 6 the grid's 4(Q + 1)
+    # cells are fewer than the kernel's 28, so the spread wraps at both ends.
     for side, t in itertools.product((9, 10, 16, 17, 33), (1, 3)):
         base = build_model(TorusGrid(side), t)
         for delta in (0.0, tune_delta(base, "balanced")):
             model = build_model(base.grid, t, delta)
-            Q = 3 * math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
             x, weights = model.distinct_phases
             theta = np.angle(phase_rotation(x))
             c2, s2 = math.cos(delta) ** 2, math.sin(delta) ** 2
-            m = np.arange(Q + 1)
-            direct = (
-                model.a0**2 * c2
-                + s2 * (-1.0) ** m
-                + np.cos(np.outer(m, theta)) @ (2.0 * c2 * weights)
-            )
-            h = return_moments(model, Q)
-            assert np.max(np.abs(h - direct)) <= 1e-13, (side, t, delta)
-            assert abs(h[0] - 1.0) <= 1e-13
+            long = 3 * math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
+            for Q in (0, 1, 2, 3, 6, long):
+                m = np.arange(Q + 1)
+                direct = (
+                    model.a0**2 * c2
+                    + s2 * (-1.0) ** m
+                    + np.cos(np.outer(m, theta)) @ (2.0 * c2 * weights)
+                )
+                h = return_moments(model, Q)
+                assert np.max(np.abs(h - direct)) <= 1e-13, (side, t, delta, Q)
+                assert abs(h[0] - 1.0) <= 1e-13
 
 
 def test_return_moments_keep_h0_on_crowded_cells():
@@ -210,6 +220,35 @@ def test_return_moments_keep_h0_on_crowded_cells():
     model = build_model(TorusGrid(2001), 15)
     Q = math.floor(math.pi / (2.0 * compute_alpha(model)[0]))
     assert abs(return_moments(model, Q)[0] - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "side, policy, Q, cumsums", [(257, None, 552, 1), (193, "balanced", 636, 7)]
+)
+def test_search_trajectory_call_budget(monkeypatch, side, policy, Q, cumsums):
+    # Five doublings from 18 (or 20) coefficients: one Newton step at each
+    # length below Q + 1 and two at Q + 1 make 5 * 5 + 6 = 31 transforms. The
+    # pi-mode correction costs one cumsum per Newton step, and plain search,
+    # which has no pi mode, pays only the overlap's.
+    base = build_model(TorusGrid(side), 1)
+    model = build_model(base.grid, 1, tune_delta(base, policy) if policy else 0.0)
+    assert math.floor(math.pi / (2.0 * compute_alpha(model)[0])) == Q
+    moments = return_moments(model, Q)
+    calls = {"fft": 0, "cumsum": 0}
+
+    def counted(kind, function):
+        def call(*args, **kwargs):
+            calls[kind] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted("fft", np.fft.rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("fft", np.fft.irfft))
+    monkeypatch.setattr(np, "cumsum", counted("cumsum", np.cumsum))
+    search_trajectory(model, moments)
+    assert calls["fft"] <= 31
+    assert calls["cumsum"] == cumsums
 
 
 def test_search_trajectory_edge_counts():
